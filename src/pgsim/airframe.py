@@ -179,6 +179,8 @@ class ThrustProfile:
         for i in range(len(self.times) - 1):
             imp += 0.5 * (self.values[i] + self.values[i + 1]) * (self.times[i + 1] - self.times[i])
         self.total_impulse = imp
+        # past the last breakpoint the burnt impulse no longer depends on t
+        self.burnout_mass = self._mass_after(self.impulse_to(self.times[-1]))
 
     def thrust(self, t: float) -> float:
         ts, vs = self.times, self.values
@@ -191,9 +193,13 @@ class ThrustProfile:
         return vs[i] + f * (vs[i + 1] - vs[i])
 
     def mass_flow(self, t: float) -> float:
+        return self.mass_flow_for(self.thrust(t))
+
+    def mass_flow_for(self, thrust: float) -> float:
+        """Mass flow at a given thrust level (burn rate is proportional)."""
         if self.total_impulse <= 0.0:
             return 0.0
-        return self.thrust(t) * self.propellant_mass / self.total_impulse
+        return thrust * self.propellant_mass / self.total_impulse
 
     def impulse_to(self, t: float) -> float:
         """Impulse delivered up to ``t``; exact for the piecewise-linear table."""
@@ -211,9 +217,14 @@ class ThrustProfile:
 
     def mass_at(self, t: float) -> float:
         """Vehicle mass at ``t`` from the exact burnt-impulse fraction."""
+        if t >= self.times[-1]:
+            return self.burnout_mass
+        return self._mass_after(self.impulse_to(t))
+
+    def _mass_after(self, impulse: float) -> float:
         if self.total_impulse <= 0.0:
             return self.initial_mass
-        frac = min(self.impulse_to(t) / self.total_impulse, 1.0)
+        frac = min(impulse / self.total_impulse, 1.0)
         return self.initial_mass - self.propellant_mass * frac
 
     @property

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -68,7 +67,10 @@ def _resolve(args) -> dict:
     cfg = cf.resolve(file_cfg, _parse_set(args.set))
     env_seed = os.environ.get("PGS_SEED")
     if env_seed is not None:
-        cfg["seed"] = int(env_seed)
+        try:
+            cfg["seed"] = int(env_seed)
+        except ValueError:
+            raise cf.ConfigError(["PGS_SEED must be an integer, got %r" % env_seed]) from None
     if args.seed is not None:
         cfg["seed"] = args.seed
     problems = cf.validate(cfg)
@@ -79,12 +81,6 @@ def _resolve(args) -> dict:
 
 def _engagement_config(cfg: dict) -> en.EngagementConfig:
     return en.EngagementConfig.from_setup(cf.build_setup(cfg))
-
-
-def _json_default(o):
-    if isinstance(o, float) and not math.isfinite(o):
-        return None
-    raise TypeError
 
 
 def cmd_run(args) -> int:
@@ -104,7 +100,7 @@ def cmd_run(args) -> int:
         "diagnostic": record.diagnostic,
     }
     with open(args.out / "metrics.json", "w") as fh:
-        json.dump(doc, fh, indent=2, default=str)
+        json.dump(mc.finite_or_null(doc), fh, indent=2, default=str, allow_nan=False)
         fh.write("\n")
     print("termination=%s miss=%.6g m at t=%.6g s"
           % (record.termination_reason, record.miss_distance, record.miss_time))

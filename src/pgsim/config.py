@@ -86,17 +86,27 @@ def _flatten(d, prefix=""):
     return out
 
 
-KNOWN_KEYS = frozenset(_flatten(DEFAULTS))
+_FLAT_DEFAULTS = _flatten(DEFAULTS)
+KNOWN_KEYS = frozenset(_FLAT_DEFAULTS)
 
 
 def apply_override(cfg: dict, dotted_key: str, raw_value: str) -> None:
-    """Set one dotted key from its string form; unknown keys are errors."""
+    """Set one dotted key from its string form; unknown keys are errors.
+
+    The value is parsed as JSON, falling back to the raw string, so bare
+    words like ``predicted`` need no quotes.  For a key whose default is
+    a string, a JSON ``true``/``false``/``null`` stays the raw string:
+    ``guidance.source=true`` names the true-rate source.
+    """
     if dotted_key not in KNOWN_KEYS:
         raise ConfigError(["unknown config key: %s" % dotted_key])
     try:
         value = json.loads(raw_value)
     except json.JSONDecodeError:
         value = raw_value  # bare strings like "predicted"
+    if (value is None or isinstance(value, bool)) \
+            and isinstance(_FLAT_DEFAULTS[dotted_key], str):
+        value = raw_value
     node = cfg
     parts = dotted_key.split(".")
     for p in parts[:-1]:

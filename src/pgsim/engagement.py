@@ -122,11 +122,15 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
     obs_cfg = config.observer
     coeffs = obs_cfg.coefficients()
     coupled = obs_cfg.coupled_step1
-    seeker_cfg = config.seeker
     guid = config.guidance
+    target = config.target
+    tvx, tvy = tg.ground_velocity(target)
+    lag = sk.lag_coefficients(dt, config.seeker)
     ap = config.autopilot
+    gain, lim = ap.accel_to_deflection_gain, ap.deflection_limit
+    act_a, act_b = gd.actuator_coefficients(dt, ap)
 
-    tgt0 = tg.target_state(0.0, config.target)
+    tgt0 = tg.target_state(0.0, target)
     az = math.atan2(tgt0.position[1], tgt0.position[0])
     el = config.launch_elevation
     bx, _, _ = af.body_axes(el, az)
@@ -138,13 +142,9 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
         frame.thrust.initial_mass,
     )
 
-    cols: dict = {c: [] for c in CSV_COLUMNS}
-    m_vel: list = []
-    t_vel: list = []
-
-    seeker_state: sk.SeekerState | None = None
-    obs_p = obs_y = None  # 8-tuples once initialized
-    deflections = (0.0, 0.0)
+    rows: list = []  # one tuple per step: CSV_COLUMNS, missile and target velocity
+    delayed = obs_p = obs_y = None  # set on the first step
+    defl_p = defl_y = 0.0
     termination = "timeout"
     diagnostic = ""
     switch_time = guid.warmup if guid.source == "predicted" else None
@@ -154,20 +154,19 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
 
     for n in range(n_max + 1):
         t = n * dt
-        tgt = tg.target_state(t, config.target)
-        mx, my, mz = vehicle[0], vehicle[1], vehicle[2]
-        mvx, mvy, mvz = vehicle[3], vehicle[4], vehicle[5]
-        rx = tgt.position[0] - mx
-        ry = tgt.position[1] - my
-        rz = tgt.position[2] - mz
+        tx, ty, tz, tvz = tg.kinematics(t, target, tvx, tvy)
+        mx, my, mz, mvx, mvy, mvz = vehicle[:6]
+        rx = tx - mx
+        ry = ty - my
+        rz = tz - mz
         rng = math.sqrt(rx * rx + ry * ry + rz * rz)
         if not (math.isfinite(rng) and math.isfinite(mvx) and math.isfinite(vehicle[6])):
             termination = "observer_divergence"
             diagnostic = "non-finite vehicle state at t=%g" % t
             break
-        rvx = tgt.velocity[0] - mvx
-        rvy = tgt.velocity[1] - mvy
-        rvz = tgt.velocity[2] - mvz
+        rvx = tvx - mvx
+        rvy = tvy - mvy
+        rvz = tvz - mvz
         try:
             true_rate = sk.los_rate_channels((rx, ry, rz), (rvx, rvy, rvz))
         except ValueError:
@@ -175,40 +174,23 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
             break
         vc = -(rx * rvx + ry * rvy + rz * rvz) / rng
 
-        if seeker_state is None:
-            seeker_state = sk.SeekerState(delayed_rate=true_rate,
-                                          last_true_rate=true_rate)
+        if n == 0:
+            delayed = true_rate
             obs_p = (true_rate[0], 0.0, 0.0, 0.0, true_rate[0], 0.0, 0.0, 0.0)
             obs_y = (true_rate[1], 0.0, 0.0, 0.0, true_rate[1], 0.0, 0.0, 0.0)
         else:
-            seeker_state = sk.delay_step(seeker_state, true_rate, dt, seeker_cfg)
-        delayed = seeker_state.delayed_rate
+            delayed = sk.lag(delayed, true_rate, lag)
         predicted = (obs_p[4], obs_y[4])
 
         los = gd.select_source(t, guid, true_rate, delayed, predicted)
-        accel_cmd = gd.pn_command(los, vc, guid)
-        deflections = gd.autopilot_step(accel_cmd, (0.0, 0.0), deflections, dt, ap)
+        acc_p, acc_y = gd.pn_command(los, vc, guid)
+        defl_p = gd.fin_step(acc_p, defl_p, gain, lim, act_a, act_b)
+        defl_y = gd.fin_step(acc_y, defl_y, gain, lim, act_a, act_b)
 
-        cols["t"].append(t)
-        cols["lam_true_p"].append(true_rate[0])
-        cols["lam_true_y"].append(true_rate[1])
-        cols["lam_del_p"].append(delayed[0])
-        cols["lam_del_y"].append(delayed[1])
-        cols["lam_pred_p"].append(predicted[0])
-        cols["lam_pred_y"].append(predicted[1])
-        cols["acc_cmd_p"].append(accel_cmd[0])
-        cols["acc_cmd_y"].append(accel_cmd[1])
-        cols["defl_p"].append(deflections[0])
-        cols["defl_y"].append(deflections[1])
-        cols["mx"].append(mx)
-        cols["my"].append(my)
-        cols["mz"].append(mz)
-        cols["tx"].append(tgt.position[0])
-        cols["ty"].append(tgt.position[1])
-        cols["tz"].append(tgt.position[2])
-        cols["range"].append(rng)
-        m_vel.append((mvx, mvy, mvz))
-        t_vel.append(tgt.velocity)
+        rows.append((t, true_rate[0], true_rate[1], delayed[0], delayed[1],
+                     predicted[0], predicted[1], acc_p, acc_y, defl_p, defl_y,
+                     mx, my, mz, tx, ty, tz, rng,
+                     mvx, mvy, mvz, tvx, tvy, tvz))
 
         # termination checks on the recorded sample
         if rng > range_min:
@@ -232,17 +214,17 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
             obs_y = ob.rk4_step8(obs_y, delayed[1], dt, coeffs, coupled)
             if not (math.isfinite(obs_p[4]) and math.isfinite(obs_y[4])):
                 raise ob.DivergenceError("observer state non-finite at t=%g" % t)
-            vehicle = _vehicle_rk4(vehicle, deflections, frame, t, dt)
+            vehicle = _vehicle_rk4(vehicle, (defl_p, defl_y), frame, t, dt)
         except (ob.DivergenceError, ValueError, OverflowError) as exc:
             termination = "observer_divergence"
             diagnostic = "integration failed at t=%g: %s" % (t, exc)
             break
 
-    series = {c: np.asarray(v, dtype=float) for c, v in cols.items()}
+    data = np.array(rows, dtype=float).reshape(-1, len(CSV_COLUMNS) + 6)
     record = EngagementRecord(
-        series=series,
-        missile_velocity=np.asarray(m_vel, dtype=float).reshape(-1, 3),
-        target_velocity=np.asarray(t_vel, dtype=float).reshape(-1, 3),
+        series=dict(zip(CSV_COLUMNS, data.T)),
+        missile_velocity=data[:, -6:-3],
+        target_velocity=data[:, -3:],
         miss_distance=math.nan, miss_time=math.nan,
         termination_reason=termination,
         source_switch_time=switch_time,
@@ -302,33 +284,59 @@ def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
     The ambient sample and the interpolated aero row are frozen at the
     step start (their within-step variation is negligible at the fixed
     step sizes used here), and the mass is reset from the exact
-    burnt-impulse integral after the step.
+    burnt-impulse integral after the step.  The stages are written out
+    with the float operations of RK4 composed from :func:`_rhs_fast`, so
+    the result is bit-identical to it.
     """
-    atm = af.atmosphere(max(x[2], 0.0))
-    speed = math.sqrt(x[3] * x[3] + x[4] * x[4] + x[5] * x[5])
-    row = frame.table.interpolate(speed / atm.speed_of_sound)
-    sref = frame.table.reference_area
-    lref = frame.table.reference_length
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = x
+    atm = af.atmosphere(max(x2, 0.0))
+    speed = math.sqrt(x3 * x3 + x4 * x4 + x5 * x5)
+    table = frame.table
+    row = table.interpolate(speed / atm.speed_of_sound)
+    sref = table.reference_area
+    lref = table.reference_length
     inv_i = 1.0 / frame.transverse_inertia
     dp, dyaw = deflections
     rho = atm.density
     prof = frame.thrust
     h2 = dt * 0.5
-    th0, md0 = prof.thrust(t), prof.mass_flow(t)
-    th1, md1 = prof.thrust(t + h2), prof.mass_flow(t + h2)
-    th2, md2 = prof.thrust(t + dt), prof.mass_flow(t + dt)
-    k1 = _rhs_fast(x, dp, dyaw, row, sref, lref, inv_i, th0, md0, rho, af.G0)
-    x2 = tuple(a + h2 * b for a, b in zip(x, k1))
-    k2 = _rhs_fast(x2, dp, dyaw, row, sref, lref, inv_i, th1, md1, rho, af.G0)
-    x3 = tuple(a + h2 * b for a, b in zip(x, k2))
-    k3 = _rhs_fast(x3, dp, dyaw, row, sref, lref, inv_i, th1, md1, rho, af.G0)
-    x4 = tuple(a + dt * b for a, b in zip(x, k3))
-    k4 = _rhs_fast(x4, dp, dyaw, row, sref, lref, inv_i, th2, md2, rho, af.G0)
+    th0 = prof.thrust(t)
+    th1 = prof.thrust(t + h2)
+    th2 = prof.thrust(t + dt)
+    md0 = prof.mass_flow_for(th0)
+    md1 = prof.mass_flow_for(th1)
+    md2 = prof.mass_flow_for(th2)
+    g = af.G0
+    p = _rhs_fast(x, dp, dyaw, row, sref, lref, inv_i, th0, md0, rho, g)
+    q = _rhs_fast((x0 + h2 * p[0], x1 + h2 * p[1], x2 + h2 * p[2],
+                   x3 + h2 * p[3], x4 + h2 * p[4], x5 + h2 * p[5],
+                   x6 + h2 * p[6], x7 + h2 * p[7], x8 + h2 * p[8],
+                   x9 + h2 * p[9], x10 + h2 * p[10]),
+                  dp, dyaw, row, sref, lref, inv_i, th1, md1, rho, g)
+    r = _rhs_fast((x0 + h2 * q[0], x1 + h2 * q[1], x2 + h2 * q[2],
+                   x3 + h2 * q[3], x4 + h2 * q[4], x5 + h2 * q[5],
+                   x6 + h2 * q[6], x7 + h2 * q[7], x8 + h2 * q[8],
+                   x9 + h2 * q[9], x10 + h2 * q[10]),
+                  dp, dyaw, row, sref, lref, inv_i, th1, md1, rho, g)
+    s = _rhs_fast((x0 + dt * r[0], x1 + dt * r[1], x2 + dt * r[2],
+                   x3 + dt * r[3], x4 + dt * r[4], x5 + dt * r[5],
+                   x6 + dt * r[6], x7 + dt * r[7], x8 + dt * r[8],
+                   x9 + dt * r[9], x10 + dt * r[10]),
+                  dp, dyaw, row, sref, lref, inv_i, th2, md2, rho, g)
     h6 = dt / 6.0
-    out = [a + h6 * (p + 2.0 * (q + r) + s)
-           for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-    out[10] = frame.thrust.mass_at(t + dt)
-    return tuple(out)
+    return (
+        x0 + h6 * (p[0] + 2.0 * (q[0] + r[0]) + s[0]),
+        x1 + h6 * (p[1] + 2.0 * (q[1] + r[1]) + s[1]),
+        x2 + h6 * (p[2] + 2.0 * (q[2] + r[2]) + s[2]),
+        x3 + h6 * (p[3] + 2.0 * (q[3] + r[3]) + s[3]),
+        x4 + h6 * (p[4] + 2.0 * (q[4] + r[4]) + s[4]),
+        x5 + h6 * (p[5] + 2.0 * (q[5] + r[5]) + s[5]),
+        x6 + h6 * (p[6] + 2.0 * (q[6] + r[6]) + s[6]),
+        x7 + h6 * (p[7] + 2.0 * (q[7] + r[7]) + s[7]),
+        x8 + h6 * (p[8] + 2.0 * (q[8] + r[8]) + s[8]),
+        x9 + h6 * (p[9] + 2.0 * (q[9] + r[9]) + s[9]),
+        prof.mass_at(t + dt),
+    )
 
 
 def miss_distance(record: EngagementRecord) -> tuple:

@@ -16,7 +16,6 @@ from .airframe import Airframe, atmosphere
 __all__ = [
     "GuidanceConfig",
     "AutopilotConfig",
-    "GuidanceCommand",
     "closing_velocity",
     "pn_command",
     "select_source",
@@ -52,12 +51,6 @@ class AutopilotConfig:
         if not (self.actuator_time_constant > 0.0 and self.deflection_limit > 0.0
                 and self.accel_to_deflection_gain > 0.0):
             raise ValueError("autopilot parameters must be positive")
-
-
-@dataclass(frozen=True)
-class GuidanceCommand:
-    accel_cmd: tuple       # (pitch, yaw) m/s^2
-    deflection_cmd: tuple  # (pitch, yaw) rad
 
 
 def closing_velocity(missile, target) -> float:
@@ -100,15 +93,29 @@ def autopilot_step(cmd_accel: tuple, achieved_accel: tuple, prev_deflection: tup
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    lim = ap.deflection_limit
+    a, b = actuator_coefficients(dt, ap)
+    gain, lim = ap.accel_to_deflection_gain, ap.deflection_limit
+    return tuple(fin_step(cmd, prev, gain, lim, a, b)
+                 for cmd, prev in zip(cmd_accel, prev_deflection))
+
+
+def actuator_coefficients(dt: float, ap: AutopilotConfig) -> tuple:
+    """Per-step weights (a, b) of the exponential actuator update."""
     a = math.exp(-dt / ap.actuator_time_constant)
-    b = 1.0 - a
-    out = []
-    for cmd, prev in zip(cmd_accel, prev_deflection):
-        target = ap.accel_to_deflection_gain * cmd
-        target = max(-lim, min(lim, target))
-        out.append(prev * a + target * b)
-    return tuple(out)
+    return a, 1.0 - a
+
+
+def fin_step(cmd: float, prev: float, gain: float, lim: float,
+             a: float, b: float) -> float:
+    """One unchecked actuator update of one channel; the float-level core
+    of :func:`autopilot_step`."""
+    target = gain * cmd
+    # max(-lim, min(lim, target)), including its NaN handling
+    if not target < lim:
+        target = lim
+    if not target > -lim:
+        target = -lim
+    return prev * a + target * b
 
 
 def trim_deflection_gain(airframe: Airframe, ref_mach: float = 1.5,

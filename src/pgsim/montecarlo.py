@@ -173,8 +173,20 @@ def write_summary_json(summary: SweepSummary, path) -> None:
         ],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(finite_or_null(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def finite_or_null(obj):
+    """Copy of a JSON document with every NaN or infinity replaced by
+    None, so that it serializes as strict JSON (``null``)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [finite_or_null(v) for v in obj]
+    return obj
 
 
 def write_plotdata(summary: SweepSummary, path_for_source) -> None:

@@ -179,32 +179,68 @@ def rk4_step8(x: tuple, v, dt: float, coeffs: tuple,
     ``v`` is either a single held sample (zero-order hold) or a
     (start, midpoint, end) triple of stage samples; stage sampling makes
     the step fourth-order accurate in the input as well.
+
+    The four :func:`rhs8` stages are written out with the same float
+    operations in the same order, so the result is bit-identical to RK4
+    composed from :func:`rhs8`.  ``x12`` never enters the derivative, so
+    no stage state computes it.
     """
     if isinstance(v, tuple):
         v0, vm, v1 = v
     else:
         v0 = vm = v1 = v
+    x11, x21, x31, x41, x12, x22, x32, x42 = x
+    b1, b2, b3, b4, g1, g2, g3, g4 = coeffs
     h2 = dt * 0.5
     h6 = dt / 6.0
-    a1, a2, a3, a4, a5, a6, a7, a8 = rhs8(x, v0, coeffs, coupled_step1)
-    x2 = (x[0] + h2 * a1, x[1] + h2 * a2, x[2] + h2 * a3, x[3] + h2 * a4,
-          x[4] + h2 * a5, x[5] + h2 * a6, x[6] + h2 * a7, x[7] + h2 * a8)
-    b1, b2, b3, b4, b5, b6, b7, b8 = rhs8(x2, vm, coeffs, coupled_step1)
-    x3 = (x[0] + h2 * b1, x[1] + h2 * b2, x[2] + h2 * b3, x[3] + h2 * b4,
-          x[4] + h2 * b5, x[5] + h2 * b6, x[6] + h2 * b7, x[7] + h2 * b8)
-    c1, c2, c3, c4, c5, c6, c7, c8 = rhs8(x3, vm, coeffs, coupled_step1)
-    x4 = (x[0] + dt * c1, x[1] + dt * c2, x[2] + dt * c3, x[3] + dt * c4,
-          x[4] + dt * c5, x[5] + dt * c6, x[6] + dt * c7, x[7] + dt * c8)
-    d1, d2, d3, d4, d5, d6, d7, d8 = rhs8(x4, v1, coeffs, coupled_step1)
+    e = v0 - x11
+    p1 = x21 + b1 * e
+    p2 = x31 + b2 * e
+    p3 = x41 + b3 * e
+    p4 = x31 + b4 * e if coupled_step1 else b4 * e
+    p5 = x22 + g1 * e
+    p6 = x32 + g2 * e
+    p7 = x42 + g3 * e
+    p8 = g4 * e
+    e = vm - (x11 + h2 * p1)
+    y31 = x31 + h2 * p3
+    q1 = (x21 + h2 * p2) + b1 * e
+    q2 = y31 + b2 * e
+    q3 = (x41 + h2 * p4) + b3 * e
+    q4 = y31 + b4 * e if coupled_step1 else b4 * e
+    q5 = (x22 + h2 * p6) + g1 * e
+    q6 = (x32 + h2 * p7) + g2 * e
+    q7 = (x42 + h2 * p8) + g3 * e
+    q8 = g4 * e
+    e = vm - (x11 + h2 * q1)
+    y31 = x31 + h2 * q3
+    r1 = (x21 + h2 * q2) + b1 * e
+    r2 = y31 + b2 * e
+    r3 = (x41 + h2 * q4) + b3 * e
+    r4 = y31 + b4 * e if coupled_step1 else b4 * e
+    r5 = (x22 + h2 * q6) + g1 * e
+    r6 = (x32 + h2 * q7) + g2 * e
+    r7 = (x42 + h2 * q8) + g3 * e
+    r8 = g4 * e
+    e = v1 - (x11 + dt * r1)
+    y31 = x31 + dt * r3
+    s1 = (x21 + dt * r2) + b1 * e
+    s2 = y31 + b2 * e
+    s3 = (x41 + dt * r4) + b3 * e
+    s4 = y31 + b4 * e if coupled_step1 else b4 * e
+    s5 = (x22 + dt * r6) + g1 * e
+    s6 = (x32 + dt * r7) + g2 * e
+    s7 = (x42 + dt * r8) + g3 * e
+    s8 = g4 * e
     return (
-        x[0] + h6 * (a1 + 2.0 * (b1 + c1) + d1),
-        x[1] + h6 * (a2 + 2.0 * (b2 + c2) + d2),
-        x[2] + h6 * (a3 + 2.0 * (b3 + c3) + d3),
-        x[3] + h6 * (a4 + 2.0 * (b4 + c4) + d4),
-        x[4] + h6 * (a5 + 2.0 * (b5 + c5) + d5),
-        x[5] + h6 * (a6 + 2.0 * (b6 + c6) + d6),
-        x[6] + h6 * (a7 + 2.0 * (b7 + c7) + d7),
-        x[7] + h6 * (a8 + 2.0 * (b8 + c8) + d8),
+        x11 + h6 * (p1 + 2.0 * (q1 + r1) + s1),
+        x21 + h6 * (p2 + 2.0 * (q2 + r2) + s2),
+        x31 + h6 * (p3 + 2.0 * (q3 + r3) + s3),
+        x41 + h6 * (p4 + 2.0 * (q4 + r4) + s4),
+        x12 + h6 * (p5 + 2.0 * (q5 + r5) + s5),
+        x22 + h6 * (p6 + 2.0 * (q6 + r6) + s6),
+        x32 + h6 * (p7 + 2.0 * (q7 + r7) + s7),
+        x42 + h6 * (p8 + 2.0 * (q8 + r8) + s8),
     )
 
 

@@ -84,12 +84,26 @@ def delay_step(state: SeekerState, true_rate: tuple, dt: float,
     for v in true_rate:
         if not math.isfinite(v):
             raise ValueError("true LOS rate must be finite")
+    true_rate = tuple(true_rate)
+    delayed = lag(state.delayed_rate, true_rate, lag_coefficients(dt, config))
+    return SeekerState(delayed_rate=delayed, last_true_rate=true_rate)
+
+
+def lag_coefficients(dt: float, config: SeekerConfig):
+    """Per-step weights (a, b) of the lag update, or None for an ideal
+    seeker, which passes the true rate through."""
     tau = config.lag_time_constant
     if tau == 0.0:
-        delayed = tuple(true_rate)
-    else:
-        a = math.exp(-dt / tau)
-        b = 1.0 - a
-        delayed = (state.delayed_rate[0] * a + true_rate[0] * b,
-                   state.delayed_rate[1] * a + true_rate[1] * b)
-    return SeekerState(delayed_rate=delayed, last_true_rate=tuple(true_rate))
+        return None
+    a = math.exp(-dt / tau)
+    return a, 1.0 - a
+
+
+def lag(delayed_rate: tuple, true_rate: tuple, coefficients) -> tuple:
+    """One unchecked lag update with the weights from
+    :func:`lag_coefficients`; the float-level core of :func:`delay_step`."""
+    if coefficients is None:
+        return true_rate
+    a, b = coefficients
+    return (delayed_rate[0] * a + true_rate[0] * b,
+            delayed_rate[1] * a + true_rate[1] * b)

@@ -48,22 +48,34 @@ def target_state(t: float, config: TargetConfig) -> TargetState:
     """Target position and velocity at time ``t`` (closed form)."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    x0, y0, z0 = config.initial_position
+    vx, vy = ground_velocity(config)
+    px, py, pz, vz = kinematics(t, config, vx, vy)
+    return TargetState(position=(px, py, pz), velocity=(vx, vy, vz))
+
+
+def ground_velocity(config: TargetConfig) -> tuple:
+    """Constant horizontal velocity (vx, vy), heading toward the launch
+    site at the origin."""
+    x0, y0, _ = config.initial_position
     rh = math.hypot(x0, y0)
     if rh > 0.0:
-        # heading toward the launch site at the origin
-        vx = -config.speed * x0 / rh
-        vy = -config.speed * y0 / rh
-    else:
-        vx, vy = config.speed, 0.0
+        return -config.speed * x0 / rh, -config.speed * y0 / rh
+    return config.speed, 0.0
+
+
+def kinematics(t: float, config: TargetConfig, vx: float, vy: float) -> tuple:
+    """(px, py, pz, vz) at ``t`` >= 0 for the horizontal velocity
+    ``(vx, vy)`` from :func:`ground_velocity`; the unchecked float-level
+    core of :func:`target_state`."""
+    x0, y0, z0 = config.initial_position
     px = x0 + vx * t
     py = y0 + vy * t
     if config.kind == "level" or config.weave_amplitude == 0.0:
-        return TargetState(position=(px, py, z0), velocity=(vx, vy, 0.0))
+        return px, py, z0, 0.0
     a, w, ph = config.weave_amplitude, config.weave_frequency, config.phase
     vz = a * math.sin(w * t + ph)
     pz = z0 + (a / w) * (math.cos(ph) - math.cos(w * t + ph))
-    return TargetState(position=(px, py, pz), velocity=(vx, vy, vz))
+    return px, py, pz, vz
 
 
 def sample_phase(rng_seed: int) -> float:

@@ -7,6 +7,33 @@ from pgsim import cli
 
 FAST = ["--set", "engagement.max_time=0.5"]
 
+# a large positive cm_q (rate anti-damping): every engagement diverges
+# within a fraction of a second
+UNSTABLE_AIRFRAME = """
+[airframe]
+reference_area = 0.0254
+reference_length = 2.0
+transverse_inertia = 22.0
+[mass]
+initial_mass = 85.0
+propellant_mass = 30.0
+[aero]
+0.4 20.0 0.3 -1.0 200000.0 8.0 10.0
+3.0 20.0 0.3 -1.0 200000.0 8.0 10.0
+[thrust]
+0.0 15000.0
+3.0 15000.0
+3.1 0.0
+"""
+
+
+def _reject_constant(token):
+    raise ValueError("non-standard JSON constant %s" % token)
+
+
+def strict_json(path):
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -34,6 +61,10 @@ class TestValidate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["observer"]["epsilon"] == 0.08
         assert doc["guidance"]["source"] == "predicted"
+
+    def test_source_true_stays_a_string(self, capsys):
+        assert run_cli("validate", "--set", "guidance.source=true") == 0
+        assert json.loads(capsys.readouterr().out)["guidance"]["source"] == "true"
 
     def test_invalid_value_exits_2(self, capsys):
         assert run_cli("validate", "--set", "guidance.nav_ratio=-1") == 2
@@ -75,6 +106,11 @@ class TestSeedPrecedence:
         assert run_cli("validate", "--seed", "888") == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 888
 
+    def test_non_integer_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("PGS_SEED", "abc")
+        assert run_cli("validate") == 2
+        assert "config error: PGS_SEED" in capsys.readouterr().err
+
     def test_config_without_env(self, capsys, monkeypatch):
         monkeypatch.delenv("PGS_SEED", raising=False)
         assert run_cli("validate", "--set", "seed=31") == 0
@@ -102,22 +138,7 @@ class TestRun:
 
     def test_divergence_exits_3(self, capsys, tmp_path):
         p = tmp_path / "unstable.txt"
-        p.write_text("""
-[airframe]
-reference_area = 0.0254
-reference_length = 2.0
-transverse_inertia = 22.0
-[mass]
-initial_mass = 85.0
-propellant_mass = 30.0
-[aero]
-0.4 20.0 0.3 -1.0 200000.0 8.0 10.0
-3.0 20.0 0.3 -1.0 200000.0 8.0 10.0
-[thrust]
-0.0 15000.0
-3.0 15000.0
-3.1 0.0
-""")
+        p.write_text(UNSTABLE_AIRFRAME)
         code = run_cli("run", "--out", str(tmp_path),
                        "--set", "airframe.dataset=%s" % p,
                        "--set", "guidance.source=predicted",
@@ -127,6 +148,27 @@ propellant_mass = 30.0
         assert "divergence" in captured.err
         doc = json.loads((tmp_path / "metrics.json").read_text())
         assert doc["termination_reason"] == "observer_divergence"
+
+
+class TestStrictJson:
+    def test_short_run_metrics_use_null(self, capsys, tmp_path):
+        assert run_cli("run", "--out", str(tmp_path),
+                       "--set", "engagement.max_time=0.05") == 0
+        doc = strict_json(tmp_path / "metrics.json")
+        assert doc["metrics"]["rmse_delayed"] is None
+        assert doc["metrics"]["rmse_predicted_full"] is None
+
+    def test_failed_sweep_summary_uses_null(self, capsys, tmp_path):
+        p = tmp_path / "unstable.txt"
+        p.write_text(UNSTABLE_AIRFRAME)
+        assert run_cli("sweep", "--out", str(tmp_path), "--jobs", "1",
+                       "--set", "airframe.dataset=%s" % p,
+                       "--set", "sweep.delays=[0.2]",
+                       "--set", "sweep.samples_per_delay=1",
+                       "--set", "engagement.max_time=0.5") == 0
+        doc = strict_json(tmp_path / "sweep_summary.json")
+        assert [g["failure_count"] for g in doc["groups"]] == [1, 1]
+        assert all(g["mean_miss"] is None for g in doc["groups"])
 
 
 class TestSweep:

@@ -1,11 +1,16 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 
+from pgsim import airframe as af
 from pgsim import config as cf
 from pgsim import engagement as en
+from pgsim import guidance as gd
+from pgsim import seeker as sk
+from pgsim import targets as tg
 
 
 def build(overrides=None):
@@ -342,3 +347,118 @@ class TestMetricsAndCsv:
         assert math.isnan(m.rmse_delayed)
         assert math.isnan(m.rmse_predicted)
         assert math.isfinite(m.miss_distance)
+
+
+def _bits(values) -> bytes:
+    return struct.pack("%dd" % len(values), *values)
+
+
+def vehicle_rk4_reference(x, defl, frame, t, dt):
+    """RK4 composed from _rhs_fast with the profile's own thrust,
+    mass_flow and mass_at: the reference for _vehicle_rk4."""
+    atm = af.atmosphere(max(x[2], 0.0))
+    speed = math.sqrt(x[3] * x[3] + x[4] * x[4] + x[5] * x[5])
+    row = frame.table.interpolate(speed / atm.speed_of_sound)
+    prof = frame.thrust
+
+    def rhs(state, tt):
+        return en._rhs_fast(state, defl[0], defl[1], row, frame.table.reference_area,
+                            frame.table.reference_length, 1.0 / frame.transverse_inertia,
+                            prof.thrust(tt), prof.mass_flow(tt), atm.density, af.G0)
+
+    h2 = dt * 0.5
+    k1 = rhs(x, t)
+    k2 = rhs(tuple(a + h2 * b for a, b in zip(x, k1)), t + h2)
+    k3 = rhs(tuple(a + h2 * b for a, b in zip(x, k2)), t + h2)
+    k4 = rhs(tuple(a + dt * b for a, b in zip(x, k3)), t + dt)
+    h6 = dt / 6.0
+    out = [a + h6 * (p + 2.0 * (q + r) + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+    out[10] = prof.mass_at(t + dt)
+    return tuple(out)
+
+
+class TestVehicleStepParity:
+    DT = 1e-3
+
+    @staticmethod
+    def step_times(prof, dt):
+        """Before, straddling and after burnout, and with each stage time
+        exactly at a thrust breakpoint."""
+        times = [0.0, 0.4, 1.7, prof.burnout_time - 0.3 * dt,
+                 prof.burnout_time - 0.7 * dt, prof.burnout_time + 0.2,
+                 prof.burnout_time + 30.0]
+        for tb in prof.times:
+            times += [tb, tb - dt * 0.5, tb - dt]
+        return [t for t in times if t >= 0.0]
+
+    @pytest.mark.parametrize("profile", ["builtin", "zero_impulse"])
+    def test_bit_identical_to_rhs_fast_composition(self, profile):
+        frame = af.load_airframe()
+        if profile == "zero_impulse":
+            # one breakpoint: thrust until t=0.5, zero total impulse
+            frame = af.Airframe(table=frame.table,
+                                thrust=af.ThrustProfile([0.5], [900.0], 80.0, 20.0),
+                                transverse_inertia=frame.transverse_inertia)
+        prof = frame.thrust
+        rng = np.random.default_rng(5)
+        for t in self.step_times(prof, self.DT):
+            for _ in range(20):
+                vel = rng.uniform(-400.0, 400.0, 3)
+                x = (0.0, 0.0, float(rng.uniform(0.0, 12000.0)),
+                     *(float(v) for v in vel),
+                     float(rng.uniform(-1.2, 1.2)), float(rng.uniform(-math.pi, math.pi)),
+                     float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0)),
+                     prof.mass_at(t))
+                defl = (float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.5, 0.5)))
+                got = en._vehicle_rk4(x, defl, frame, t, self.DT)
+                want = vehicle_rk4_reference(x, defl, frame, t, self.DT)
+                assert _bits(got) == _bits(want), t
+
+    def test_burnout_mass_matches_impulse_integral(self):
+        prof = af.load_airframe().thrust
+        for t in (prof.burnout_time, prof.burnout_time + 1e-3, 60.0):
+            frac = min(prof.impulse_to(t) / prof.total_impulse, 1.0)
+            assert prof.mass_at(t) == prof.initial_mass - prof.propellant_mass * frac
+
+
+class TestLoopReplay:
+    """The loop's float-level target, seeker-lag and autopilot steps
+    agree exactly with the public model functions."""
+
+    @pytest.fixture(scope="class")
+    def weave_run(self):
+        cfg = build({"guidance.source": "predicted", "seeker.lag_time_constant": 0.2,
+                     "target.kind": "weaving"})
+        return en.run_engagement(cfg), cfg
+
+    def test_target_positions(self, weave_run):
+        record, cfg = weave_run
+        s = record.series
+        states = [tg.target_state(float(t), cfg.target) for t in s["t"]]
+        for i, c in enumerate(("tx", "ty", "tz")):
+            assert s[c].tobytes() == np.array([st.position[i] for st in states]).tobytes()
+        assert record.target_velocity.tobytes() == \
+            np.array([st.velocity for st in states]).tobytes()
+
+    def test_delayed_rates(self, weave_run):
+        record, cfg = weave_run
+        s = record.series
+        true = list(zip(s["lam_true_p"].tolist(), s["lam_true_y"].tolist()))
+        state = sk.SeekerState(delayed_rate=true[0])
+        delayed = [state.delayed_rate]
+        for rate in true[1:]:
+            state = sk.delay_step(state, rate, cfg.dt, cfg.seeker)
+            delayed.append(state.delayed_rate)
+        assert _bits([d[0] for d in delayed]) == s["lam_del_p"].tobytes()
+        assert _bits([d[1] for d in delayed]) == s["lam_del_y"].tobytes()
+
+    def test_deflections(self, weave_run):
+        record, cfg = weave_run
+        s = record.series
+        defl = (0.0, 0.0)
+        out = []
+        for cmd in zip(s["acc_cmd_p"].tolist(), s["acc_cmd_y"].tolist()):
+            defl = gd.autopilot_step(cmd, (0.0, 0.0), defl, cfg.dt, cfg.autopilot)
+            out.append(defl)
+        assert _bits([d[0] for d in out]) == s["defl_p"].tobytes()
+        assert _bits([d[1] for d in out]) == s["defl_y"].tobytes()

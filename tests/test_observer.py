@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -284,3 +285,40 @@ class TestCoupledStepOneVariant:
                         - math.sin(6.0 + delta))
         assert e_plain < 0.01
         assert e_coupled > 10 * e_plain
+
+
+def _bits(values) -> bytes:
+    return struct.pack("%dd" % len(values), *values)
+
+
+def rk4_from_rhs8(x, v, dt, coeffs, coupled):
+    """Classical RK4 composed from rhs8: the reference for rk4_step8."""
+    v0, vm, v1 = v if isinstance(v, tuple) else (v, v, v)
+    h2 = dt * 0.5
+    k1 = ob.rhs8(x, v0, coeffs, coupled)
+    k2 = ob.rhs8(tuple(a + h2 * b for a, b in zip(x, k1)), vm, coeffs, coupled)
+    k3 = ob.rhs8(tuple(a + h2 * b for a, b in zip(x, k2)), vm, coeffs, coupled)
+    k4 = ob.rhs8(tuple(a + dt * b for a, b in zip(x, k3)), v1, coeffs, coupled)
+    h6 = dt / 6.0
+    return tuple(a + h6 * (p + 2.0 * (q + r) + s)
+                 for a, p, q, r, s in zip(x, k1, k2, k3, k4))
+
+
+class TestRk4StepParity:
+    @pytest.mark.parametrize("coupled", [False, True])
+    @pytest.mark.parametrize("stage_samples", [False, True])
+    def test_bit_identical_to_rhs8_composition(self, coupled, stage_samples):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            x = tuple(float(v) for v in rng.normal(size=8) * 10.0 ** rng.integers(-3, 4, 8))
+            cfg = make_config(epsilon=float(rng.uniform(0.02, 0.2)),
+                              delta=float(rng.uniform(0.0, 0.4)))
+            coeffs = cfg.coefficients()
+            dt = cfg.epsilon / float(rng.uniform(4.0, 40.0))
+            if stage_samples:
+                v = tuple(float(s) for s in rng.normal(size=3))
+            else:
+                v = float(rng.normal())
+            got = ob.rk4_step8(x, v, dt, coeffs, coupled)
+            want = rk4_from_rhs8(x, v, dt, coeffs, coupled)
+            assert _bits(got) == _bits(want)
