@@ -12,20 +12,16 @@ yaw-then-pitch Euler attitude and roll fixed at zero.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
 
 __all__ = [
-    "VehicleState",
     "AeroTable",
     "ThrustProfile",
     "Airframe",
     "AtmosphereSample",
     "atmosphere",
-    "aero_coefficients",
-    "forces_and_moments",
     "vehicle_rhs",
     "load_airframe",
     "body_axes",
@@ -43,8 +39,6 @@ _ISA_LAYERS = (
     (32000.0, 228.65, 868.0187, 0.0028),
 )
 _ISA_CEILING = 47000.0
-
-AOA_WARN_LIMIT = math.radians(25.0)
 
 
 @dataclass(frozen=True)
@@ -79,32 +73,6 @@ def atmosphere(altitude: float) -> AtmosphereSample:
     rho = p / (R_AIR * t)
     a = math.sqrt(GAMMA * R_AIR * t)
     return AtmosphereSample(density=rho, speed_of_sound=a, temperature=t, pressure=p)
-
-
-@dataclass
-class VehicleState:
-    """5-DOF missile state; roll is absent by construction."""
-
-    position: tuple   # m, inertial (north, east, up)
-    velocity: tuple   # m/s, inertial
-    pitch: float      # rad
-    yaw: float        # rad
-    pitch_rate: float  # rad/s
-    yaw_rate: float   # rad/s
-    mass: float       # kg
-
-    def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ValueError("mass must be positive")
-
-    def as_tuple(self) -> tuple:
-        return (*self.position, *self.velocity, self.pitch, self.yaw,
-                self.pitch_rate, self.yaw_rate, self.mass)
-
-    @staticmethod
-    def from_tuple(x: tuple) -> "VehicleState":
-        return VehicleState(position=x[0:3], velocity=x[3:6], pitch=x[6],
-                            yaw=x[7], pitch_rate=x[8], yaw_rate=x[9], mass=x[10])
 
 
 class AeroTable:
@@ -150,14 +118,6 @@ class AeroTable:
         return tuple(a + f * (b - a) for a, b in zip(lo, hi))
 
 
-def aero_coefficients(table: AeroTable, mach: float, aoa: float) -> dict:
-    """Force/moment coefficients at the given Mach and angle of attack."""
-    if not mach > 0.0:
-        raise ValueError("mach must be positive")
-    cn_alpha, ca0, cm_alpha, _, _, _ = table.interpolate(mach)
-    return {"cn": cn_alpha * aoa, "ca": ca0, "cm": cm_alpha * aoa}
-
-
 class ThrustProfile:
     """Piecewise-linear thrust table with proportional propellant burn."""
 
@@ -180,7 +140,7 @@ class ThrustProfile:
             imp += 0.5 * (self.values[i] + self.values[i + 1]) * (self.times[i + 1] - self.times[i])
         self.total_impulse = imp
         # past the last breakpoint the burnt impulse no longer depends on t
-        self.burnout_mass = self._mass_after(self.impulse_to(self.times[-1]))
+        self.burnout_mass = self._mass_after(self.impulse_to(self.burnout_time))
 
     def thrust(self, t: float) -> float:
         ts, vs = self.times, self.values
@@ -192,10 +152,7 @@ class ThrustProfile:
         f = (t - ts[i]) / (ts[i + 1] - ts[i])
         return vs[i] + f * (vs[i + 1] - vs[i])
 
-    def mass_flow(self, t: float) -> float:
-        return self.mass_flow_for(self.thrust(t))
-
-    def mass_flow_for(self, thrust: float) -> float:
+    def mass_flow(self, thrust: float) -> float:
         """Mass flow at a given thrust level (burn rate is proportional)."""
         if self.total_impulse <= 0.0:
             return 0.0
@@ -256,81 +213,53 @@ def body_axes(pitch: float, yaw: float) -> tuple:
     return bx, by, bz
 
 
-def _plane_loads(incidence, deflection, rate, qbar, speed, row, sref, lref):
-    """Normal force and moment in one control plane.
+def vehicle_rhs(x: tuple, dp: float, dyaw: float, row: tuple, sref: float,
+                lref: float, inv_i: float, thrust: float, mdot: float,
+                rho: float) -> tuple:
+    """First-order derivative of the 5-DOF state ``x``.
 
-    ``row`` is an interpolated aero row; the same function serves pitch
-    and yaw, which is what makes the cruciform symmetry exact.
+    ``x`` is (x, y, z, vx, vy, vz, pitch, yaw, pitch_rate, yaw_rate,
+    mass); ``dp``/``dyaw`` are the pitch and yaw fin deflections in
+    radians; ``row`` is the interpolated aero row, ``sref``/``lref`` the
+    reference area and length, ``inv_i`` the inverse transverse inertia,
+    ``thrust``/``mdot`` the thrust and mass flow and ``rho`` the air
+    density.  The pitch and yaw planes apply the same row to their own
+    incidence, deflection and rate, which makes the cruciform symmetry
+    exact; incidence signs are chosen so the normal force opposes the
+    crossflow.  Zero airspeed leaves the incidence undefined and raises.
     """
-    cn_alpha, _, cm_alpha, cm_q, cn_delta, cm_delta = row
-    force = qbar * sref * (cn_alpha * incidence + cn_delta * deflection)
-    moment = qbar * sref * lref * (
-        cm_alpha * incidence + cm_delta * deflection
-        + cm_q * rate * lref / (2.0 * speed)
-    )
-    return force, moment
-
-
-def forces_and_moments(state: VehicleState, deflections: tuple, table: AeroTable,
-                       thrust: float, atm: AtmosphereSample) -> dict:
-    """Total inertial force and body pitch/yaw moments.
-
-    ``deflections`` is (pitch_fin, yaw_fin) in radians.  Raises if the
-    vehicle has no airspeed (incidence undefined).
-    """
-    vx, vy, vz = state.velocity
-    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if speed <= 0.0:
-        raise ValueError("airspeed is zero; incidence angles are undefined")
-    bx, by, bz = body_axes(state.pitch, state.yaw)
-    u = vx * bx[0] + vy * bx[1] + vz * bx[2]
-    v = vx * by[0] + vy * by[1] + vz * by[2]
-    w = vx * bz[0] + vy * bz[1] + vz * bz[2]
-    # per-plane incidence, sign chosen so force opposes the crossflow
+    vx, vy, vz = x[3], x[4], x[5]
+    th, ps, q_rate, r_rate, m = x[6], x[7], x[8], x[9], x[10]
+    cp = math.cos(th)
+    sp = math.sin(th)
+    cy = math.cos(ps)
+    sy = math.sin(ps)
+    # velocity along the body axes of body_axes(th, ps)
+    u = vx * cp * cy + vy * cp * sy + vz * sp
+    v = -vx * sy + vy * cy
+    w = -vx * sp * cy - vy * sp * sy + vz * cp
+    speed2 = vx * vx + vy * vy + vz * vz
+    speed = math.sqrt(speed2)
     alpha = -math.atan2(w, u)
     beta = -math.atan2(v, u)
-    if abs(alpha) > AOA_WARN_LIMIT or abs(beta) > AOA_WARN_LIMIT:
-        warnings.warn("incidence beyond 25 deg: stall effects are not modelled",
-                      stacklevel=2)
-    mach = speed / atm.speed_of_sound
-    row = table.interpolate(mach)
-    qbar = 0.5 * atm.density * speed * speed
-    sref, lref = table.reference_area, table.reference_length
-    fz, m_pitch = _plane_loads(alpha, deflections[0], state.pitch_rate,
-                               qbar, speed, row, sref, lref)
-    fy, m_yaw = _plane_loads(beta, deflections[1], state.yaw_rate,
-                             qbar, speed, row, sref, lref)
-    axial = thrust - qbar * sref * row[1]
-    weight = state.mass * G0
-    force = (
-        axial * bx[0] + fy * by[0] + fz * bz[0],
-        axial * bx[1] + fy * by[1] + fz * bz[1],
-        axial * bx[2] + fy * by[2] + fz * bz[2] - weight,
-    )
-    return {"force": force, "pitch_moment": m_pitch, "yaw_moment": m_yaw}
-
-
-def vehicle_rhs(state: VehicleState, deflections: tuple, airframe: Airframe,
-                t: float, atm: AtmosphereSample | None = None) -> tuple:
-    """First-order state derivative of the 5-DOF model at time ``t``.
-
-    ``atm`` overrides the ambient sample (tests use this for vacuum or
-    constant-density cases); by default it is evaluated at the current
-    altitude.
-    """
-    if atm is None:
-        atm = atmosphere(state.position[2])
-    thrust = airframe.thrust.thrust(t)
-    loads = forces_and_moments(state, deflections, airframe.table, thrust, atm)
-    fx, fy, fz = loads["force"]
-    inv_m = 1.0 / state.mass
-    inv_i = 1.0 / airframe.transverse_inertia
+    qbar = 0.5 * rho * speed2
+    cn_a, ca0, cm_a, cm_q, cn_d, cm_d = row
+    qs = qbar * sref
+    rate_nd = lref / (2.0 * speed)
+    fz = qs * (cn_a * alpha + cn_d * dp)
+    m_pitch = qs * lref * (cm_a * alpha + cm_d * dp + cm_q * q_rate * rate_nd)
+    fy = qs * (cn_a * beta + cn_d * dyaw)
+    m_yaw = qs * lref * (cm_a * beta + cm_d * dyaw + cm_q * r_rate * rate_nd)
+    axial = thrust - qs * ca0
+    inv_m = 1.0 / m
     return (
-        *state.velocity,
-        fx * inv_m, fy * inv_m, fz * inv_m,
-        state.pitch_rate, state.yaw_rate,
-        loads["pitch_moment"] * inv_i, loads["yaw_moment"] * inv_i,
-        -airframe.thrust.mass_flow(t),
+        vx, vy, vz,
+        (axial * cp * cy - fy * sy - fz * sp * cy) * inv_m,
+        (axial * cp * sy + fy * cy - fz * sp * sy) * inv_m,
+        (axial * sp + fz * cp) * inv_m - G0,
+        q_rate, r_rate,
+        m_pitch * inv_i, m_yaw * inv_i,
+        -mdot,
     )
 
 

@@ -63,7 +63,12 @@ def _resolve(args) -> dict:
     file_cfg = None
     if args.config is not None:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8 text
+                raise cf.ConfigError(["%s is not valid JSON: %s" % (args.config, exc)]) from None
+        if not isinstance(file_cfg, dict):
+            raise cf.ConfigError(["%s must hold a JSON object" % args.config])
     cfg = cf.resolve(file_cfg, _parse_set(args.set))
     env_seed = os.environ.get("PGS_SEED")
     if env_seed is not None:

@@ -141,12 +141,15 @@ def resolve(file_cfg: dict | None = None, overrides=()) -> dict:
     return cfg
 
 
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _num(cfg, key, problems, cond=lambda v: True, msg=""):
     node = cfg
     for p in key.split("."):
         node = node[p]
-    if not isinstance(node, (int, float)) or isinstance(node, bool) \
-            or not math.isfinite(node) or not cond(node):
+    if not _finite(node) or not cond(node):
         problems.append("invalid value for %s: %r%s"
                         % (key, node, " (%s)" % msg if msg else ""))
         return None
@@ -156,11 +159,11 @@ def _num(cfg, key, problems, cond=lambda v: True, msg=""):
 def validate(cfg: dict) -> list:
     """All violations in the resolved config; empty list means valid."""
     problems: list = []
-    o = cfg["observer"]
-    if not ob.validate_gains(*(float(o[k]) for k in ("k1", "k2", "k3", "k4"))):
+    ks = [_num(cfg, "observer." + k, problems) for k in ("k1", "k2", "k3", "k4")]
+    if None not in ks and not ob.validate_gains(*ks):
         problems.append("observer gains (k1..k4) fail the Hurwitz stability gate")
     eps = _num(cfg, "observer.epsilon", problems, lambda v: v > 0, "must be > 0")
-    if o["delta"] != "auto":
+    if cfg["observer"]["delta"] != "auto":
         _num(cfg, "observer.delta", problems, lambda v: v >= 0, "must be >= 0 or 'auto'")
     _num(cfg, "seeker.lag_time_constant", problems, lambda v: v >= 0, "must be >= 0")
     _num(cfg, "guidance.nav_ratio", problems, lambda v: v > 0, "must be > 0")
@@ -174,8 +177,9 @@ def validate(cfg: dict) -> list:
     t = cfg["target"]
     if t["kind"] not in ("level", "weaving"):
         problems.append("target.kind must be 'level' or 'weaving'")
-    if not (isinstance(t["position"], (list, tuple)) and len(t["position"]) == 3):
-        problems.append("target.position must be a 3-element list")
+    if not (isinstance(t["position"], (list, tuple)) and len(t["position"]) == 3
+            and all(_finite(v) for v in t["position"])):
+        problems.append("target.position must be a list of 3 finite numbers")
     _num(cfg, "target.speed", problems, lambda v: v > 0, "must be > 0")
     _num(cfg, "target.weave_amplitude", problems, lambda v: v >= 0, "must be >= 0")
     _num(cfg, "target.weave_frequency", problems, lambda v: v > 0, "must be > 0")
@@ -191,7 +195,7 @@ def validate(cfg: dict) -> list:
     sw = cfg["sweep"]
     delays = sw["delays"]
     if not (isinstance(delays, (list, tuple)) and delays
-            and all(isinstance(d, (int, float)) and d > 0 for d in delays)
+            and all(_finite(d) and d > 0 for d in delays)
             and all(b > a for a, b in zip(delays, delays[1:]))):
         problems.append("sweep.delays must be a positive ascending list")
     if not (isinstance(sw["samples_per_delay"], int) and sw["samples_per_delay"] >= 1):

@@ -93,9 +93,9 @@ class EngagementRecord:
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            cols = [self.series[c] for c in CSV_COLUMNS]
-            for row in zip(*cols):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            rows = np.array([self.series[c] for c in CSV_COLUMNS], dtype=float).T
+            for row in rows.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,8 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
     gain, lim = ap.accel_to_deflection_gain, ap.deflection_limit
     act_a, act_b = gd.actuator_coefficients(dt, ap)
 
-    tgt0 = tg.target_state(0.0, target)
-    az = math.atan2(tgt0.position[1], tgt0.position[0])
+    tx, ty, _, _ = tg.target_state(0.0, target, tvx, tvy)
+    az = math.atan2(ty, tx)
     el = config.launch_elevation
     bx, _, _ = af.body_axes(el, az)
     vehicle = (
@@ -154,7 +154,7 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
 
     for n in range(n_max + 1):
         t = n * dt
-        tx, ty, tz, tvz = tg.kinematics(t, target, tvx, tvy)
+        tx, ty, tz, tvz = tg.target_state(t, target, tvx, tvy)
         mx, my, mz, mvx, mvy, mvz = vehicle[:6]
         rx = tx - mx
         ry = ty - my
@@ -179,13 +179,13 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
             obs_p = (true_rate[0], 0.0, 0.0, 0.0, true_rate[0], 0.0, 0.0, 0.0)
             obs_y = (true_rate[1], 0.0, 0.0, 0.0, true_rate[1], 0.0, 0.0, 0.0)
         else:
-            delayed = sk.lag(delayed, true_rate, lag)
+            delayed = sk.delay_step(delayed, true_rate, lag)
         predicted = (obs_p[4], obs_y[4])
 
         los = gd.select_source(t, guid, true_rate, delayed, predicted)
         acc_p, acc_y = gd.pn_command(los, vc, guid)
-        defl_p = gd.fin_step(acc_p, defl_p, gain, lim, act_a, act_b)
-        defl_y = gd.fin_step(acc_y, defl_y, gain, lim, act_a, act_b)
+        defl_p = gd.autopilot_step(acc_p, defl_p, gain, lim, act_a, act_b)
+        defl_y = gd.autopilot_step(acc_y, defl_y, gain, lim, act_a, act_b)
 
         rows.append((t, true_rate[0], true_rate[1], delayed[0], delayed[1],
                      predicted[0], predicted[1], acc_p, acc_y, defl_p, defl_y,
@@ -237,46 +237,6 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
     return record
 
 
-def _rhs_fast(x: tuple, dp: float, dyaw: float, row: tuple, sref: float,
-              lref: float, inv_i: float, thrust: float, mdot: float,
-              rho: float, weight_accel: float) -> tuple:
-    """Tuple-level airframe derivative, equivalent to
-    :func:`pgsim.airframe.vehicle_rhs` with a frozen ambient sample and
-    aero row (tests assert the equivalence)."""
-    vx, vy, vz = x[3], x[4], x[5]
-    th, ps, q_rate, r_rate, m = x[6], x[7], x[8], x[9], x[10]
-    cp = math.cos(th)
-    sp = math.sin(th)
-    cy = math.cos(ps)
-    sy = math.sin(ps)
-    u = vx * cp * cy + vy * cp * sy + vz * sp
-    v = -vx * sy + vy * cy
-    w = -vx * sp * cy - vy * sp * sy + vz * cp
-    speed2 = vx * vx + vy * vy + vz * vz
-    speed = math.sqrt(speed2)
-    alpha = -math.atan2(w, u)
-    beta = -math.atan2(v, u)
-    qbar = 0.5 * rho * speed2
-    cn_a, ca0, cm_a, cm_q, cn_d, cm_d = row
-    qs = qbar * sref
-    rate_nd = lref / (2.0 * speed)
-    fz = qs * (cn_a * alpha + cn_d * dp)
-    m_pitch = qs * lref * (cm_a * alpha + cm_d * dp + cm_q * q_rate * rate_nd)
-    fy = qs * (cn_a * beta + cn_d * dyaw)
-    m_yaw = qs * lref * (cm_a * beta + cm_d * dyaw + cm_q * r_rate * rate_nd)
-    axial = thrust - qs * ca0
-    inv_m = 1.0 / m
-    return (
-        vx, vy, vz,
-        (axial * cp * cy - fy * sy - fz * sp * cy) * inv_m,
-        (axial * cp * sy + fy * cy - fz * sp * sy) * inv_m,
-        (axial * sp + fz * cp) * inv_m - weight_accel,
-        q_rate, r_rate,
-        m_pitch * inv_i, m_yaw * inv_i,
-        -mdot,
-    )
-
-
 def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
                  t: float, dt: float) -> tuple:
     """One RK4 step of the airframe with deflections held over the step.
@@ -284,9 +244,8 @@ def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
     The ambient sample and the interpolated aero row are frozen at the
     step start (their within-step variation is negligible at the fixed
     step sizes used here), and the mass is reset from the exact
-    burnt-impulse integral after the step.  The stages are written out
-    with the float operations of RK4 composed from :func:`_rhs_fast`, so
-    the result is bit-identical to it.
+    burnt-impulse integral after the step.  The stages are classical RK4
+    on :func:`pgsim.airframe.vehicle_rhs`.
     """
     x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = x
     atm = af.atmosphere(max(x2, 0.0))
@@ -303,26 +262,26 @@ def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
     th0 = prof.thrust(t)
     th1 = prof.thrust(t + h2)
     th2 = prof.thrust(t + dt)
-    md0 = prof.mass_flow_for(th0)
-    md1 = prof.mass_flow_for(th1)
-    md2 = prof.mass_flow_for(th2)
-    g = af.G0
-    p = _rhs_fast(x, dp, dyaw, row, sref, lref, inv_i, th0, md0, rho, g)
-    q = _rhs_fast((x0 + h2 * p[0], x1 + h2 * p[1], x2 + h2 * p[2],
-                   x3 + h2 * p[3], x4 + h2 * p[4], x5 + h2 * p[5],
-                   x6 + h2 * p[6], x7 + h2 * p[7], x8 + h2 * p[8],
-                   x9 + h2 * p[9], x10 + h2 * p[10]),
-                  dp, dyaw, row, sref, lref, inv_i, th1, md1, rho, g)
-    r = _rhs_fast((x0 + h2 * q[0], x1 + h2 * q[1], x2 + h2 * q[2],
-                   x3 + h2 * q[3], x4 + h2 * q[4], x5 + h2 * q[5],
-                   x6 + h2 * q[6], x7 + h2 * q[7], x8 + h2 * q[8],
-                   x9 + h2 * q[9], x10 + h2 * q[10]),
-                  dp, dyaw, row, sref, lref, inv_i, th1, md1, rho, g)
-    s = _rhs_fast((x0 + dt * r[0], x1 + dt * r[1], x2 + dt * r[2],
-                   x3 + dt * r[3], x4 + dt * r[4], x5 + dt * r[5],
-                   x6 + dt * r[6], x7 + dt * r[7], x8 + dt * r[8],
-                   x9 + dt * r[9], x10 + dt * r[10]),
-                  dp, dyaw, row, sref, lref, inv_i, th2, md2, rho, g)
+    md0 = prof.mass_flow(th0)
+    md1 = prof.mass_flow(th1)
+    md2 = prof.mass_flow(th2)
+    rhs = af.vehicle_rhs
+    p = rhs(x, dp, dyaw, row, sref, lref, inv_i, th0, md0, rho)
+    q = rhs((x0 + h2 * p[0], x1 + h2 * p[1], x2 + h2 * p[2],
+             x3 + h2 * p[3], x4 + h2 * p[4], x5 + h2 * p[5],
+             x6 + h2 * p[6], x7 + h2 * p[7], x8 + h2 * p[8],
+             x9 + h2 * p[9], x10 + h2 * p[10]),
+            dp, dyaw, row, sref, lref, inv_i, th1, md1, rho)
+    r = rhs((x0 + h2 * q[0], x1 + h2 * q[1], x2 + h2 * q[2],
+             x3 + h2 * q[3], x4 + h2 * q[4], x5 + h2 * q[5],
+             x6 + h2 * q[6], x7 + h2 * q[7], x8 + h2 * q[8],
+             x9 + h2 * q[9], x10 + h2 * q[10]),
+            dp, dyaw, row, sref, lref, inv_i, th1, md1, rho)
+    s = rhs((x0 + dt * r[0], x1 + dt * r[1], x2 + dt * r[2],
+             x3 + dt * r[3], x4 + dt * r[4], x5 + dt * r[5],
+             x6 + dt * r[6], x7 + dt * r[7], x8 + dt * r[8],
+             x9 + dt * r[9], x10 + dt * r[10]),
+            dp, dyaw, row, sref, lref, inv_i, th2, md2, rho)
     h6 = dt / 6.0
     return (
         x0 + h6 * (p[0] + 2.0 * (q[0] + r[0]) + s[0]),

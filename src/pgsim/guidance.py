@@ -16,9 +16,9 @@ from .airframe import Airframe, atmosphere
 __all__ = [
     "GuidanceConfig",
     "AutopilotConfig",
-    "closing_velocity",
     "pn_command",
     "select_source",
+    "actuator_coefficients",
     "autopilot_step",
     "trim_deflection_gain",
 ]
@@ -53,18 +53,6 @@ class AutopilotConfig:
             raise ValueError("autopilot parameters must be positive")
 
 
-def closing_velocity(missile, target) -> float:
-    """Range rate with the PN sign convention: positive when closing."""
-    mp, mv = missile.position, missile.velocity
-    tp, tv = target.position, target.velocity
-    rx, ry, rz = tp[0] - mp[0], tp[1] - mp[1], tp[2] - mp[2]
-    r = math.sqrt(rx * rx + ry * ry + rz * rz)
-    if r <= 0.0:
-        raise ValueError("zero range: closing velocity is undefined")
-    vx, vy, vz = tv[0] - mv[0], tv[1] - mv[1], tv[2] - mv[2]
-    return -(rx * vx + ry * vy + rz * vz) / r
-
-
 def pn_command(los_rate: tuple, vc: float, config: GuidanceConfig) -> tuple:
     """Lateral acceleration demand N * Vc * los_rate per channel."""
     n = config.nav_ratio
@@ -83,32 +71,21 @@ def select_source(t: float, config: GuidanceConfig, true_rate: tuple,
     return predicted_rate
 
 
-def autopilot_step(cmd_accel: tuple, achieved_accel: tuple, prev_deflection: tuple,
-                   dt: float, ap: AutopilotConfig) -> tuple:
-    """First-order actuator tracking the trim deflection for the command.
-
-    ``achieved_accel`` is recorded for diagnostics but the law itself is
-    open loop: deflection target = gain * command, clamped to the travel
-    limit, approached with the exact exponential lag update.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    a, b = actuator_coefficients(dt, ap)
-    gain, lim = ap.accel_to_deflection_gain, ap.deflection_limit
-    return tuple(fin_step(cmd, prev, gain, lim, a, b)
-                 for cmd, prev in zip(cmd_accel, prev_deflection))
-
-
 def actuator_coefficients(dt: float, ap: AutopilotConfig) -> tuple:
     """Per-step weights (a, b) of the exponential actuator update."""
     a = math.exp(-dt / ap.actuator_time_constant)
     return a, 1.0 - a
 
 
-def fin_step(cmd: float, prev: float, gain: float, lim: float,
-             a: float, b: float) -> float:
-    """One unchecked actuator update of one channel; the float-level core
-    of :func:`autopilot_step`."""
+def autopilot_step(cmd: float, prev: float, gain: float, lim: float,
+                   a: float, b: float) -> float:
+    """Advance one fin channel's first-order actuator one step.
+
+    The law is open loop: the deflection target is ``gain * cmd``,
+    clamped to the travel ``lim``, and the fin approaches it with the
+    exact exponential update whose weights ``(a, b)`` come from
+    :func:`actuator_coefficients`.
+    """
     target = gain * cmd
     # max(-lim, min(lim, target)), including its NaN handling
     if not target < lim:

@@ -9,26 +9,16 @@ to the signal and derivatives evaluated a fixed horizon ahead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "ObserverGains",
     "ObserverConfig",
-    "ObserverState",
-    "Prediction",
     "DivergenceError",
     "validate_gains",
-    "second_step_injection_gains",
-    "observer_rhs",
-    "observer_step",
-    "prediction",
-    "reset",
+    "rhs8",
+    "rk4_step8",
 ]
-
-_STATE_NAMES = (
-    "x11", "x21", "x31", "x41",
-    "x12", "x22", "x32", "x42",
-)
 
 
 class DivergenceError(RuntimeError):
@@ -85,60 +75,24 @@ class ObserverConfig:
             raise ValueError("delta must be finite and >= 0")
 
     def coefficients(self) -> tuple:
-        """Precomputed (b1..b4, g1..g4) injection gains for the fast stepper."""
-        g = self.gains
+        """Injection gains (b1..b4, g1..g4) of the two steps.
+
+        Step one injects b_i = k_i / eps^i; step two injects the
+        Taylor-weighted g_i over the horizon, which collapse to b_i when
+        the horizon is 0.
+        """
+        k = self.gains
         e = self.epsilon
-        b1 = g.k1 / e
-        b2 = g.k2 / e ** 2
-        b3 = g.k3 / e ** 3
-        b4 = g.k4 / e ** 4
-        return (b1, b2, b3, b4) + second_step_injection_gains(self)
-
-
-def second_step_injection_gains(config: ObserverConfig) -> tuple:
-    """Taylor-weighted injection gains (g1, g2, g3, g4) of the second step.
-
-    With horizon 0 they collapse to the step-one gains k_i / eps^i.
-    """
-    k = config.gains
-    e = config.epsilon
-    d = config.delta
-    b1 = k.k1 / e
-    b2 = k.k2 / e ** 2
-    b3 = k.k3 / e ** 3
-    b4 = k.k4 / e ** 4
-    g1 = b4 * d ** 3 / 6.0 + b3 * d ** 2 / 2.0 + b2 * d + b1
-    g2 = b4 * d ** 2 / 2.0 + b3 * d + b2
-    g3 = b4 * d + b3
-    g4 = b4
-    return (g1, g2, g3, g4)
-
-
-@dataclass
-class ObserverState:
-    """Eight observer states: step-one chain then step-two chain."""
-
-    step1: tuple  # (x11, x21, x31, x41)
-    step2: tuple  # (x12, x22, x32, x42)
-    t: float = 0.0
-
-    def __post_init__(self):
-        for v in (*self.step1, *self.step2, self.t):
-            if not math.isfinite(v):
-                raise ValueError("observer state entries must be finite")
-
-    def as_tuple(self) -> tuple:
-        return self.step1 + self.step2
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Signal value and first three derivatives at the prediction horizon."""
-
-    value: float
-    d1: float
-    d2: float
-    d3: float
+        d = self.delta
+        b1 = k.k1 / e
+        b2 = k.k2 / e ** 2
+        b3 = k.k3 / e ** 3
+        b4 = k.k4 / e ** 4
+        return (b1, b2, b3, b4,
+                b4 * d ** 3 / 6.0 + b3 * d ** 2 / 2.0 + b2 * d + b1,
+                b4 * d ** 2 / 2.0 + b3 * d + b2,
+                b4 * d + b3,
+                b4)
 
 
 def rhs8(x: tuple, v: float, coeffs: tuple, coupled_step1: bool = False) -> tuple:
@@ -163,13 +117,6 @@ def rhs8(x: tuple, v: float, coeffs: tuple, coupled_step1: bool = False) -> tupl
         x42 + g3 * e,
         g4 * e,
     )
-
-
-def observer_rhs(state: ObserverState, v: float, config: ObserverConfig) -> tuple:
-    """Right-hand side of the full eight-state observer ODE."""
-    if not math.isfinite(v):
-        raise ValueError("observer input must be finite, got %r" % (v,))
-    return rhs8(state.as_tuple(), v, config.coefficients(), config.coupled_step1)
 
 
 def rk4_step8(x: tuple, v, dt: float, coeffs: tuple,
@@ -242,56 +189,3 @@ def rk4_step8(x: tuple, v, dt: float, coeffs: tuple,
         x32 + h6 * (p7 + 2.0 * (q7 + r7) + s7),
         x42 + h6 * (p8 + 2.0 * (q8 + r8) + s8),
     )
-
-
-def observer_step(state: ObserverState, v, dt: float,
-                  config: ObserverConfig) -> ObserverState:
-    """Advance the observer one fixed RK4 step.
-
-    A scalar ``v`` is held constant over the step (zero-order hold, the
-    in-loop case where only samples exist); a callable ``v(t)`` is
-    evaluated at the RK4 stage times, which removes the hold-induced
-    tracking bias.  The step must satisfy dt <= epsilon / 4; larger
-    steps would put the stiff injection eigenvalues outside the RK4
-    stability region.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if dt > config.epsilon / 4.0:
-        raise ValueError(
-            "dt=%g exceeds the stiffness guard epsilon/4=%g"
-            % (dt, config.epsilon / 4.0)
-        )
-    if callable(v):
-        v = (v(state.t), v(state.t + dt * 0.5), v(state.t + dt))
-    samples = v if isinstance(v, tuple) else (v,)
-    for s in samples:
-        if not math.isfinite(s):
-            raise ValueError("observer input must be finite, got %r" % (s,))
-    x = rk4_step8(state.as_tuple(), v, dt, config.coefficients(),
-                  config.coupled_step1)
-    for name, xi in zip(_STATE_NAMES, x):
-        if not math.isfinite(xi):
-            raise DivergenceError(
-                "observer diverged at t=%g: state %s is %r"
-                % (state.t + dt, name, xi)
-            )
-    return ObserverState(step1=x[:4], step2=x[4:], t=state.t + dt)
-
-
-def prediction(state: ObserverState) -> Prediction:
-    """Read out the second-step states as the horizon-ahead estimate."""
-    x12, x22, x32, x42 = state.step2
-    return Prediction(value=x12, d1=x22, d2=x32, d3=x42)
-
-
-def reset(config: ObserverConfig, v0: float) -> ObserverState:
-    """Fresh state seeded with the current signal sample.
-
-    Seeding x11 = x12 = v0 removes the initial error spike that drives
-    the peaking transient.
-    """
-    if not math.isfinite(v0):
-        raise ValueError("initial sample must be finite")
-    return ObserverState(step1=(v0, 0.0, 0.0, 0.0),
-                         step2=(v0, 0.0, 0.0, 0.0), t=0.0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["SeekerConfig", "SeekerState", "true_los_rate", "delay_step"]
+__all__ = ["SeekerConfig", "los_rate_channels", "lag_coefficients", "delay_step"]
 
 
 @dataclass(frozen=True)
@@ -20,17 +20,6 @@ class SeekerConfig:
     def __post_init__(self):
         if self.lag_time_constant < 0.0 or not math.isfinite(self.lag_time_constant):
             raise ValueError("lag_time_constant must be finite and >= 0")
-
-
-@dataclass
-class SeekerState:
-    delayed_rate: tuple = (0.0, 0.0)   # (pitch, yaw) rad/s after the lag
-    last_true_rate: tuple = (0.0, 0.0)
-
-    def __post_init__(self):
-        for v in (*self.delayed_rate, *self.last_true_rate):
-            if not math.isfinite(v):
-                raise ValueError("seeker state entries must be finite")
 
 
 def los_rate_channels(rel_pos: tuple, rel_vel: tuple) -> tuple:
@@ -59,36 +48,6 @@ def los_rate_channels(rel_pos: tuple, rel_vel: tuple) -> tuple:
     return (elevation, wz)
 
 
-def true_los_rate(missile, target) -> tuple:
-    """Exact LOS-rate channels from missile and target states.
-
-    Both arguments only need ``position`` and ``velocity`` attributes.
-    """
-    mp, mv = missile.position, missile.velocity
-    tp, tv = target.position, target.velocity
-    rel_pos = (tp[0] - mp[0], tp[1] - mp[1], tp[2] - mp[2])
-    rel_vel = (tv[0] - mv[0], tv[1] - mv[1], tv[2] - mv[2])
-    return los_rate_channels(rel_pos, rel_vel)
-
-
-def delay_step(state: SeekerState, true_rate: tuple, dt: float,
-               config: SeekerConfig) -> SeekerState:
-    """Advance the lag filter one step.
-
-    The exponential update is the exact solution of the first-order ODE
-    for piecewise-constant input, so composing steps is step-size
-    invariant.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    for v in true_rate:
-        if not math.isfinite(v):
-            raise ValueError("true LOS rate must be finite")
-    true_rate = tuple(true_rate)
-    delayed = lag(state.delayed_rate, true_rate, lag_coefficients(dt, config))
-    return SeekerState(delayed_rate=delayed, last_true_rate=true_rate)
-
-
 def lag_coefficients(dt: float, config: SeekerConfig):
     """Per-step weights (a, b) of the lag update, or None for an ideal
     seeker, which passes the true rate through."""
@@ -99,9 +58,14 @@ def lag_coefficients(dt: float, config: SeekerConfig):
     return a, 1.0 - a
 
 
-def lag(delayed_rate: tuple, true_rate: tuple, coefficients) -> tuple:
-    """One unchecked lag update with the weights from
-    :func:`lag_coefficients`; the float-level core of :func:`delay_step`."""
+def delay_step(delayed_rate: tuple, true_rate: tuple, coefficients) -> tuple:
+    """Advance the (pitch, yaw) lag filter one step with the weights from
+    :func:`lag_coefficients`.
+
+    The exponential update is the exact solution of the first-order ODE
+    for piecewise-constant input, so composing steps is step-size
+    invariant.
+    """
     if coefficients is None:
         return true_rate
     a, b = coefficients

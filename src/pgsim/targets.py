@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TargetConfig", "TargetState", "target_state", "sample_phase"]
+__all__ = ["TargetConfig", "ground_velocity", "target_state", "sample_phase"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,21 +38,6 @@ class TargetConfig:
             raise ValueError("weave frequency must be positive")
 
 
-@dataclass(frozen=True)
-class TargetState:
-    position: tuple
-    velocity: tuple
-
-
-def target_state(t: float, config: TargetConfig) -> TargetState:
-    """Target position and velocity at time ``t`` (closed form)."""
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    vx, vy = ground_velocity(config)
-    px, py, pz, vz = kinematics(t, config, vx, vy)
-    return TargetState(position=(px, py, pz), velocity=(vx, vy, vz))
-
-
 def ground_velocity(config: TargetConfig) -> tuple:
     """Constant horizontal velocity (vx, vy), heading toward the launch
     site at the origin."""
@@ -63,10 +48,10 @@ def ground_velocity(config: TargetConfig) -> tuple:
     return config.speed, 0.0
 
 
-def kinematics(t: float, config: TargetConfig, vx: float, vy: float) -> tuple:
-    """(px, py, pz, vz) at ``t`` >= 0 for the horizontal velocity
-    ``(vx, vy)`` from :func:`ground_velocity`; the unchecked float-level
-    core of :func:`target_state`."""
+def target_state(t: float, config: TargetConfig, vx: float, vy: float) -> tuple:
+    """Target position and vertical velocity ``(px, py, pz, vz)`` at
+    ``t`` >= 0 (closed form) for the horizontal velocity ``(vx, vy)``
+    from :func:`ground_velocity`."""
     x0, y0, z0 = config.initial_position
     px = x0 + vx * t
     py = y0 + vy * t

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsim import airframe as af
-from pgsim.engagement import _rhs_fast
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +53,15 @@ class TestAeroTable:
 
     def test_zero_aoa_at_breakpoint(self, frame):
         t = frame.table
-        c = af.aero_coefficients(t, t.mach[1], 0.0)
-        assert c["cn"] == 0.0
-        assert c["ca"] == t.rows[1][1]
-        assert c["cm"] == 0.0
+        x = make_state((400.0, 0.0, 0.0))
+        rho = 1.1
+        d = af.vehicle_rhs(x, 0.0, 0.0, t.interpolate(t.mach[1]), t.reference_area,
+                           t.reference_length, 1.0, 0.0, 0.0, rho)
+        # no normal force or moment; the axial force is the row's drag
+        assert d[4] == 0.0 and d[5] == -af.G0
+        assert d[8] == 0.0 and d[9] == 0.0
+        drag = 0.5 * rho * 400.0 ** 2 * t.reference_area * t.rows[1][1]
+        assert x[10] * d[3] == pytest.approx(-drag, rel=1e-12)
 
     def test_midpoint_is_mean(self, frame):
         t = frame.table
@@ -82,64 +86,71 @@ class TestAeroTable:
 
 def make_state(velocity, pitch=0.0, yaw=0.0, pitch_rate=0.0, yaw_rate=0.0,
                mass=70.0, position=(0.0, 0.0, 1000.0)):
-    return af.VehicleState(position=position, velocity=velocity, pitch=pitch,
-                           yaw=yaw, pitch_rate=pitch_rate, yaw_rate=yaw_rate,
-                           mass=mass)
+    return (*position, *velocity, pitch, yaw, pitch_rate, yaw_rate, mass)
+
+
+def rhs(frame, x, deflections=(0.0, 0.0), t=0.0, rho=None):
+    """vehicle_rhs with the ambient sample and aero row at the state's
+    altitude and Mach; ``rho`` overrides the density."""
+    atm = af.atmosphere(x[2])
+    speed = math.sqrt(x[3] ** 2 + x[4] ** 2 + x[5] ** 2)
+    table = frame.table
+    thrust = frame.thrust.thrust(t)
+    return af.vehicle_rhs(x, deflections[0], deflections[1],
+                          table.interpolate(speed / atm.speed_of_sound),
+                          table.reference_area, table.reference_length,
+                          1.0 / frame.transverse_inertia, thrust,
+                          frame.thrust.mass_flow(thrust),
+                          atm.density if rho is None else rho)
+
+
+def loads(frame, x, deflections=(0.0, 0.0), rho=None):
+    """Total inertial force in N and body pitch/yaw moments in N*m,
+    after burnout (no thrust)."""
+    d = rhs(frame, x, deflections, frame.thrust.burnout_time + 1.0, rho)
+    m, inertia = x[10], frame.transverse_inertia
+    return (m * d[3], m * d[4], m * (d[5] + af.G0)), inertia * d[8], inertia * d[9]
 
 
 class TestForcesAndMoments:
     def test_symmetric_trim(self, frame):
-        atm = af.atmosphere(1000.0)
-        state = make_state((400.0, 0.0, 0.0))
-        out = af.forces_and_moments(state, (0.0, 0.0), frame.table, 0.0, atm)
-        fx, fy, fz = out["force"]
-        assert fy == 0.0
-        assert out["pitch_moment"] == 0.0
-        assert out["yaw_moment"] == 0.0
-        assert fx < 0.0  # drag only
-        assert fz == pytest.approx(-state.mass * af.G0)
+        x = make_state((400.0, 0.0, 0.0))
+        d = rhs(frame, x, t=frame.thrust.burnout_time + 1.0)
+        assert d[4] == 0.0
+        assert d[8] == 0.0
+        assert d[9] == 0.0
+        assert d[3] < 0.0  # drag only
+        assert d[5] == pytest.approx(-af.G0)
 
     @given(incidence=st.floats(-0.3, 0.3), defl=st.floats(-0.4, 0.4),
            rate=st.floats(-3.0, 3.0))
     @settings(max_examples=200, deadline=None)
     def test_cruciform_symmetry(self, incidence, defl, rate):
         frame = af.load_airframe()
-        atm = af.atmosphere(500.0)
         speed = 500.0
         # pitch-plane incidence: velocity below the nose by `incidence`
         pitch_state = make_state(
             (speed * math.cos(incidence), 0.0, -speed * math.sin(incidence)),
-            pitch_rate=rate)
+            pitch_rate=rate, position=(0.0, 0.0, 500.0))
         yaw_state = make_state(
             (speed * math.cos(incidence), -speed * math.sin(incidence), 0.0),
-            yaw_rate=rate)
-        a = af.forces_and_moments(pitch_state, (defl, 0.0), frame.table, 0.0, atm)
-        b = af.forces_and_moments(yaw_state, (0.0, defl), frame.table, 0.0, atm)
-        fz = a["force"][2] + pitch_state.mass * af.G0
-        fy = b["force"][1]
-        assert fy == pytest.approx(fz, rel=1e-9, abs=1e-9)
-        assert b["yaw_moment"] == pytest.approx(a["pitch_moment"], rel=1e-9, abs=1e-9)
+            yaw_rate=rate, position=(0.0, 0.0, 500.0))
+        a_force, a_pitch, _ = loads(frame, pitch_state, (defl, 0.0))
+        b_force, _, b_yaw = loads(frame, yaw_state, (0.0, defl))
+        assert b_force[1] == pytest.approx(a_force[2], rel=1e-9, abs=1e-9)
+        assert b_yaw == pytest.approx(a_pitch, rel=1e-9, abs=1e-9)
 
     def test_aero_force_linear_in_density(self, frame):
-        atm = af.atmosphere(0.0)
-        double = af.AtmosphereSample(density=2 * atm.density,
-                                     speed_of_sound=atm.speed_of_sound,
-                                     temperature=atm.temperature,
-                                     pressure=atm.pressure)
-        state = make_state((400.0, 30.0, -20.0))
-        f1 = af.forces_and_moments(state, (0.1, -0.05), frame.table, 0.0, atm)
-        f2 = af.forces_and_moments(state, (0.1, -0.05), frame.table, 0.0, double)
-        w = state.mass * af.G0
-        aero1 = np.array(f1["force"]) + [0, 0, w]
-        aero2 = np.array(f2["force"]) + [0, 0, w]
-        assert aero2 == pytest.approx(2.0 * aero1, rel=1e-12)
-        assert f2["pitch_moment"] == pytest.approx(2.0 * f1["pitch_moment"], rel=1e-12)
+        x = make_state((400.0, 30.0, -20.0), position=(0.0, 0.0, 0.0))
+        rho = af.atmosphere(0.0).density
+        f1, m1, _ = loads(frame, x, (0.1, -0.05), rho)
+        f2, m2, _ = loads(frame, x, (0.1, -0.05), 2.0 * rho)
+        assert f2 == pytest.approx(tuple(2.0 * f for f in f1), rel=1e-12)
+        assert m2 == pytest.approx(2.0 * m1, rel=1e-12)
 
     def test_zero_airspeed_rejected(self, frame):
-        state = make_state((0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            af.forces_and_moments(state, (0.0, 0.0), frame.table, 0.0,
-                                  af.atmosphere(0.0))
+        with pytest.raises(ZeroDivisionError):
+            rhs(frame, make_state((0.0, 0.0, 0.0)))
 
 
 def zero_aero_frame():
@@ -150,12 +161,9 @@ def zero_aero_frame():
     return af.Airframe(table=table, thrust=thrust, transverse_inertia=20.0)
 
 
-def rk4(state, frame, t, dt, atm=None):
-    x = state.as_tuple()
-
+def rk4(x, frame, t, dt):
     def f(xx, tau):
-        return af.vehicle_rhs(af.VehicleState.from_tuple(xx), (0.0, 0.0),
-                              frame, tau, atm=atm)
+        return rhs(frame, xx, t=tau)
 
     k1 = f(x, t)
     x2 = tuple(a + 0.5 * dt * b for a, b in zip(x, k1))
@@ -164,19 +172,16 @@ def rk4(state, frame, t, dt, atm=None):
     k3 = f(x3, t + 0.5 * dt)
     x4 = tuple(a + dt * b for a, b in zip(x, k3))
     k4 = f(x4, t + dt)
-    return af.VehicleState.from_tuple(tuple(
-        a + dt / 6.0 * (p + 2 * (q + r) + s)
-        for a, p, q, r, s in zip(x, k1, k2, k3, k4)))
+    return tuple(a + dt / 6.0 * (p + 2 * (q + r) + s)
+                 for a, p, q, r, s in zip(x, k1, k2, k3, k4))
 
 
 class TestVehicleRhs:
     def test_ballistic_gravity_only(self):
-        vacuum = af.AtmosphereSample(density=0.0, speed_of_sound=300.0,
-                                     temperature=250.0, pressure=1.0)
         frame = zero_aero_frame()
-        state = make_state((100.0, 0.0, 50.0))
-        d = af.vehicle_rhs(state, (0.0, 0.0), frame, 0.0, atm=vacuum)
-        assert d[0:3] == state.velocity
+        x = make_state((100.0, 0.0, 50.0))
+        d = rhs(frame, x, rho=0.0)  # vacuum
+        assert d[0:3] == x[3:6]
         assert d[3:6] == pytest.approx((0.0, 0.0, -af.G0))
         assert d[10] == 0.0
 
@@ -184,28 +189,27 @@ class TestVehicleRhs:
         frame = af.load_airframe()
         t_burnout = frame.thrust.burnout_time
         assert frame.thrust.thrust(t_burnout + 1.0) == 0.0
-        assert frame.thrust.mass_flow(t_burnout + 1.0) == 0.0
+        assert frame.thrust.mass_flow(frame.thrust.thrust(t_burnout + 1.0)) == 0.0
 
     def test_no_hover(self):
         frame = af.load_airframe()
-        state = make_state((100.0, 0.0, 0.0))
-        d = af.vehicle_rhs(state, (0.0, 0.0), frame,
-                           frame.thrust.burnout_time + 1.0)
+        x = make_state((100.0, 0.0, 0.0))
+        d = rhs(frame, x, t=frame.thrust.burnout_time + 1.0)
         assert any(abs(a) > 1e-6 for a in d[3:6])
 
     def test_energy_conservation(self):
         frame = zero_aero_frame()
-        state = make_state((120.0, 0.0, 80.0), position=(0.0, 0.0, 2000.0))
+        x = make_state((120.0, 0.0, 80.0), position=(0.0, 0.0, 2000.0))
 
         def energy(s):
-            v2 = sum(c * c for c in s.velocity)
-            return 0.5 * s.mass * v2 + s.mass * af.G0 * s.position[2]
+            v2 = s[3] ** 2 + s[4] ** 2 + s[5] ** 2
+            return 0.5 * s[10] * v2 + s[10] * af.G0 * s[2]
 
-        e0 = energy(state)
+        e0 = energy(x)
         dt = 1e-3
         for i in range(10000):
-            state = rk4(state, frame, i * dt, dt)
-        assert energy(state) == pytest.approx(e0, rel=1e-6)
+            x = rk4(x, frame, i * dt, dt)
+        assert energy(x) == pytest.approx(e0, rel=1e-6)
 
     def test_mass_accounting(self):
         frame = af.load_airframe()
@@ -214,33 +218,42 @@ class TestVehicleRhs:
         want = prof.initial_mass - prof.propellant_mass
         assert final == pytest.approx(want, rel=1e-9)
 
-    def test_fast_rhs_matches_public_rhs(self):
+    def test_matches_body_axes_oracle(self):
+        # the derivative in vector form: incidences from the velocity
+        # projected on body_axes, loads rotated back along the same axes
         frame = af.load_airframe()
+        table = frame.table
+        sref, lref = table.reference_area, table.reference_length
         rng = np.random.default_rng(11)
         for _ in range(50):
-            vel = tuple(rng.uniform(-300, 300, 3))
-            if math.sqrt(sum(c * c for c in vel)) < 1.0:
+            vel = rng.uniform(-300, 300, 3)
+            speed = float(np.linalg.norm(vel))
+            if speed < 1.0:
                 continue
-            state = af.VehicleState(
-                position=(0.0, 0.0, float(rng.uniform(0, 10000))),
-                velocity=vel,
-                pitch=float(rng.uniform(-1.2, 1.2)),
-                yaw=float(rng.uniform(-math.pi, math.pi)),
-                pitch_rate=float(rng.uniform(-3, 3)),
-                yaw_rate=float(rng.uniform(-3, 3)),
-                mass=float(rng.uniform(55, 85)))
-            defl = (float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.5, 0.5)))
-            t = float(rng.uniform(0, 10))
-            atm = af.atmosphere(state.position[2])
-            speed = math.sqrt(sum(c * c for c in vel))
-            row = frame.table.interpolate(speed / atm.speed_of_sound)
-            got = _rhs_fast(state.as_tuple(), defl[0], defl[1], row,
-                            frame.table.reference_area,
-                            frame.table.reference_length,
-                            1.0 / frame.transverse_inertia,
-                            frame.thrust.thrust(t), frame.thrust.mass_flow(t),
-                            atm.density, af.G0)
-            want = af.vehicle_rhs(state, defl, frame, t, atm=atm)
+            pitch, yaw = rng.uniform(-1.2, 1.2), rng.uniform(-math.pi, math.pi)
+            q_rate, r_rate = rng.uniform(-3, 3, 2)
+            mass = rng.uniform(55, 85)
+            dp, dyaw = rng.uniform(-0.5, 0.5, 2)
+            thrust = rng.uniform(0.0, 20000.0)
+            rho = rng.uniform(0.3, 1.3)
+            row = table.interpolate(rng.uniform(0.2, 4.0))
+            x = (0.0, 0.0, 1000.0, *vel.tolist(), pitch, yaw, q_rate, r_rate, mass)
+            got = af.vehicle_rhs(x, dp, dyaw, row, sref, lref,
+                                 1.0 / frame.transverse_inertia, thrust, 2.5, rho)
+
+            bx, by, bz = (np.array(b) for b in af.body_axes(pitch, yaw))
+            alpha = -math.atan2(vel @ bz, vel @ bx)
+            beta = -math.atan2(vel @ by, vel @ bx)
+            cn_a, ca0, cm_a, cm_q, cn_d, cm_d = row
+            qs = 0.5 * rho * speed ** 2 * sref
+            damp = lref / (2.0 * speed)
+            force = ((thrust - qs * ca0) * bx + qs * (cn_a * beta + cn_d * dyaw) * by
+                     + qs * (cn_a * alpha + cn_d * dp) * bz)
+            m_pitch = qs * lref * (cm_a * alpha + cm_d * dp + cm_q * q_rate * damp)
+            m_yaw = qs * lref * (cm_a * beta + cm_d * dyaw + cm_q * r_rate * damp)
+            want = (*vel, *(force / mass - [0.0, 0.0, af.G0]), q_rate, r_rate,
+                    m_pitch / frame.transverse_inertia,
+                    m_yaw / frame.transverse_inertia, -2.5)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -276,9 +289,3 @@ propellant_mass = 20.0
         p.write_text("[airframe]\nreference_area = 0.01\n")
         with pytest.raises(ValueError, match="section"):
             af.load_airframe(str(p))
-
-    def test_warns_beyond_stall_incidence(self, frame):
-        state = make_state((300.0, 0.0, -200.0))  # ~34 deg incidence
-        with pytest.warns(UserWarning, match="25 deg"):
-            af.forces_and_moments(state, (0.0, 0.0), frame.table, 0.0,
-                                  af.atmosphere(0.0))

@@ -89,6 +89,33 @@ class TestValidate:
         assert run_cli("validate", "--config", str(tmp_path / "nope.json")) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_config_file_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text("{bad")
+        assert run_cli("validate", "--config", str(p)) == 2
+        assert "config error: %s is not valid JSON" % p in capsys.readouterr().err
+        p.write_text("[1]")
+        assert run_cli("validate", "--config", str(p)) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+        p.write_bytes(b"\xff\xfe{")
+        assert run_cli("validate", "--config", str(p)) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    def test_non_finite_target_position_exits_2(self, capsys, tmp_path):
+        assert run_cli("run", "--out", str(tmp_path),
+                       "--set", "target.position=[NaN,0,0]") == 2
+        assert "target.position" in capsys.readouterr().err
+        assert not (tmp_path / "engagement.csv").exists()
+
+    def test_non_numeric_gain_exits_2(self, capsys):
+        assert run_cli("validate", "--set", 'observer.k1="abc"') == 2
+        assert "observer.k1" in capsys.readouterr().err
+
+    def test_non_finite_sweep_delay_exits_2(self, capsys, tmp_path):
+        assert run_cli("sweep", "--out", str(tmp_path), "--jobs", "1",
+                       "--set", "sweep.delays=[Infinity]") == 2
+        assert "sweep.delays" in capsys.readouterr().err
+
     def test_stiffness_guard_cross_check(self, capsys):
         # dt and epsilon are only jointly invalid
         assert run_cli("validate", "--set", "observer.epsilon=0.003") == 2

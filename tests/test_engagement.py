@@ -9,6 +9,7 @@ from pgsim import airframe as af
 from pgsim import config as cf
 from pgsim import engagement as en
 from pgsim import guidance as gd
+from pgsim import observer as ob
 from pgsim import seeker as sk
 from pgsim import targets as tg
 
@@ -354,7 +355,7 @@ def _bits(values) -> bytes:
 
 
 def vehicle_rk4_reference(x, defl, frame, t, dt):
-    """RK4 composed from _rhs_fast with the profile's own thrust,
+    """RK4 composed from vehicle_rhs with the profile's own thrust,
     mass_flow and mass_at: the reference for _vehicle_rk4."""
     atm = af.atmosphere(max(x[2], 0.0))
     speed = math.sqrt(x[3] * x[3] + x[4] * x[4] + x[5] * x[5])
@@ -362,9 +363,9 @@ def vehicle_rk4_reference(x, defl, frame, t, dt):
     prof = frame.thrust
 
     def rhs(state, tt):
-        return en._rhs_fast(state, defl[0], defl[1], row, frame.table.reference_area,
-                            frame.table.reference_length, 1.0 / frame.transverse_inertia,
-                            prof.thrust(tt), prof.mass_flow(tt), atm.density, af.G0)
+        return af.vehicle_rhs(state, defl[0], defl[1], row, frame.table.reference_area,
+                              frame.table.reference_length, 1.0 / frame.transverse_inertia,
+                              prof.thrust(tt), prof.mass_flow(prof.thrust(tt)), atm.density)
 
     h2 = dt * 0.5
     k1 = rhs(x, t)
@@ -422,8 +423,8 @@ class TestVehicleStepParity:
 
 
 class TestLoopReplay:
-    """The loop's float-level target, seeker-lag and autopilot steps
-    agree exactly with the public model functions."""
+    """Replaying the recorded inputs through the target, seeker-lag,
+    observer and autopilot kernels reproduces the recorded series."""
 
     @pytest.fixture(scope="class")
     def weave_run(self):
@@ -434,31 +435,47 @@ class TestLoopReplay:
     def test_target_positions(self, weave_run):
         record, cfg = weave_run
         s = record.series
-        states = [tg.target_state(float(t), cfg.target) for t in s["t"]]
+        vx, vy = tg.ground_velocity(cfg.target)
+        states = [tg.target_state(float(t), cfg.target, vx, vy) for t in s["t"]]
         for i, c in enumerate(("tx", "ty", "tz")):
-            assert s[c].tobytes() == np.array([st.position[i] for st in states]).tobytes()
+            assert s[c].tobytes() == np.array([st[i] for st in states]).tobytes()
         assert record.target_velocity.tobytes() == \
-            np.array([st.velocity for st in states]).tobytes()
+            np.array([(vx, vy, st[3]) for st in states]).tobytes()
 
     def test_delayed_rates(self, weave_run):
         record, cfg = weave_run
         s = record.series
         true = list(zip(s["lam_true_p"].tolist(), s["lam_true_y"].tolist()))
-        state = sk.SeekerState(delayed_rate=true[0])
-        delayed = [state.delayed_rate]
+        coeffs = sk.lag_coefficients(cfg.dt, cfg.seeker)
+        delayed = [true[0]]
         for rate in true[1:]:
-            state = sk.delay_step(state, rate, cfg.dt, cfg.seeker)
-            delayed.append(state.delayed_rate)
+            delayed.append(sk.delay_step(delayed[-1], rate, coeffs))
         assert _bits([d[0] for d in delayed]) == s["lam_del_p"].tobytes()
         assert _bits([d[1] for d in delayed]) == s["lam_del_y"].tobytes()
 
     def test_deflections(self, weave_run):
         record, cfg = weave_run
         s = record.series
-        defl = (0.0, 0.0)
-        out = []
-        for cmd in zip(s["acc_cmd_p"].tolist(), s["acc_cmd_y"].tolist()):
-            defl = gd.autopilot_step(cmd, (0.0, 0.0), defl, cfg.dt, cfg.autopilot)
-            out.append(defl)
-        assert _bits([d[0] for d in out]) == s["defl_p"].tobytes()
-        assert _bits([d[1] for d in out]) == s["defl_y"].tobytes()
+        ap = cfg.autopilot
+        a, b = gd.actuator_coefficients(cfg.dt, ap)
+        for ch in ("p", "y"):
+            defl, out = 0.0, []
+            for cmd in s["acc_cmd_" + ch].tolist():
+                defl = gd.autopilot_step(cmd, defl, ap.accel_to_deflection_gain,
+                                         ap.deflection_limit, a, b)
+                out.append(defl)
+            assert _bits(out) == s["defl_" + ch].tobytes()
+
+    def test_predicted_rates(self, weave_run):
+        # the observer runs on the delayed rate, held over each step
+        record, cfg = weave_run
+        s = record.series
+        coeffs = cfg.observer.coefficients()
+        for ch in ("p", "y"):
+            delayed = s["lam_del_" + ch].tolist()
+            x = (delayed[0], 0.0, 0.0, 0.0, delayed[0], 0.0, 0.0, 0.0)
+            pred = [x[4]]
+            for v in delayed[:-1]:
+                x = ob.rk4_step8(x, v, cfg.dt, coeffs, cfg.observer.coupled_step1)
+                pred.append(x[4])
+            assert _bits(pred) == s["lam_pred_" + ch].tobytes()

@@ -1,41 +1,53 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsim import airframe as af
-from pgsim.guidance import (AutopilotConfig, GuidanceConfig, autopilot_step,
-                            closing_velocity, pn_command, select_source,
+from pgsim import config as cf
+from pgsim import engagement as en
+from pgsim.guidance import (AutopilotConfig, GuidanceConfig, actuator_coefficients,
+                            autopilot_step, pn_command, select_source,
                             trim_deflection_gain)
 
 
-class Point:
-    def __init__(self, position, velocity):
-        self.position = position
-        self.velocity = velocity
+def step(cmd, defl, dt, ap):
+    """Both fin channels advanced one step."""
+    a, b = actuator_coefficients(dt, ap)
+    gain, lim = ap.accel_to_deflection_gain, ap.deflection_limit
+    return tuple(autopilot_step(c, d, gain, lim, a, b) for c, d in zip(cmd, defl))
 
 
 class TestClosingVelocity:
     def test_head_on(self):
-        m = Point((0.0, 0.0, 0.0), (300.0, 0.0, 0.0))
-        t = Point((5000.0, 0.0, 0.0), (-200.0, 0.0, 0.0))
-        assert closing_velocity(m, t) == pytest.approx(500.0)
-
-    def test_receding_is_negative(self):
-        m = Point((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        t = Point((5000.0, 0.0, 0.0), (100.0, 0.0, 0.0))
-        assert closing_velocity(m, t) == pytest.approx(-100.0)
-
-    def test_crossing_has_zero_range_rate(self):
-        m = Point((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        t = Point((1000.0, 0.0, 0.0), (0.0, 50.0, 0.0))
-        assert closing_velocity(m, t) == pytest.approx(0.0)
-
-    def test_zero_range_rejected(self):
-        p = Point((1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            closing_velocity(p, p)
+        # oracle on a recorded engagement: the command is N * Vc * lambda
+        # of the selected source, with Vc = -(r . rdot) / |r| from the
+        # recorded relative state, positive while the range closes
+        cfg = cf.resolve()
+        cfg["guidance"]["source"] = "predicted"
+        cfg["seeker"]["lag_time_constant"] = 0.2
+        eng = en.EngagementConfig.from_setup(cf.build_setup(cfg))
+        record = en.run_engagement(eng)
+        s = record.series
+        r = np.column_stack([s["tx"] - s["mx"], s["ty"] - s["my"], s["tz"] - s["mz"]])
+        rdot = record.target_velocity - record.missile_velocity
+        vc = -np.sum(r * rdot, axis=1) / np.linalg.norm(r, axis=1)
+        warm = s["t"] < eng.guidance.warmup
+        n = eng.guidance.nav_ratio
+        for ch in ("p", "y"):
+            lam = np.where(warm, s["lam_del_" + ch], s["lam_pred_" + ch])
+            assert s["acc_cmd_" + ch] == pytest.approx(n * vc * lam, rel=1e-12, abs=1e-12)
+        closest = int(np.argmin(s["range"]))
+        assert np.all(vc[:closest] > 0.0)
+        assert np.all(vc[closest + 1:] < 0.0)
+        # launch instant, target on the x-z plane: closed form
+        x0, _, z0 = eng.target.initial_position
+        vl, el = eng.launch_speed, eng.launch_elevation
+        want = (x0 * (eng.target.speed + vl * math.cos(el))
+                + z0 * vl * math.sin(el)) / math.hypot(x0, z0)
+        assert vc[0] == pytest.approx(want, rel=1e-12)
 
 
 class TestPnCommand:
@@ -97,14 +109,14 @@ class TestAutopilotStep:
                              accel_to_deflection_gain=2e-3)
         defl = (0.0, 0.0)
         for _ in range(1000):
-            defl = autopilot_step((50.0, -25.0), (0.0, 0.0), defl, 0.001, ap)
+            defl = step((50.0, -25.0), defl, 0.001, ap)
         assert defl == pytest.approx((0.1, -0.05), rel=1e-9)
 
     def test_exponential_approach(self):
         tau = 0.02
         ap = AutopilotConfig(actuator_time_constant=tau, deflection_limit=0.52,
                              accel_to_deflection_gain=1e-3)
-        defl = autopilot_step((100.0, 0.0), (0.0, 0.0), (0.0, 0.0), tau, ap)
+        defl = step((100.0, 0.0), (0.0, 0.0), tau, ap)
         assert defl[0] == pytest.approx(0.1 * (1.0 - math.exp(-1.0)), rel=1e-12)
 
     def test_deflection_limit_clamps_target(self):
@@ -112,7 +124,7 @@ class TestAutopilotStep:
                              accel_to_deflection_gain=1e-2)
         defl = (0.0, 0.0)
         for _ in range(2000):
-            defl = autopilot_step((1000.0, -1000.0), (0.0, 0.0), defl, 0.001, ap)
+            defl = step((1000.0, -1000.0), defl, 0.001, ap)
         assert defl[0] == pytest.approx(0.3, rel=1e-9)
         assert defl[1] == pytest.approx(-0.3, rel=1e-9)
 
@@ -120,22 +132,17 @@ class TestAutopilotStep:
     @settings(max_examples=200, deadline=None)
     def test_output_never_exceeds_travel(self, cmd, prev):
         ap = AutopilotConfig()
-        defl = autopilot_step((cmd, cmd), (0.0, 0.0), (prev, prev), 0.001, ap)
+        defl = step((cmd, cmd), (prev, prev), 0.001, ap)
         assert abs(defl[0]) <= 0.52 + 1e-12
         assert abs(defl[1]) <= 0.52 + 1e-12
 
     def test_step_size_invariance(self):
         ap = AutopilotConfig(accel_to_deflection_gain=1e-3)
-        coarse = autopilot_step((200.0, 50.0), (0.0, 0.0), (0.02, -0.01), 0.01, ap)
+        coarse = step((200.0, 50.0), (0.02, -0.01), 0.01, ap)
         fine = (0.02, -0.01)
         for _ in range(10):
-            fine = autopilot_step((200.0, 50.0), (0.0, 0.0), fine, 0.001, ap)
+            fine = step((200.0, 50.0), fine, 0.001, ap)
         assert fine == pytest.approx(coarse, rel=1e-12)
-
-    def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            autopilot_step((0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 0.0,
-                           AutopilotConfig())
 
 
 class TestTrimDeflectionGain:

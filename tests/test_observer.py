@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pgsim import config as cf
+from pgsim import engagement as en
 from pgsim import observer as ob
 
 GAINS = ob.ObserverGains(4.0, 6.0, 4.0, 1.0)  # (s+1)^4, roots all at -1
@@ -46,13 +49,13 @@ class TestValidateGains:
 
 class TestInjectionGains:
     def test_zero_horizon_collapses_to_step_one_gains(self):
-        cfg = make_config(epsilon=0.1, delta=0.0)
-        assert ob.second_step_injection_gains(cfg) == pytest.approx(
-            (40.0, 600.0, 4000.0, 10000.0), rel=1e-12)
+        c = make_config(epsilon=0.1, delta=0.0).coefficients()
+        assert c[:4] == pytest.approx((40.0, 600.0, 4000.0, 10000.0), rel=1e-12)
+        assert c[4:] == c[:4]
 
     def test_direct_evaluation(self):
         cfg = make_config(epsilon=0.1, delta=0.05)
-        g = ob.second_step_injection_gains(cfg)
+        g = cfg.coefficients()[4:]
         # hand evaluation: b = (40, 600, 4000, 10000)
         # g1 = 10000*0.05^3/6 + 4000*0.05^2/2 + 600*0.05 + 40
         assert g[0] == pytest.approx(75.20833333333333, rel=1e-12)
@@ -63,126 +66,142 @@ class TestInjectionGains:
 
     def test_unit_epsilon_and_horizon(self):
         cfg = make_config(gains=ob.ObserverGains(2, 3, 2, 1), epsilon=1.0, delta=1.0)
-        g = ob.second_step_injection_gains(cfg)
+        g = cfg.coefficients()[4:]
         assert g == pytest.approx((1 / 6 + 1 + 3 + 2, 0.5 + 2 + 3, 1 + 2, 1))
 
 
 class TestObserverRhs:
     def test_zero_error_leaves_integrator_chains(self):
-        cfg = make_config(epsilon=0.1, delta=0.2)
-        state = ob.ObserverState(step1=(0.7, 1.0, 2.0, 3.0),
-                                 step2=(0.1, 4.0, 5.0, 6.0))
-        d = ob.observer_rhs(state, 0.7, cfg)
+        coeffs = make_config(epsilon=0.1, delta=0.2).coefficients()
+        d = ob.rhs8((0.7, 1.0, 2.0, 3.0, 0.1, 4.0, 5.0, 6.0), 0.7, coeffs)
         assert d == (1.0, 2.0, 3.0, 0.0, 4.0, 5.0, 6.0, 0.0)
 
     def test_unit_error_injects_gains(self):
-        cfg = make_config(epsilon=1.0, delta=0.0)
-        state = ob.ObserverState(step1=(0.0,) * 4, step2=(0.0,) * 4)
-        d = ob.observer_rhs(state, 1.0, cfg)
+        coeffs = make_config(epsilon=1.0, delta=0.0).coefficients()
+        d = ob.rhs8((0.0,) * 8, 1.0, coeffs)
         assert d == (4.0, 6.0, 4.0, 1.0, 4.0, 6.0, 4.0, 1.0)
 
     def test_zero_state_zero_input(self):
-        cfg = make_config()
-        state = ob.ObserverState(step1=(0.0,) * 4, step2=(0.0,) * 4)
-        assert ob.observer_rhs(state, 0.0, cfg) == (0.0,) * 8
+        assert ob.rhs8((0.0,) * 8, 0.0, make_config().coefficients()) == (0.0,) * 8
 
-    def test_nonfinite_input_rejected(self):
-        cfg = make_config()
-        state = ob.ObserverState(step1=(0.0,) * 4, step2=(0.0,) * 4)
-        with pytest.raises(ValueError):
-            ob.observer_rhs(state, math.nan, cfg)
+
+def seed(v0):
+    """The state the engagement loop starts from: x11 = x12 = v0."""
+    return (v0, 0.0, 0.0, 0.0, v0, 0.0, 0.0, 0.0)
+
+
+def step(x, v, t, dt, cfg):
+    """One observer step from time ``t``; a callable ``v(t)`` is sampled
+    at the RK4 stage times, which removes the hold-induced tracking bias,
+    and a number is held over the step (zero-order hold)."""
+    if callable(v):
+        v = (v(t), v(t + dt * 0.5), v(t + dt))
+    return ob.rk4_step8(x, v, dt, cfg.coefficients(), cfg.coupled_step1)
+
+
+def run_observer(cfg, signal, duration, dt):
+    """(state, t) after ``duration`` seconds on ``signal(t)`` from its seed."""
+    x, t = seed(signal(0.0)), 0.0
+    for _ in range(int(round(duration / dt))):
+        x = step(x, signal, t, dt, cfg)
+        t = t + dt
+    return x, t
 
 
 class TestReset:
     def test_zero_seed(self):
-        st_ = ob.reset(make_config(), 0.0)
-        assert st_.step1 == (0.0, 0.0, 0.0, 0.0)
-        assert st_.step2 == (0.0, 0.0, 0.0, 0.0)
-        assert st_.t == 0.0
+        # seeding with the current sample leaves no initial error: the
+        # seeded state is at rest under that sample
+        for v0 in (0.0, 0.3, -2.5):
+            x = seed(v0)
+            assert step(x, v0, 0.0, 1e-3, make_config(delta=0.2)) == x
 
     def test_seed_value_placed_in_both_steps(self):
-        st_ = ob.reset(make_config(), 0.3)
-        assert st_.step1 == (0.3, 0.0, 0.0, 0.0)
-        assert st_.step2 == (0.3, 0.0, 0.0, 0.0)
-
-    def test_nan_seed_rejected(self):
-        with pytest.raises(ValueError):
-            ob.reset(make_config(), math.nan)
-
-
-def run_observer(cfg, signal, duration, dt):
-    state = ob.reset(cfg, signal(0.0))
-    n = int(round(duration / dt))
-    for _ in range(n):
-        state = ob.observer_step(state, signal, dt, cfg)
-    return state
+        cfg = cf.resolve()
+        cfg["guidance"]["source"] = "predicted"
+        cfg["seeker"]["lag_time_constant"] = 0.2
+        cfg["engagement"]["max_time"] = 0.01
+        s = en.run_engagement(en.EngagementConfig.from_setup(cf.build_setup(cfg))).series
+        for ch in ("p", "y"):
+            assert s["lam_pred_" + ch][0] == s["lam_true_" + ch][0]
+            assert s["lam_del_" + ch][0] == s["lam_true_" + ch][0]
 
 
 class TestObserverStep:
     def test_equilibrium(self):
-        cfg = make_config()
-        state = ob.reset(cfg, 0.0)
-        out = ob.observer_step(state, 0.0, 1e-3, cfg)
-        assert out.step1 == (0.0,) * 4
-        assert out.step2 == (0.0,) * 4
-        assert out.t == 1e-3
+        assert step((0.0,) * 8, 0.0, 0.0, 1e-3, make_config()) == (0.0,) * 8
 
     def test_dt_guards(self):
-        cfg = make_config(epsilon=0.05)
-        state = ob.reset(cfg, 0.0)
-        with pytest.raises(ValueError):
-            ob.observer_step(state, 0.0, -1e-3, cfg)
-        with pytest.raises(ValueError):
-            ob.observer_step(state, 0.0, 0.05, cfg)  # > epsilon/4
+        # the step must satisfy 0 < dt <= epsilon / 4; larger steps would
+        # put the stiff injection eigenvalues outside the RK4 stability
+        # region, so an engagement refuses them
+        base = en.EngagementConfig.from_setup(cf.build_setup(cf.resolve()))
+        for dt in (-1e-3, 0.0, base.observer.epsilon / 4.0 * 1.01):
+            with pytest.raises(ValueError):
+                dataclasses.replace(base, dt=dt)
 
-    def test_divergence_names_entry(self):
-        cfg = make_config(epsilon=0.05)
-        state = ob.ObserverState(step1=(1e308, 0, 0, 0), step2=(0.0,) * 4)
-        with pytest.raises(ob.DivergenceError, match="x"):
-            ob.observer_step(state, -1e308, 0.01, cfg)
+    def test_divergence_names_entry(self, monkeypatch):
+        # a non-finite observer state ends the run as observer_divergence
+        # and the diagnostic names the observer
+        real = ob.rk4_step8
+        calls = []
+
+        def blow_up(x, v, dt, coeffs, coupled_step1=False):
+            calls.append(1)
+            x = real(x, v, dt, coeffs, coupled_step1)
+            return x if len(calls) < 10 else x[:4] + (math.inf,) + x[5:]
+
+        monkeypatch.setattr(ob, "rk4_step8", blow_up)
+        cfg = cf.resolve()
+        cfg["engagement"]["max_time"] = 0.1
+        record = en.run_engagement(en.EngagementConfig.from_setup(cf.build_setup(cfg)))
+        assert record.termination_reason == "observer_divergence"
+        assert "observer state non-finite" in record.diagnostic
+        assert len(record) == 5
 
     def test_cubic_tracking(self):
         # zero steady-state error for inputs with vanishing 4th derivative
         cfg = make_config(epsilon=0.05, delta=0.0)
-        state = run_observer(cfg, lambda t: t ** 3, 2.0, 1e-3)
-        t = state.t
+        x, t = run_observer(cfg, lambda t: t ** 3, 2.0, 1e-3)
         expected = (t ** 3, 3 * t ** 2, 6 * t, 6.0)
-        for got, want in zip(state.step1, expected):
+        for got, want in zip(x[:4], expected):
             assert got == pytest.approx(want, rel=1e-3)
 
     def test_sine_prediction_beats_raw_signal(self):
         delta = 0.5
         cfg = make_config(epsilon=0.02, delta=delta)
         dt = 1e-3
-        state = ob.reset(cfg, 0.0)
+        x, t = seed(0.0), 0.0
         n_settle = int(3.0 / dt)
         err_pred = err_raw = 0.0
         for i in range(int(6.0 / dt)):
-            state = ob.observer_step(state, math.sin, dt, cfg)
+            x = step(x, math.sin, t, dt, cfg)
+            t = t + dt
             if i >= n_settle:
-                future = math.sin(state.t + delta)
-                err_pred = max(err_pred, abs(state.step2[0] - future))
-                err_raw = max(err_raw, abs(math.sin(state.t) - future))
+                future = math.sin(t + delta)
+                err_pred = max(err_pred, abs(x[4] - future))
+                err_raw = max(err_raw, abs(math.sin(t) - future))
         assert err_pred <= err_raw / 5.0
 
 
 class TestPrediction:
+    """The prediction is the step-two chain (x12, x22, x32, x42): the
+    signal and its first three derivatives at the horizon."""
+
     def test_zero_state(self):
-        st_ = ob.ObserverState(step1=(0.0,) * 4, step2=(0.0,) * 4)
-        p = ob.prediction(st_)
-        assert (p.value, p.d1, p.d2, p.d3) == (0.0, 0.0, 0.0, 0.0)
+        x, _ = run_observer(make_config(delta=0.3), lambda t: 0.0, 1.0, 1e-3)
+        assert x[4:] == (0.0, 0.0, 0.0, 0.0)
 
     def test_converged_cubic_future_value(self):
         cfg = make_config(epsilon=0.05, delta=0.1)
-        state = run_observer(cfg, lambda t: t ** 3, 2.0, 1e-3)
-        assert ob.prediction(state).value == pytest.approx(2.1 ** 3, rel=1e-4)
+        x, _ = run_observer(cfg, lambda t: t ** 3, 2.0, 1e-3)
+        assert x[4] == pytest.approx(2.1 ** 3, rel=1e-4)
 
     def test_constant_signal(self):
         cfg = make_config(epsilon=0.05, delta=0.3)
-        state = run_observer(cfg, lambda t: 4.2, 2.0, 1e-3)
-        p = ob.prediction(state)
-        assert p.value == pytest.approx(4.2, abs=1e-12)
-        assert abs(p.d1) < 1e-12 and abs(p.d2) < 1e-12 and abs(p.d3) < 1e-12
+        x, _ = run_observer(cfg, lambda t: 4.2, 2.0, 1e-3)
+        assert x[4] == pytest.approx(4.2, abs=1e-12)
+        assert abs(x[5]) < 1e-12 and abs(x[6]) < 1e-12 and abs(x[7]) < 1e-12
 
 
 class TestInvariants:
@@ -190,10 +209,10 @@ class TestInvariants:
         # with delta=0 both chains have the same RHS: bit-identical paths
         cfg = make_config(epsilon=0.05, delta=0.0)
         rng = np.random.default_rng(7)
-        state = ob.reset(cfg, 0.5)
+        x = seed(0.5)
         for v in rng.normal(size=500):
-            state = ob.observer_step(state, float(v), 1e-3, cfg)
-            assert state.step1 == state.step2
+            x = step(x, float(v), 0.0, 1e-3, cfg)
+            assert x[:4] == x[4:]
 
     def test_polynomial_exactness(self):
         # settling window of 40*eps at dt = eps/10
@@ -204,44 +223,44 @@ class TestInvariants:
         def v(t):
             return 2 * t ** 3 - t ** 2 + 5
 
-        state = run_observer(cfg, v, 2.0, dt)
-        t = state.t
-        assert state.step1[0] == pytest.approx(v(t), rel=1e-6)
-        assert state.step2[0] == pytest.approx(v(t + 0.2), rel=1e-5)
+        x, t = run_observer(cfg, v, 2.0, dt)
+        assert x[0] == pytest.approx(v(t), rel=1e-6)
+        assert x[4] == pytest.approx(v(t + 0.2), rel=1e-5)
         # derivative states carry the residual RK4 propagator error at
         # this coarse step; they are checked at the looser tolerance
-        assert state.step1[1] == pytest.approx(6 * t ** 2 - 2 * t, rel=1e-3)
-        assert state.step1[2] == pytest.approx(12 * t - 2, rel=1e-3)
-        assert state.step1[3] == pytest.approx(12.0, rel=1e-3)
-        assert state.step2[1] == pytest.approx(6 * (t + 0.2) ** 2 - 2 * (t + 0.2),
-                                               rel=1e-3)
+        assert x[1] == pytest.approx(6 * t ** 2 - 2 * t, rel=1e-3)
+        assert x[2] == pytest.approx(12 * t - 2, rel=1e-3)
+        assert x[3] == pytest.approx(12.0, rel=1e-3)
+        assert x[5] == pytest.approx(6 * (t + 0.2) ** 2 - 2 * (t + 0.2), rel=1e-3)
 
     @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("delta", [0.1, 0.3])
     def test_prediction_dominance(self, omega, delta):
         cfg = make_config(epsilon=0.02, delta=delta)
         dt = 1e-3
-        state = ob.reset(cfg, 0.0)
+        x, t = seed(0.0), 0.0
         sq_pred = sq_raw = 0.0
         n_settle = int(3.0 / dt)
         n = int(6.0 / dt)
         for i in range(n):
-            state = ob.observer_step(state, lambda t: math.sin(omega * t), dt, cfg)
+            x = step(x, lambda t: math.sin(omega * t), t, dt, cfg)
+            t = t + dt
             if i >= n_settle:
-                future = math.sin(omega * (state.t + delta))
-                sq_pred += (state.step2[0] - future) ** 2
-                sq_raw += (math.sin(omega * state.t) - future) ** 2
+                future = math.sin(omega * (t + delta))
+                sq_pred += (x[4] - future) ** 2
+                sq_raw += (math.sin(omega * t) - future) ** 2
         assert sq_pred < sq_raw
 
     def test_peaking_grows_as_epsilon_shrinks(self):
         def peak(eps):
             cfg = make_config(epsilon=eps, delta=0.3)
             dt = eps / 10.0
-            state = ob.reset(cfg, math.sin(0.0))
+            x, t = seed(math.sin(0.0)), 0.0
             worst = 0.0
             for _ in range(40 * 10):  # 40*eps seconds at dt=eps/10
-                state = ob.observer_step(state, math.sin, dt, cfg)
-                worst = max(worst, abs(state.step2[0]))
+                x = step(x, math.sin, t, dt, cfg)
+                t = t + dt
+                worst = max(worst, abs(x[4]))
             assert math.isfinite(worst)
             return worst
 
@@ -255,11 +274,11 @@ class TestInvariants:
         inputs = [float(v) for v in rng.normal(size=300)]
 
         def run():
-            state = ob.reset(cfg, inputs[0])
+            x = seed(inputs[0])
             out = []
             for v in inputs:
-                state = ob.observer_step(state, v, 1e-3, cfg)
-                out.append(state.as_tuple())
+                x = step(x, v, 0.0, 1e-3, cfg)
+                out.append(x)
             return out
 
         assert run() == run()
@@ -269,9 +288,9 @@ class TestCoupledStepOneVariant:
     def test_flag_changes_dynamics(self):
         plain = make_config(epsilon=0.05, delta=0.1)
         coupled = make_config(epsilon=0.05, delta=0.1, coupled_step1=True)
-        s1 = run_observer(plain, math.sin, 1.0, 1e-3)
-        s2 = run_observer(coupled, math.sin, 1.0, 1e-3)
-        assert s1.step1 != s2.step1
+        s1, _ = run_observer(plain, math.sin, 1.0, 1e-3)
+        s2, _ = run_observer(coupled, math.sin, 1.0, 1e-3)
+        assert s1[:4] != s2[:4]
 
     def test_coupled_variant_corrupts_prediction(self):
         # the cross-coupled x41 equation destroys the tracking property,
@@ -279,9 +298,9 @@ class TestCoupledStepOneVariant:
         delta = 0.3
         plain = make_config(epsilon=0.05, delta=delta)
         coupled = make_config(epsilon=0.05, delta=delta, coupled_step1=True)
-        e_plain = abs(run_observer(plain, math.sin, 6.0, 1e-3).step2[0]
+        e_plain = abs(run_observer(plain, math.sin, 6.0, 1e-3)[0][4]
                       - math.sin(6.0 + delta))
-        e_coupled = abs(run_observer(coupled, math.sin, 6.0, 1e-3).step2[0]
+        e_coupled = abs(run_observer(coupled, math.sin, 6.0, 1e-3)[0][4]
                         - math.sin(6.0 + delta))
         assert e_plain < 0.01
         assert e_coupled > 10 * e_plain

@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgsim.seeker import (SeekerConfig, SeekerState, delay_step,
-                          los_rate_channels, true_los_rate)
-
-
-class Point:
-    def __init__(self, position, velocity):
-        self.position = position
-        self.velocity = velocity
+from pgsim.seeker import (SeekerConfig, delay_step, lag_coefficients,
+                          los_rate_channels)
 
 
 class TestLosRateChannels:
@@ -66,66 +60,74 @@ class TestLosRateChannels:
 
 
 class TestTrueLosRate:
+    """The rate of the LOS between two points, from their states."""
+
+    @staticmethod
+    def los(m_pos, m_vel, t_pos, t_vel):
+        return los_rate_channels(tuple(b - a for a, b in zip(m_pos, t_pos)),
+                                 tuple(b - a for a, b in zip(m_vel, t_vel)))
+
     def test_relative_geometry(self):
-        m = Point((0.0, 0.0, 0.0), (100.0, 0.0, 0.0))
-        t = Point((1000.0, 0.0, 0.0), (100.0, 0.0, 10.0))
-        assert true_los_rate(m, t) == pytest.approx((0.01, 0.0))
+        got = self.los((0.0, 0.0, 0.0), (100.0, 0.0, 0.0),
+                       (1000.0, 0.0, 0.0), (100.0, 0.0, 10.0))
+        assert got == pytest.approx((0.01, 0.0))
 
     def test_translation_invariance(self):
-        m = Point((500.0, -200.0, 50.0), (150.0, 10.0, -5.0))
-        t = Point((4000.0, 800.0, 1200.0), (-180.0, 20.0, 3.0))
-        base = true_los_rate(m, t)
+        m_pos, m_vel = (500.0, -200.0, 50.0), (150.0, 10.0, -5.0)
+        t_pos, t_vel = (4000.0, 800.0, 1200.0), (-180.0, 20.0, 3.0)
+        base = self.los(m_pos, m_vel, t_pos, t_vel)
         shift = (1234.0, -567.0, 89.0)
-        m2 = Point(tuple(p + s for p, s in zip(m.position, shift)), m.velocity)
-        t2 = Point(tuple(p + s for p, s in zip(t.position, shift)), t.velocity)
-        assert true_los_rate(m2, t2) == pytest.approx(base, rel=1e-12)
+        moved = self.los(tuple(p + s for p, s in zip(m_pos, shift)), m_vel,
+                         tuple(p + s for p, s in zip(t_pos, shift)), t_vel)
+        assert moved == pytest.approx(base, rel=1e-12)
+
+
+def run_lag(cfg, inputs, dt, delayed=(0.0, 0.0)):
+    """Delayed rate after feeding each (pitch, yaw) sample for one step."""
+    coeffs = lag_coefficients(dt, cfg)
+    for rate in inputs:
+        delayed = delay_step(delayed, rate, coeffs)
+    return delayed
 
 
 class TestDelayStep:
     def test_zero_lag_is_passthrough(self):
         cfg = SeekerConfig(lag_time_constant=0.0)
-        out = delay_step(SeekerState(), (0.02, -0.01), 0.001, cfg)
-        assert out.delayed_rate == (0.02, -0.01)
+        assert run_lag(cfg, [(0.02, -0.01)], 0.001) == (0.02, -0.01)
 
     def test_exponential_step_response(self):
         tau = 0.2
         cfg = SeekerConfig(lag_time_constant=tau)
-        state = SeekerState()
         dt = 0.001
         n = 200  # one time constant
-        for _ in range(n):
-            state = delay_step(state, (1.0, -2.0), dt, cfg)
+        delayed = run_lag(cfg, [(1.0, -2.0)] * n, dt)
         want = 1.0 - math.exp(-n * dt / tau)
-        assert state.delayed_rate[0] == pytest.approx(want, rel=1e-12)
-        assert state.delayed_rate[1] == pytest.approx(-2.0 * want, rel=1e-12)
+        assert delayed[0] == pytest.approx(want, rel=1e-12)
+        assert delayed[1] == pytest.approx(-2.0 * want, rel=1e-12)
 
     def test_step_size_invariance(self):
         cfg = SeekerConfig(lag_time_constant=0.15)
-        coarse = delay_step(SeekerState(), (1.0, 0.5), 0.01, cfg)
-        fine = SeekerState()
-        for _ in range(10):
-            fine = delay_step(fine, (1.0, 0.5), 0.001, cfg)
-        assert fine.delayed_rate == pytest.approx(coarse.delayed_rate, rel=1e-12)
+        coarse = run_lag(cfg, [(1.0, 0.5)], 0.01)
+        fine = run_lag(cfg, [(1.0, 0.5)] * 10, 0.001)
+        assert fine == pytest.approx(coarse, rel=1e-12)
 
     def test_tracks_constant_input_exactly_in_limit(self):
         cfg = SeekerConfig(lag_time_constant=0.05)
-        state = SeekerState(delayed_rate=(0.03, 0.03))
-        for _ in range(2000):
-            state = delay_step(state, (0.03, 0.03), 0.001, cfg)
-        assert state.delayed_rate == pytest.approx((0.03, 0.03), rel=1e-12)
+        delayed = run_lag(cfg, [(0.03, 0.03)] * 2000, 0.001, delayed=(0.03, 0.03))
+        assert delayed == pytest.approx((0.03, 0.03), rel=1e-12)
 
     def test_sine_gain_and_phase(self):
         # steady-state response of a first-order lag to sin(w t):
         # amplitude 1/sqrt(1+(w tau)^2), phase lag atan(w tau)
         tau, w, dt = 0.1, 3.0, 1e-4
-        cfg = SeekerConfig(lag_time_constant=tau)
-        state = SeekerState()
+        coeffs = lag_coefficients(dt, SeekerConfig(lag_time_constant=tau))
+        delayed = (0.0, 0.0)
         out, ts = [], []
         n = int(20.0 / dt)
         for i in range(n):
             t_mid = i * dt  # input held over [t, t+dt)
-            state = delay_step(state, (math.sin(w * t_mid), 0.0), dt, cfg)
-            out.append(state.delayed_rate[0])
+            delayed = delay_step(delayed, (math.sin(w * t_mid), 0.0), coeffs)
+            out.append(delayed[0])
             ts.append((i + 1) * dt)
         gain = 1.0 / math.sqrt(1.0 + (w * tau) ** 2)
         phase = math.atan(w * tau)
@@ -135,15 +137,6 @@ class TestDelayStep:
             assert y == pytest.approx(gain * math.sin(w * t - phase), abs=2e-3)
 
     def test_invalid_inputs(self):
-        cfg = SeekerConfig(lag_time_constant=0.1)
-        with pytest.raises(ValueError):
-            delay_step(SeekerState(), (0.0, 0.0), 0.0, cfg)
-        with pytest.raises(ValueError):
-            delay_step(SeekerState(), (float("nan"), 0.0), 0.001, cfg)
-        with pytest.raises(ValueError):
-            SeekerConfig(lag_time_constant=-0.1)
-
-    def test_records_last_true_rate(self):
-        cfg = SeekerConfig(lag_time_constant=0.3)
-        out = delay_step(SeekerState(), (0.07, -0.04), 0.001, cfg)
-        assert out.last_true_rate == (0.07, -0.04)
+        for tau in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SeekerConfig(lag_time_constant=tau)

@@ -4,34 +4,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgsim.targets import (TWO_PI, TargetConfig, derive_seed, sample_phase,
-                           target_state)
+from pgsim.targets import (TWO_PI, TargetConfig, derive_seed, ground_velocity,
+                           sample_phase, target_state)
+
+
+def state(t, cfg):
+    """(position, velocity) of the target at ``t``."""
+    vx, vy = ground_velocity(cfg)
+    px, py, pz, vz = target_state(t, cfg, vx, vy)
+    return (px, py, pz), (vx, vy, vz)
 
 
 class TestLevelTarget:
     def test_flies_toward_origin(self):
         cfg = TargetConfig(kind="level", initial_position=(10000.0, 0.0, 2000.0),
                            speed=200.0)
-        s = target_state(5.0, cfg)
-        assert s.position == pytest.approx((9000.0, 0.0, 2000.0))
-        assert s.velocity == (-200.0, 0.0, 0.0)
+        position, velocity = state(5.0, cfg)
+        assert position == pytest.approx((9000.0, 0.0, 2000.0))
+        assert velocity == (-200.0, 0.0, 0.0)
 
     def test_offset_launch_azimuth(self):
         cfg = TargetConfig(kind="level", initial_position=(3000.0, 4000.0, 1500.0),
                            speed=100.0)
-        s = target_state(0.0, cfg)
-        assert s.velocity == pytest.approx((-60.0, -80.0, 0.0))
+        _, velocity = state(0.0, cfg)
+        assert velocity == pytest.approx((-60.0, -80.0, 0.0))
         # velocity always points at the origin
-        assert s.velocity[0] * 4000.0 == pytest.approx(s.velocity[1] * 3000.0)
+        assert velocity[0] * 4000.0 == pytest.approx(velocity[1] * 3000.0)
 
     def test_altitude_constant(self):
         cfg = TargetConfig(kind="level", initial_position=(8000.0, 0.0, 2000.0))
         for t in (0.0, 1.0, 10.0, 37.5):
-            assert target_state(t, cfg).position[2] == 2000.0
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            target_state(-0.001, TargetConfig())
+            assert state(t, cfg)[0][2] == 2000.0
 
 
 class TestWeavingTarget:
@@ -39,8 +42,7 @@ class TestWeavingTarget:
         cfg = TargetConfig(kind="weaving", weave_amplitude=5.0,
                            weave_frequency=3.0, phase=0.7)
         for t in (0.0, 0.4, 1.3, 6.0):
-            s = target_state(t, cfg)
-            assert s.velocity[2] == pytest.approx(5.0 * math.sin(3.0 * t + 0.7))
+            assert state(t, cfg)[1][2] == pytest.approx(5.0 * math.sin(3.0 * t + 0.7))
 
     def test_vertical_position_matches_quadrature(self):
         cfg = TargetConfig(kind="weaving", initial_position=(8000.0, 0.0, 2000.0),
@@ -52,35 +54,35 @@ class TestWeavingTarget:
         for i in range(n):
             tm = (i + 0.5) * dt
             z += 5.0 * math.sin(3.0 * tm + 1.2) * dt
-        assert target_state(t_end, cfg).position[2] == pytest.approx(z, abs=1e-6)
+        assert state(t_end, cfg)[0][2] == pytest.approx(z, abs=1e-6)
 
     def test_starts_at_initial_position(self):
         cfg = TargetConfig(kind="weaving", initial_position=(8000.0, 0.0, 2000.0),
                            phase=2.5)
-        assert target_state(0.0, cfg).position == (8000.0, 0.0, 2000.0)
+        assert state(0.0, cfg)[0] == (8000.0, 0.0, 2000.0)
 
     def test_altitude_bounded_by_weave_envelope(self):
         cfg = TargetConfig(kind="weaving", initial_position=(8000.0, 0.0, 2000.0),
                            weave_amplitude=5.0, weave_frequency=3.0, phase=0.3)
         bound = 2.0 * 5.0 / 3.0
         for i in range(500):
-            z = target_state(i * 0.05, cfg).position[2]
+            z = state(i * 0.05, cfg)[0][2]
             assert abs(z - 2000.0) <= bound + 1e-9
 
     def test_zero_amplitude_degenerates_to_level(self):
         weave = TargetConfig(kind="weaving", weave_amplitude=0.0, phase=1.0)
         level = TargetConfig(kind="level")
         for t in (0.0, 2.0, 9.0):
-            assert target_state(t, weave) == target_state(t, level)
+            assert state(t, weave) == state(t, level)
 
     @given(t=st.floats(0.0, 60.0), phase=st.floats(0.0, TWO_PI))
     @settings(max_examples=100, deadline=None)
     def test_horizontal_track_unaffected_by_weave(self, t, phase):
         level = TargetConfig(kind="level")
         weave = TargetConfig(kind="weaving", phase=phase)
-        a, b = target_state(t, level), target_state(t, weave)
-        assert a.position[:2] == b.position[:2]
-        assert a.velocity[:2] == b.velocity[:2]
+        (pa, va), (pb, vb) = state(t, level), state(t, weave)
+        assert pa[:2] == pb[:2]
+        assert va[:2] == vb[:2]
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
