@@ -292,24 +292,30 @@ def load_airframe(path: str | None = None) -> Airframe:
         with open(path) as fh:
             text = fh.read()
     sec = _parse_dataset(text)
-    try:
-        af = sec["airframe"]["kv"]
-        mass = sec["mass"]["kv"]
-        aero_rows = sec["aero"]["rows"]
-        thrust_rows = sec["thrust"]["rows"]
-    except KeyError as exc:
-        raise ValueError("airframe dataset missing section %s" % exc) from exc
+    for name in ("airframe", "mass", "aero", "thrust"):
+        if name not in sec:
+            raise ValueError("airframe dataset missing section %r" % name)
+
+    def value(section, key):
+        try:
+            return sec[section]["kv"][key]
+        except KeyError:
+            raise ValueError("airframe dataset section [%s] missing key %r"
+                             % (section, key)) from None
+
+    aero_rows = sec["aero"]["rows"]
+    thrust_rows = sec["thrust"]["rows"]
     table = AeroTable(
         mach_breakpoints=[r[0] for r in aero_rows],
         rows=[r[1:] for r in aero_rows],
-        reference_area=af["reference_area"],
-        reference_length=af["reference_length"],
+        reference_area=value("airframe", "reference_area"),
+        reference_length=value("airframe", "reference_length"),
     )
     profile = ThrustProfile(
         time_breakpoints=[r[0] for r in thrust_rows],
         thrust_values=[r[1] for r in thrust_rows],
-        initial_mass=mass["initial_mass"],
-        propellant_mass=mass["propellant_mass"],
+        initial_mass=value("mass", "initial_mass"),
+        propellant_mass=value("mass", "propellant_mass"),
     )
     return Airframe(table=table, thrust=profile,
-                    transverse_inertia=af["transverse_inertia"])
+                    transverse_inertia=value("airframe", "transverse_inertia"))

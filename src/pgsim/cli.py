@@ -50,12 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON config file overlaying the defaults")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="dotted-key override, repeatable")
-        p.add_argument("--out", type=Path, default=Path("."),
-                       help="output directory")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker processes for sweep")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides PGS_SEED and the config)")
+        if name in ("run", "sweep"):
+            p.add_argument("--out", type=Path, default=Path("."),
+                           help="output directory")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                           help="worker processes")
     return parser
 
 
@@ -105,7 +107,7 @@ def cmd_run(args) -> int:
         "diagnostic": record.diagnostic,
     }
     with open(args.out / "metrics.json", "w") as fh:
-        json.dump(mc.finite_or_null(doc), fh, indent=2, default=str, allow_nan=False)
+        json.dump(mc.finite_or_null(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
     print("termination=%s miss=%.6g m at t=%.6g s"
           % (record.termination_reason, record.miss_distance, record.miss_time))
@@ -177,7 +179,7 @@ def main(argv=None) -> int:
         for line in exc.problems:
             print("config error: %s" % line, file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 

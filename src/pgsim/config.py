@@ -163,6 +163,8 @@ def validate(cfg: dict) -> list:
     if None not in ks and not ob.validate_gains(*ks):
         problems.append("observer gains (k1..k4) fail the Hurwitz stability gate")
     eps = _num(cfg, "observer.epsilon", problems, lambda v: v > 0, "must be > 0")
+    if not isinstance(cfg["observer"]["coupled_step1"], bool):
+        problems.append("observer.coupled_step1 must be true or false")
     if cfg["observer"]["delta"] != "auto":
         _num(cfg, "observer.delta", problems, lambda v: v >= 0, "must be >= 0 or 'auto'")
     _num(cfg, "seeker.lag_time_constant", problems, lambda v: v >= 0, "must be >= 0")
@@ -180,6 +182,8 @@ def validate(cfg: dict) -> list:
     if not (isinstance(t["position"], (list, tuple)) and len(t["position"]) == 3
             and all(_finite(v) for v in t["position"])):
         problems.append("target.position must be a list of 3 finite numbers")
+    elif not any(t["position"]):
+        problems.append("target.position must not be the launch site [0, 0, 0]")
     _num(cfg, "target.speed", problems, lambda v: v > 0, "must be > 0")
     _num(cfg, "target.weave_amplitude", problems, lambda v: v >= 0, "must be >= 0")
     _num(cfg, "target.weave_frequency", problems, lambda v: v > 0, "must be > 0")
@@ -198,14 +202,24 @@ def validate(cfg: dict) -> list:
             and all(_finite(d) and d > 0 for d in delays)
             and all(b > a for a, b in zip(delays, delays[1:]))):
         problems.append("sweep.delays must be a positive ascending list")
-    if not (isinstance(sw["samples_per_delay"], int) and sw["samples_per_delay"] >= 1):
+    if not (type(sw["samples_per_delay"]) is int and sw["samples_per_delay"] >= 1):
         problems.append("sweep.samples_per_delay must be an integer >= 1")
     if not (isinstance(sw["sources"], (list, tuple)) and sw["sources"]
-            and set(sw["sources"]) <= {"delayed", "predicted"}):
+            and all(s in ("delayed", "predicted") for s in sw["sources"])):
         problems.append("sweep.sources must be a non-empty subset of "
                         "['delayed', 'predicted']")
-    if not isinstance(cfg["seed"], int):
+    if type(cfg["seed"]) is not int:  # bool is an int subclass
         problems.append("seed must be an integer")
+    dataset = cfg["airframe"]["dataset"]
+    if not isinstance(dataset, str):
+        problems.append("airframe.dataset must be 'builtin' or a file path")
+    elif dataset != "builtin":
+        try:
+            frame = af.load_airframe(dataset)
+            if cfg["autopilot"]["gain"] == "auto":
+                gd.trim_deflection_gain(frame)
+        except (OSError, ValueError) as exc:
+            problems.append("invalid value for airframe.dataset: %r (%s)" % (dataset, exc))
     return problems
 
 
@@ -225,7 +239,7 @@ def build_setup(cfg: dict):
         gains=ob.ObserverGains(float(o["k1"]), float(o["k2"]),
                                float(o["k3"]), float(o["k4"])),
         epsilon=float(o["epsilon"]), delta=delta,
-        coupled_step1=bool(o["coupled_step1"]),
+        coupled_step1=o["coupled_step1"],
     )
     frame = af.load_airframe(None if cfg["airframe"]["dataset"] == "builtin"
                              else cfg["airframe"]["dataset"])
@@ -233,9 +247,8 @@ def build_setup(cfg: dict):
     gain = (gd.trim_deflection_gain(frame) if ap["gain"] == "auto"
             else float(ap["gain"]))
     t = cfg["target"]
-    phase = 0.0 if t["phase"] == "auto" else float(t["phase"])
-    if t["phase"] == "auto":
-        phase = tg.sample_phase(tg.derive_seed(int(cfg["seed"]), 0))
+    phase = (tg.sample_phase(tg.derive_seed(int(cfg["seed"]), 0))
+             if t["phase"] == "auto" else float(t["phase"]))
     target_cfg = tg.TargetConfig(
         kind=t["kind"], initial_position=tuple(float(v) for v in t["position"]),
         speed=float(t["speed"]), weave_amplitude=float(t["weave_amplitude"]),

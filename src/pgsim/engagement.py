@@ -47,10 +47,10 @@ class EngagementConfig:
     autopilot: gd.AutopilotConfig
     target: tg.TargetConfig
     airframe: af.Airframe
-    dt: float = 1e-3
-    max_time: float = 60.0
-    launch_speed: float = 20.0
-    launch_elevation: float = math.radians(45.0)
+    dt: float
+    max_time: float
+    launch_speed: float
+    launch_elevation: float  # rad
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -213,9 +213,9 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
             obs_p = ob.rk4_step8(obs_p, delayed[0], dt, coeffs, coupled)
             obs_y = ob.rk4_step8(obs_y, delayed[1], dt, coeffs, coupled)
             if not (math.isfinite(obs_p[4]) and math.isfinite(obs_y[4])):
-                raise ob.DivergenceError("observer state non-finite at t=%g" % t)
+                raise ValueError("observer state non-finite at t=%g" % t)
             vehicle = _vehicle_rk4(vehicle, (defl_p, defl_y), frame, t, dt)
-        except (ob.DivergenceError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             termination = "observer_divergence"
             diagnostic = "integration failed at t=%g: %s" % (t, exc)
             break

@@ -28,9 +28,9 @@ SOURCES = ("true", "delayed", "predicted")
 
 @dataclass(frozen=True)
 class GuidanceConfig:
-    nav_ratio: float = 4.0
-    source: str = "true"
-    warmup: float = 2.0  # seconds of delayed-signal gating when source="predicted"
+    nav_ratio: float
+    source: str
+    warmup: float  # seconds of delayed-signal gating when source="predicted"
 
     def __post_init__(self):
         if not self.nav_ratio > 0.0:
@@ -43,9 +43,9 @@ class GuidanceConfig:
 
 @dataclass(frozen=True)
 class AutopilotConfig:
-    actuator_time_constant: float = 0.02
-    deflection_limit: float = 0.52          # rad, ~30 deg
-    accel_to_deflection_gain: float = 1e-3  # rad per (m/s^2), from trim at load
+    actuator_time_constant: float
+    deflection_limit: float           # rad
+    accel_to_deflection_gain: float   # rad per (m/s^2), from trim at load
 
     def __post_init__(self):
         if not (self.actuator_time_constant > 0.0 and self.deflection_limit > 0.0

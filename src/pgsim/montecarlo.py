@@ -29,8 +29,8 @@ class SweepConfig:
     delays: tuple
     samples_per_delay: int
     master_seed: int
-    sources: tuple = ("delayed", "predicted")
-    base: en.EngagementConfig = None  # template; per-run fields are overridden
+    sources: tuple
+    base: en.EngagementConfig  # template; per-run fields are overridden
 
     def __post_init__(self):
         if not self.delays or any(d <= 0 for d in self.delays) \
@@ -40,8 +40,6 @@ class SweepConfig:
             raise ValueError("samples_per_delay must be >= 1")
         if not self.sources or not set(self.sources) <= {"delayed", "predicted"}:
             raise ValueError("sources must be a subset of {'delayed', 'predicted'}")
-        if self.base is None:
-            raise ValueError("a base EngagementConfig is required")
 
 
 @dataclass(frozen=True)

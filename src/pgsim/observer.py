@@ -14,18 +14,14 @@ from dataclasses import dataclass
 __all__ = [
     "ObserverGains",
     "ObserverConfig",
-    "DivergenceError",
     "validate_gains",
     "rhs8",
     "rk4_step8",
 ]
 
 
-class DivergenceError(RuntimeError):
-    """Raised when an observer state goes non-finite."""
-
-
-def _is_hurwitz(k1: float, k2: float, k3: float, k4: float) -> bool:
+def validate_gains(k1: float, k2: float, k3: float, k4: float) -> bool:
+    """True iff the gain quartic has all roots in the open left half plane."""
     # Routh-Hurwitz conditions for s^4 + k1 s^3 + k2 s^2 + k3 s + k4
     if k1 <= 0.0 or k4 <= 0.0:
         return False
@@ -49,24 +45,19 @@ class ObserverGains:
     k4: float
 
     def __post_init__(self):
-        if not _is_hurwitz(self.k1, self.k2, self.k3, self.k4):
+        if not validate_gains(self.k1, self.k2, self.k3, self.k4):
             raise ValueError(
                 "observer gains (%g, %g, %g, %g) fail the Hurwitz stability "
                 "conditions" % (self.k1, self.k2, self.k3, self.k4)
             )
 
 
-def validate_gains(k1: float, k2: float, k3: float, k4: float) -> bool:
-    """True iff the gain quartic has all roots in the open left half plane."""
-    return _is_hurwitz(k1, k2, k3, k4)
-
-
 @dataclass(frozen=True)
 class ObserverConfig:
     gains: ObserverGains
-    epsilon: float = 0.05   # bandwidth parameter; injection gains scale as k_i / eps^i
-    delta: float = 0.0      # prediction horizon, seconds
-    coupled_step1: bool = False  # keep the alternate x31 cross-term in the x41 equation
+    epsilon: float        # bandwidth parameter; injection gains scale as k_i / eps^i
+    delta: float          # prediction horizon, seconds
+    coupled_step1: bool   # keep the alternate x31 cross-term in the x41 equation
 
     def __post_init__(self):
         if not (self.epsilon > 0.0) or not math.isfinite(self.epsilon):

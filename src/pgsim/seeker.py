@@ -15,7 +15,7 @@ __all__ = ["SeekerConfig", "los_rate_channels", "lag_coefficients", "delay_step"
 
 @dataclass(frozen=True)
 class SeekerConfig:
-    lag_time_constant: float = 0.0  # seconds; 0 means an ideal seeker
+    lag_time_constant: float  # seconds; 0 means an ideal seeker
 
     def __post_init__(self):
         if self.lag_time_constant < 0.0 or not math.isfinite(self.lag_time_constant):

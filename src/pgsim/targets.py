@@ -20,12 +20,12 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class TargetConfig:
-    kind: str = "level"                      # "level" or "weaving"
-    initial_position: tuple = (10000.0, 0.0, 2000.0)
-    speed: float = 200.0                     # m/s horizontal, toward the launch site
-    weave_amplitude: float = 5.0             # m/s vertical velocity magnitude
-    weave_frequency: float = 3.0             # rad/s
-    phase: float = 0.0                       # rad
+    kind: str                 # "level" or "weaving"
+    initial_position: tuple   # m
+    speed: float              # m/s horizontal, toward the launch site
+    weave_amplitude: float    # m/s vertical velocity magnitude
+    weave_frequency: float    # rad/s
+    phase: float              # rad
 
     def __post_init__(self):
         if self.kind not in ("level", "weaving"):

@@ -40,7 +40,8 @@ def build(overrides=None):
 
 def observer_config(epsilon=0.05, delta=0.2):
     gains = ob.ObserverGains(4.0, 6.0, 4.0, 1.0)
-    return ob.ObserverConfig(gains=gains, epsilon=epsilon, delta=delta)
+    return ob.ObserverConfig(gains=gains, epsilon=epsilon, delta=delta,
+                             coupled_step1=False)
 
 
 def seed(v0):

@@ -121,6 +121,89 @@ class TestValidate:
         assert run_cli("validate", "--set", "observer.epsilon=0.003") == 2
         assert "epsilon/4" in capsys.readouterr().err
 
+    def test_boolean_integer_keys_exit_2(self, capsys):
+        # JSON true is not an integer, though Python's bool subclasses int
+        assert run_cli("validate", "--set", "seed=true") == 2
+        assert "config error: seed must be an integer" in capsys.readouterr().err
+        assert run_cli("validate", "--set", "sweep.samples_per_delay=true") == 2
+        assert "sweep.samples_per_delay" in capsys.readouterr().err
+
+    def test_coupled_step1_takes_only_booleans(self, capsys):
+        for value in ("no", '"false"', "0", "2"):
+            assert run_cli("validate", "--set", "observer.coupled_step1=" + value) == 2
+            assert "observer.coupled_step1" in capsys.readouterr().err
+        assert run_cli("validate", "--set", "observer.coupled_step1=true") == 0
+        assert json.loads(capsys.readouterr().out)["observer"]["coupled_step1"] is True
+
+    @pytest.mark.parametrize("command", ["run", "demo"])
+    def test_target_at_launch_site_exits_2(self, capsys, tmp_path, command):
+        # zero initial range: no step could be recorded
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        assert run_cli(command, *out, "--set", "target.position=[0,0,0]") == 2
+        assert "config error: target.position" in capsys.readouterr().err
+        assert not (tmp_path / "engagement.csv").exists()
+
+
+class TestInputFiles:
+    """An unreadable or malformed input file is a config error (exit 2)
+    in every subcommand, not a traceback."""
+
+    def test_config_directory_exits_2(self, capsys, tmp_path):
+        assert run_cli("validate", "--config", str(tmp_path)) == 2
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep", "demo"])
+    def test_dataset_directory_exits_2(self, capsys, tmp_path, command):
+        out = ["--out", str(tmp_path)] if command in ("run", "sweep") else []
+        assert run_cli(command, *out, "--set", "airframe.dataset=%s" % tmp_path) == 2
+        assert "config error: invalid value for airframe.dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (("reference_area = 0.0254", "reference_area = abc"), "could not convert"),
+        (("[airframe]\nreference_area = 0.0254\nreference_length = 2.0\n"
+          "transverse_inertia = 22.0\n", ""), "missing section 'airframe'"),
+        (("reference_area = 0.0254\n", ""), "[airframe] missing key 'reference_area'"),
+        # fins that turn the body against the demand: no trim gain exists
+        (("8.0 10.0\n", "8.0 -10.0\n"), "reference trim produces no usable acceleration"),
+    ], ids=["non-numeric-value", "missing-section", "missing-key", "no-trim-gain"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_malformed_dataset_exits_2(self, capsys, tmp_path, command, edit, message):
+        assert edit[0] in UNSTABLE_AIRFRAME
+        p = tmp_path / "frame.txt"
+        p.write_text(UNSTABLE_AIRFRAME.replace(*edit))
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        assert run_cli(command, *out, "--set", "airframe.dataset=%s" % p) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid value for airframe.dataset")
+        assert message in err
+        assert not (tmp_path / "metrics.json").exists()
+
+
+class TestOptions:
+    """Each subcommand accepts only the options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--jobs", "2"],
+        ["validate", "--out", "X"],
+        ["validate", "--jobs", "2"],
+        ["demo", "--out", "X"],
+        ["demo", "--jobs", "2"],
+    ], ids=["run-jobs", "validate-out", "validate-jobs", "demo-out", "demo-jobs"])
+    def test_unread_option_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pgsim")
+        assert "error: unrecognized arguments: %s" % " ".join(argv[1:]) in err
+
+    def test_run_out_and_seed(self, capsys, tmp_path):
+        assert run_cli("run", "--out", str(tmp_path), "--seed", "7", *FAST) == 0
+        assert strict_json(tmp_path / "metrics.json")["config"]["seed"] == 7
+
+    def test_demo_takes_seed(self, capsys):
+        assert run_cli("demo", "--seed", "7", *FAST) == 0
+
 
 class TestSeedPrecedence:
     def test_env_seed(self, capsys, monkeypatch):

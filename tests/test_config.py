@@ -75,8 +75,9 @@ class TestValidate:
 
     def test_bad_source_list(self):
         cfg = cf.resolve()
-        cfg["sweep"]["sources"] = ["true"]
-        assert any("sources" in p for p in cf.validate(cfg))
+        for sources in (["true"], [["delayed"]]):
+            cfg["sweep"]["sources"] = sources
+            assert any("sources" in p for p in cf.validate(cfg))
 
 
 class TestBuildSetup:

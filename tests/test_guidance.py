@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from conftest import schema_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsim import airframe as af
 from pgsim import config as cf
 from pgsim import engagement as en
-from pgsim.guidance import (AutopilotConfig, GuidanceConfig, actuator_coefficients,
-                            autopilot_step, pn_command, select_source,
-                            trim_deflection_gain)
+from pgsim.guidance import (AutopilotConfig, actuator_coefficients, autopilot_step,
+                            pn_command, select_source, trim_deflection_gain)
 
 
 def step(cmd, defl, dt, ap):
@@ -52,30 +52,30 @@ class TestClosingVelocity:
 
 class TestPnCommand:
     def test_scaling(self):
-        cfg = GuidanceConfig(nav_ratio=4.0)
+        cfg = schema_config("guidance", nav_ratio=4.0)
         cmd = pn_command((0.01, -0.005), 500.0, cfg)
         assert cmd == pytest.approx((20.0, -10.0))
 
     def test_zero_rate_gives_zero_command(self):
-        cfg = GuidanceConfig(nav_ratio=3.5)
+        cfg = schema_config("guidance", nav_ratio=3.5)
         assert pn_command((0.0, 0.0), 800.0, cfg) == (0.0, 0.0)
 
     @given(n=st.floats(1.0, 8.0), vc=st.floats(-100.0, 1000.0),
            wp=st.floats(-0.1, 0.1), wy=st.floats(-0.1, 0.1))
     @settings(max_examples=100, deadline=None)
     def test_linear_in_each_factor(self, n, vc, wp, wy):
-        cfg = GuidanceConfig(nav_ratio=n)
+        cfg = schema_config("guidance", nav_ratio=n)
         ap, ay = pn_command((wp, wy), vc, cfg)
         assert ap == pytest.approx(n * vc * wp, rel=1e-12, abs=1e-12)
         assert ay == pytest.approx(n * vc * wy, rel=1e-12, abs=1e-12)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            GuidanceConfig(nav_ratio=0.0)
+            schema_config("guidance", nav_ratio=0.0)
         with pytest.raises(ValueError):
-            GuidanceConfig(source="estimated")
+            schema_config("guidance", source="estimated")
         with pytest.raises(ValueError):
-            GuidanceConfig(warmup=-1.0)
+            schema_config("guidance", warmup=-1.0)
 
 
 class TestSelectSource:
@@ -84,8 +84,8 @@ class TestSelectSource:
     PREDICTED = (3.0, 30.0)
 
     def pick(self, t, **kw):
-        return select_source(t, GuidanceConfig(**kw), self.TRUE, self.DELAYED,
-                             self.PREDICTED)
+        return select_source(t, schema_config("guidance", **kw), self.TRUE,
+                             self.DELAYED, self.PREDICTED)
 
     def test_true_source(self):
         assert self.pick(0.0, source="true") == self.TRUE
@@ -131,13 +131,13 @@ class TestAutopilotStep:
     @given(cmd=st.floats(-5000.0, 5000.0), prev=st.floats(-0.52, 0.52))
     @settings(max_examples=200, deadline=None)
     def test_output_never_exceeds_travel(self, cmd, prev):
-        ap = AutopilotConfig()
+        ap = schema_config("autopilot", deflection_limit=0.52)
         defl = step((cmd, cmd), (prev, prev), 0.001, ap)
         assert abs(defl[0]) <= 0.52 + 1e-12
         assert abs(defl[1]) <= 0.52 + 1e-12
 
     def test_step_size_invariance(self):
-        ap = AutopilotConfig(accel_to_deflection_gain=1e-3)
+        ap = schema_config("autopilot", accel_to_deflection_gain=1e-3)
         coarse = step((200.0, 50.0), (0.02, -0.01), 0.01, ap)
         fine = (0.02, -0.01)
         for _ in range(10):

@@ -8,6 +8,8 @@ from pgsim import engagement as en
 from pgsim import montecarlo as mc
 from pgsim import targets as tg
 
+SOURCES = tuple(cf.DEFAULTS["sweep"]["sources"])
+
 
 def base_config(**engagement_overrides):
     cfg = cf.resolve()
@@ -98,7 +100,8 @@ class TestAggregate:
 class TestBuildRunConfig:
     def test_paired_phase_across_sources(self):
         sweep = mc.SweepConfig(delays=(0.1,), samples_per_delay=2,
-                               master_seed=42, base=base_config())
+                               master_seed=42, sources=SOURCES,
+                               base=base_config())
         a = mc.build_run_config(sweep, 0.1, "delayed", 0)
         b = mc.build_run_config(sweep, 0.1, "predicted", 0)
         assert a.target.phase == b.target.phase
@@ -107,7 +110,8 @@ class TestBuildRunConfig:
 
     def test_delay_sets_lag_and_horizon(self):
         sweep = mc.SweepConfig(delays=(0.25,), samples_per_delay=1,
-                               master_seed=42, base=base_config())
+                               master_seed=42, sources=SOURCES,
+                               base=base_config())
         cfg = mc.build_run_config(sweep, 0.25, "predicted", 0)
         assert cfg.seeker.lag_time_constant == 0.25
         assert cfg.observer.delta == 0.25
@@ -115,14 +119,16 @@ class TestBuildRunConfig:
 
     def test_samples_get_distinct_phases(self):
         sweep = mc.SweepConfig(delays=(0.1,), samples_per_delay=5,
-                               master_seed=42, base=base_config())
+                               master_seed=42, sources=SOURCES,
+                               base=base_config())
         phases = {mc.build_run_config(sweep, 0.1, "delayed", i).target.phase
                   for i in range(5)}
         assert len(phases) == 5
 
     def test_phase_matches_seed_chain(self):
         sweep = mc.SweepConfig(delays=(0.1,), samples_per_delay=3,
-                               master_seed=99, base=base_config())
+                               master_seed=99, sources=SOURCES,
+                               base=base_config())
         cfg = mc.build_run_config(sweep, 0.1, "delayed", 2)
         assert cfg.target.phase == tg.sample_phase(tg.derive_seed(99, 2))
 
@@ -130,13 +136,13 @@ class TestBuildRunConfig:
         base = base_config()
         with pytest.raises(ValueError):
             mc.SweepConfig(delays=(), samples_per_delay=1, master_seed=1,
-                           base=base)
+                           sources=SOURCES, base=base)
         with pytest.raises(ValueError):
             mc.SweepConfig(delays=(0.2, 0.1), samples_per_delay=1,
-                           master_seed=1, base=base)
+                           master_seed=1, sources=SOURCES, base=base)
         with pytest.raises(ValueError):
             mc.SweepConfig(delays=(0.1,), samples_per_delay=0, master_seed=1,
-                           base=base)
+                           sources=SOURCES, base=base)
         with pytest.raises(ValueError):
             mc.SweepConfig(delays=(0.1,), samples_per_delay=1, master_seed=1,
                            sources=("true",), base=base)

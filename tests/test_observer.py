@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import schema_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +16,9 @@ GAINS = ob.ObserverGains(4.0, 6.0, 4.0, 1.0)  # (s+1)^4, roots all at -1
 
 
 def make_config(**kw):
-    kw.setdefault("gains", GAINS)
-    return ob.ObserverConfig(**kw)
+    """The schema's observer config with the binomial gains and the
+    uncoupled step one; ``kw`` replaces any field."""
+    return schema_config("observer", **{"gains": GAINS, "coupled_step1": False, **kw})
 
 
 class TestValidateGains:
