@@ -1,0 +1,52 @@
+"""Byte-level golden outputs of the command-line runs.
+
+Each case runs ``pgsim`` in-process and compares the sha256 of its
+output files with the recorded value, so a change that alters any output
+byte fails here.  A change that alters outputs on purpose updates the
+hashes below and says so, with the old and the new values, in
+``CHANGES.md``.  The hashes depend on the platform's libm (``exp``,
+``sin``, ``atan2`` and friends are not correctly rounded everywhere), so
+they hold for the Linux/glibc x86-64 build they were recorded on.
+
+The full 400-run default sweep is too slow for this suite; its
+``sweep_runs.csv`` hash stays a manual check (``CHANGES.md``).
+"""
+
+import hashlib
+
+import pytest
+
+from pgsim import cli
+
+REDUCED_SWEEP = ["--set", "sweep.delays=[0.025, 0.35]",
+                 "--set", "sweep.samples_per_delay=2"]
+
+SWEEP_HASHES = {
+    "sweep_runs.csv": "aceb4e38e6c695fd4e72d347c1d11b6badd74a28032d05a7306f8a3dc2b8dffa",
+    "sweep_summary.json": "d339237150e3e2c22d2a3e176e644cf0239480f3f9a6bd496c65c013099c70ee",
+}
+
+CASES = {
+    "run-default": (["run"], {
+        "engagement.csv": "03ce1a71c655f544c87c37795a764a6ed97333c44d2b2d5cd5bad53b55535866",
+        "metrics.json": "31515d525db78efe2f26fee23eae08776725f0d98b42e5588c0a4b4a7e45f7ec",
+    }),
+    "run-weave-predicted": (["run", "--set", "seeker.lag_time_constant=0.2",
+                             "--set", "guidance.source=predicted",
+                             "--set", "target.kind=weaving"], {
+        "engagement.csv": "98457b254f5106bbf60ecc7240b76661ccef15027e3d0a3fa357b7b8c45812ff",
+        "metrics.json": "d9fdda08dce0daf33faa0410ae423691c1a9f76c4f6fdfebcb56213de1c3850e",
+    }),
+    "sweep-jobs1": (["sweep", "--jobs", "1", *REDUCED_SWEEP], SWEEP_HASHES),
+    "sweep-jobs2": (["sweep", "--jobs", "2", *REDUCED_SWEEP], SWEEP_HASHES),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_bytes(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("PGS_SEED", raising=False)
+    argv, hashes = CASES[case]
+    assert cli.main([argv[0], "--out", str(tmp_path), *argv[1:]]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in hashes}
+    assert got == hashes
