@@ -15,6 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 __all__ = [
     "AeroTable",
@@ -38,11 +39,11 @@ _ISA_LAYERS = (
     (20000.0, 216.65, 5474.889, 0.001),
     (32000.0, 228.65, 868.0187, 0.0028),
 )
-_ISA_CEILING = 47000.0
+_ISA_BASES = tuple(layer[0] for layer in _ISA_LAYERS)
+ISA_CEILING = 47000.0
 
 
-@dataclass(frozen=True)
-class AtmosphereSample:
+class AtmosphereSample(NamedTuple):
     density: float        # kg/m^3
     speed_of_sound: float  # m/s
     temperature: float    # K
@@ -53,26 +54,20 @@ def atmosphere(altitude: float) -> AtmosphereSample:
     """Standard-atmosphere sample at geometric altitude in metres.
 
     Altitudes below zero clamp to sea level; above the 47 km model
-    ceiling is an error.
+    ceiling is an error.  A layer base belongs to the layer above it.
     """
     h = max(altitude, 0.0)
-    if h > _ISA_CEILING:
+    if h > ISA_CEILING:
         raise ValueError("altitude %g m above the %g m atmosphere model ceiling"
-                         % (altitude, _ISA_CEILING))
-    layer = 0
-    for i, (hb, _, _, _) in enumerate(_ISA_LAYERS):
-        if h >= hb:
-            layer = i
-    hb, tb, pb, lapse = _ISA_LAYERS[layer]
+                         % (altitude, ISA_CEILING))
+    hb, tb, pb, lapse = _ISA_LAYERS[bisect_right(_ISA_BASES, h) - 1]
     if lapse == 0.0:
         t = tb
         p = pb * math.exp(-G0 * (h - hb) / (R_AIR * tb))
     else:
         t = tb + lapse * (h - hb)
         p = pb * (tb / t) ** (G0 / (R_AIR * lapse))
-    rho = p / (R_AIR * t)
-    a = math.sqrt(GAMMA * R_AIR * t)
-    return AtmosphereSample(density=rho, speed_of_sound=a, temperature=t, pressure=p)
+    return AtmosphereSample(p / (R_AIR * t), math.sqrt(GAMMA * R_AIR * t), t, p)
 
 
 class AeroTable:
@@ -114,8 +109,10 @@ class AeroTable:
             return self.rows[-1]
         i = bisect_right(m, mach) - 1
         f = (mach - m[i]) / (m[i + 1] - m[i])
-        lo, hi = self.rows[i], self.rows[i + 1]
-        return tuple(a + f * (b - a) for a, b in zip(lo, hi))
+        a0, a1, a2, a3, a4, a5 = self.rows[i]
+        b0, b1, b2, b3, b4, b5 = self.rows[i + 1]
+        return (a0 + f * (b0 - a0), a1 + f * (b1 - a1), a2 + f * (b2 - a2),
+                a3 + f * (b3 - a3), a4 + f * (b4 - a4), a5 + f * (b5 - a5))
 
 
 class ThrustProfile:
@@ -139,15 +136,25 @@ class ThrustProfile:
         for i in range(len(self.times) - 1):
             imp += 0.5 * (self.values[i] + self.values[i + 1]) * (self.times[i + 1] - self.times[i])
         self.total_impulse = imp
+        # burnt impulse at each breakpoint: the whole segments before it,
+        # each with its end value interpolated as impulse_to's partial
+        # segment is, summed in the same order
+        burnt = [0.0]
+        for i in range(len(self.times) - 1):
+            w = self.times[i + 1] - self.times[i]
+            v1 = self.values[i] + (self.values[i + 1] - self.values[i]) * w / w
+            burnt.append(burnt[-1] + 0.5 * (self.values[i] + v1) * w)
+        self._burnt = tuple(burnt)
         # past the last breakpoint the burnt impulse no longer depends on t
         self.burnout_mass = self._mass_after(self.impulse_to(self.burnout_time))
 
     def thrust(self, t: float) -> float:
-        ts, vs = self.times, self.values
+        ts = self.times
         if t <= ts[0]:
-            return vs[0]
+            return self.values[0]
         if t >= ts[-1]:
             return 0.0  # burnout
+        vs = self.values
         i = bisect_right(ts, t) - 1
         f = (t - ts[i]) / (ts[i + 1] - ts[i])
         return vs[i] + f * (vs[i + 1] - vs[i])
@@ -163,14 +170,11 @@ class ThrustProfile:
         ts, vs = self.times, self.values
         if t <= ts[0]:
             return 0.0
-        imp = 0.0
-        for i in range(len(ts) - 1):
-            t1 = min(t, ts[i + 1])
-            if t1 <= ts[i]:
-                break
-            v1 = vs[i] + (vs[i + 1] - vs[i]) * (t1 - ts[i]) / (ts[i + 1] - ts[i])
-            imp += 0.5 * (vs[i] + v1) * (t1 - ts[i])
-        return imp
+        if t >= ts[-1]:
+            return self._burnt[-1]
+        i = bisect_right(ts, t) - 1
+        v1 = vs[i] + (vs[i + 1] - vs[i]) * (t - ts[i]) / (ts[i + 1] - ts[i])
+        return self._burnt[i] + 0.5 * (vs[i] + v1) * (t - ts[i])
 
     def mass_at(self, t: float) -> float:
         """Vehicle mass at ``t`` from the exact burnt-impulse fraction."""
@@ -181,7 +185,9 @@ class ThrustProfile:
     def _mass_after(self, impulse: float) -> float:
         if self.total_impulse <= 0.0:
             return self.initial_mass
-        frac = min(impulse / self.total_impulse, 1.0)
+        frac = impulse / self.total_impulse
+        if frac > 1.0:  # min(frac, 1.0), including its NaN handling
+            frac = 1.0
         return self.initial_mass - self.propellant_mass * frac
 
     @property
@@ -228,8 +234,7 @@ def vehicle_rhs(x: tuple, dp: float, dyaw: float, row: tuple, sref: float,
     exact; incidence signs are chosen so the normal force opposes the
     crossflow.  Zero airspeed leaves the incidence undefined and raises.
     """
-    vx, vy, vz = x[3], x[4], x[5]
-    th, ps, q_rate, r_rate, m = x[6], x[7], x[8], x[9], x[10]
+    _, _, _, vx, vy, vz, th, ps, q_rate, r_rate, m = x
     cp = math.cos(th)
     sp = math.sin(th)
     cy = math.cos(ps)

@@ -248,15 +248,14 @@ def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
     on :func:`pgsim.airframe.vehicle_rhs`.
     """
     x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = x
-    atm = af.atmosphere(max(x2, 0.0))
+    rho, sound, _, _ = af.atmosphere(max(x2, 0.0))
     speed = math.sqrt(x3 * x3 + x4 * x4 + x5 * x5)
     table = frame.table
-    row = table.interpolate(speed / atm.speed_of_sound)
+    row = table.interpolate(speed / sound)
     sref = table.reference_area
     lref = table.reference_length
     inv_i = 1.0 / frame.transverse_inertia
     dp, dyaw = deflections
-    rho = atm.density
     prof = frame.thrust
     h2 = dt * 0.5
     th0 = prof.thrust(t)
@@ -266,34 +265,35 @@ def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
     md1 = prof.mass_flow(th1)
     md2 = prof.mass_flow(th2)
     rhs = af.vehicle_rhs
-    p = rhs(x, dp, dyaw, row, sref, lref, inv_i, th0, md0, rho)
-    q = rhs((x0 + h2 * p[0], x1 + h2 * p[1], x2 + h2 * p[2],
-             x3 + h2 * p[3], x4 + h2 * p[4], x5 + h2 * p[5],
-             x6 + h2 * p[6], x7 + h2 * p[7], x8 + h2 * p[8],
-             x9 + h2 * p[9], x10 + h2 * p[10]),
-            dp, dyaw, row, sref, lref, inv_i, th1, md1, rho)
-    r = rhs((x0 + h2 * q[0], x1 + h2 * q[1], x2 + h2 * q[2],
-             x3 + h2 * q[3], x4 + h2 * q[4], x5 + h2 * q[5],
-             x6 + h2 * q[6], x7 + h2 * q[7], x8 + h2 * q[8],
-             x9 + h2 * q[9], x10 + h2 * q[10]),
-            dp, dyaw, row, sref, lref, inv_i, th1, md1, rho)
-    s = rhs((x0 + dt * r[0], x1 + dt * r[1], x2 + dt * r[2],
-             x3 + dt * r[3], x4 + dt * r[4], x5 + dt * r[5],
-             x6 + dt * r[6], x7 + dt * r[7], x8 + dt * r[8],
-             x9 + dt * r[9], x10 + dt * r[10]),
-            dp, dyaw, row, sref, lref, inv_i, th2, md2, rho)
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = rhs(
+        x, dp, dyaw, row, sref, lref, inv_i, th0, md0, rho)
+    q0, q1, q2, q3, q4, q5, q6, q7, q8, q9, q10 = rhs(
+        (x0 + h2 * p0, x1 + h2 * p1, x2 + h2 * p2, x3 + h2 * p3,
+         x4 + h2 * p4, x5 + h2 * p5, x6 + h2 * p6, x7 + h2 * p7,
+         x8 + h2 * p8, x9 + h2 * p9, x10 + h2 * p10),
+        dp, dyaw, row, sref, lref, inv_i, th1, md1, rho)
+    r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10 = rhs(
+        (x0 + h2 * q0, x1 + h2 * q1, x2 + h2 * q2, x3 + h2 * q3,
+         x4 + h2 * q4, x5 + h2 * q5, x6 + h2 * q6, x7 + h2 * q7,
+         x8 + h2 * q8, x9 + h2 * q9, x10 + h2 * q10),
+        dp, dyaw, row, sref, lref, inv_i, th1, md1, rho)
+    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, _ = rhs(
+        (x0 + dt * r0, x1 + dt * r1, x2 + dt * r2, x3 + dt * r3,
+         x4 + dt * r4, x5 + dt * r5, x6 + dt * r6, x7 + dt * r7,
+         x8 + dt * r8, x9 + dt * r9, x10 + dt * r10),
+        dp, dyaw, row, sref, lref, inv_i, th2, md2, rho)
     h6 = dt / 6.0
     return (
-        x0 + h6 * (p[0] + 2.0 * (q[0] + r[0]) + s[0]),
-        x1 + h6 * (p[1] + 2.0 * (q[1] + r[1]) + s[1]),
-        x2 + h6 * (p[2] + 2.0 * (q[2] + r[2]) + s[2]),
-        x3 + h6 * (p[3] + 2.0 * (q[3] + r[3]) + s[3]),
-        x4 + h6 * (p[4] + 2.0 * (q[4] + r[4]) + s[4]),
-        x5 + h6 * (p[5] + 2.0 * (q[5] + r[5]) + s[5]),
-        x6 + h6 * (p[6] + 2.0 * (q[6] + r[6]) + s[6]),
-        x7 + h6 * (p[7] + 2.0 * (q[7] + r[7]) + s[7]),
-        x8 + h6 * (p[8] + 2.0 * (q[8] + r[8]) + s[8]),
-        x9 + h6 * (p[9] + 2.0 * (q[9] + r[9]) + s[9]),
+        x0 + h6 * (p0 + 2.0 * (q0 + r0) + s0),
+        x1 + h6 * (p1 + 2.0 * (q1 + r1) + s1),
+        x2 + h6 * (p2 + 2.0 * (q2 + r2) + s2),
+        x3 + h6 * (p3 + 2.0 * (q3 + r3) + s3),
+        x4 + h6 * (p4 + 2.0 * (q4 + r4) + s4),
+        x5 + h6 * (p5 + 2.0 * (q5 + r5) + s5),
+        x6 + h6 * (p6 + 2.0 * (q6 + r6) + s6),
+        x7 + h6 * (p7 + 2.0 * (q7 + r7) + s7),
+        x8 + h6 * (p8 + 2.0 * (q8 + r8) + s8),
+        x9 + h6 * (p9 + 2.0 * (q9 + r9) + s9),
         prof.mass_at(t + dt),
     )
 
