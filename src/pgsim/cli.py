@@ -111,8 +111,8 @@ def cmd_run(args) -> int:
         fh.write("\n")
     print("termination=%s miss=%.6g m at t=%.6g s"
           % (record.termination_reason, record.miss_distance, record.miss_time))
-    if record.termination_reason == "observer_divergence":
-        print("divergence: %s" % record.diagnostic, file=sys.stderr)
+    if record.termination_reason in en.FAILURES:
+        print("%s: %s" % (record.termination_reason, record.diagnostic), file=sys.stderr)
         return EXIT_DIVERGENCE
     return EXIT_OK
 

@@ -36,7 +36,9 @@ CSV_COLUMNS = (
     "defl_p", "defl_y", "mx", "my", "mz", "tx", "ty", "tz", "range",
 )
 
-TERMINATIONS = ("closest_approach", "ground_impact", "timeout", "observer_divergence")
+# a failed run: its miss is no data point
+FAILURES = ("observer_divergence", "vehicle_divergence", "altitude_ceiling")
+TERMINATIONS = ("closest_approach", "ground_impact", "timeout") + FAILURES
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,11 @@ class MetricsReport:
 def run_engagement(config: EngagementConfig) -> EngagementRecord:
     """Simulate one engagement to termination.
 
-    Never raises for in-flight failures: observer divergence or a
-    non-finite vehicle state terminates the record with reason
-    ``observer_divergence`` and a diagnostic message.
+    Never raises for in-flight failures: they terminate the record with
+    one of :data:`FAILURES` and a diagnostic message.  A non-finite
+    observer state is ``observer_divergence``; a non-finite vehicle state
+    or an airframe step that fails is ``vehicle_divergence``, except above
+    the atmosphere model's ceiling, which is ``altitude_ceiling``.
     """
     dt = config.dt
     n_max = int(round(config.max_time / dt))
@@ -161,7 +165,7 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
         rz = tz - mz
         rng = math.sqrt(rx * rx + ry * ry + rz * rz)
         if not (math.isfinite(rng) and math.isfinite(mvx) and math.isfinite(vehicle[6])):
-            termination = "observer_divergence"
+            termination = "vehicle_divergence"
             diagnostic = "non-finite vehicle state at t=%g" % t
             break
         rvx = tvx - mvx
@@ -214,9 +218,16 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
             obs_y = ob.rk4_step8(obs_y, delayed[1], dt, coeffs, coupled)
             if not (math.isfinite(obs_p[4]) and math.isfinite(obs_y[4])):
                 raise ValueError("observer state non-finite at t=%g" % t)
-            vehicle = _vehicle_rk4(vehicle, (defl_p, defl_y), frame, t, dt)
         except (ValueError, OverflowError) as exc:
             termination = "observer_divergence"
+            diagnostic = "integration failed at t=%g: %s" % (t, exc)
+            break
+        try:
+            vehicle = _vehicle_rk4(vehicle, (defl_p, defl_y), frame, t, dt)
+        except (ValueError, OverflowError) as exc:
+            # the atmosphere model raises for the step-start altitude mz
+            termination = ("altitude_ceiling" if mz > af.ISA_CEILING
+                           else "vehicle_divergence")
             diagnostic = "integration failed at t=%g: %s" % (t, exc)
             break
 

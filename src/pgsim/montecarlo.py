@@ -124,8 +124,9 @@ def run_sweep(sweep: SweepConfig, jobs: int = 1) -> SweepSummary:
 def aggregate(results) -> SweepSummary:
     """Per-(delay, source) mean and population std of the miss distance.
 
-    Diverged runs (or runs with a non-finite miss) count as failures and
-    are excluded from the statistics; other terminations are data.
+    Failed runs (a termination in ``engagement.FAILURES``, or a
+    non-finite miss) are counted and excluded from the statistics; other
+    terminations are data.
     """
     if not results:
         raise ValueError("no results to aggregate")
@@ -136,7 +137,7 @@ def aggregate(results) -> SweepSummary:
     for key in sorted(groups, key=lambda k: (k[0], k[1])):
         rs = groups[key]
         ok = [r.miss for r in rs
-              if math.isfinite(r.miss) and r.termination != "observer_divergence"]
+              if math.isfinite(r.miss) and r.termination not in en.FAILURES]
         failures = len(rs) - len(ok)
         if not ok:
             stats[key] = {"mean_miss": math.nan, "std_miss": math.nan,

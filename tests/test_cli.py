@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ propellant_mass = 30.0
 3.0 15000.0
 3.1 0.0
 """
+
+# the bundled airframe with a 400 kN boost: it climbs past 47 km in 5 s
+HOT_AIRFRAME = (resources.files("pgsim.data").joinpath("generic_airframe.txt")
+                .read_text().replace("15000.0", "400000.0"))
 
 
 def _reject_constant(token):
@@ -257,7 +262,21 @@ class TestRun:
         captured = capsys.readouterr()
         assert "divergence" in captured.err
         doc = json.loads((tmp_path / "metrics.json").read_text())
-        assert doc["termination_reason"] == "observer_divergence"
+        assert doc["termination_reason"] == "vehicle_divergence"
+
+    def test_altitude_ceiling_exits_3(self, capsys, tmp_path):
+        # a 400 kN boost toward a target above the 47 km atmosphere model
+        p = tmp_path / "hot.txt"
+        p.write_text(HOT_AIRFRAME)
+        code = run_cli("run", "--out", str(tmp_path),
+                       "--set", "airframe.dataset=%s" % p,
+                       "--set", "target.position=[2000, 0, 60000]",
+                       "--set", "engagement.launch_elevation_deg=85")
+        assert code == 3
+        assert "altitude_ceiling: " in capsys.readouterr().err
+        doc = strict_json(tmp_path / "metrics.json")
+        assert doc["termination_reason"] == "altitude_ceiling"
+        assert "ceiling" in doc["diagnostic"]
 
 
 class TestStrictJson:

@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -271,9 +272,37 @@ propellant_mass = 30.0
                      "seeker.lag_time_constant": 0.2,
                      "engagement.max_time": 30.0})
         record = en.run_engagement(cfg)
-        assert record.termination_reason == "observer_divergence"
+        assert record.termination_reason == "vehicle_divergence"
         assert record.diagnostic != ""
         assert len(record) > 0
+
+    def test_nonfinite_vehicle_state_labelled(self, monkeypatch):
+        real = en._vehicle_rk4
+        calls = []
+
+        def blow_up(x, deflections, frame, t, dt):
+            calls.append(1)
+            x = real(x, deflections, frame, t, dt)
+            return x if len(calls) < 10 else x[:3] + (math.nan,) + x[4:]
+
+        monkeypatch.setattr(en, "_vehicle_rk4", blow_up)
+        record = en.run_engagement(build({"engagement.max_time": 0.1}))
+        assert record.termination_reason == "vehicle_divergence"
+        assert "non-finite vehicle state" in record.diagnostic
+        assert len(record) == 10
+
+    def test_altitude_ceiling(self, tmp_path):
+        # a 400 kN boost toward a target above the atmosphere model
+        p = tmp_path / "hot.txt"
+        p.write_text(resources.files("pgsim.data").joinpath("generic_airframe.txt")
+                     .read_text().replace("15000.0", "400000.0"))
+        record = en.run_engagement(build({"airframe.dataset": str(p),
+                                          "target.position": [2000.0, 0.0, 60000.0],
+                                          "engagement.launch_elevation_deg": 85.0}))
+        assert record.termination_reason == "altitude_ceiling"
+        assert record.series["mz"][-1] > af.ISA_CEILING
+        assert record.series["mz"][-2] <= af.ISA_CEILING
+        assert "ceiling" in record.diagnostic
 
     def test_mass_follows_exact_burn(self, true_run):
         record, cfg = true_run

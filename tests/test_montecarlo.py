@@ -61,6 +61,15 @@ class TestAggregate:
         assert stats["failure_count"] == 1
         assert stats["mean_miss"] == pytest.approx(1.0)
 
+    def test_every_failure_label_excluded(self):
+        rs = [result(miss=1.0, sample=0)]
+        rs += [result(miss=2.0, sample=i + 1, termination=label)
+               for i, label in enumerate(en.FAILURES)]
+        stats = mc.aggregate(rs).groups[(0.1, "delayed")]
+        assert stats["n"] == 1
+        assert stats["failure_count"] == 3
+        assert stats["mean_miss"] == pytest.approx(1.0)
+
     def test_timeout_counts_as_data(self):
         rs = [result(miss=5.0, termination="timeout")]
         stats = mc.aggregate(rs).groups[(0.1, "delayed")]
