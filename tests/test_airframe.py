@@ -44,6 +44,26 @@ class TestAtmosphere:
             lo, hi = af.atmosphere(h - 0.01), af.atmosphere(h + 0.01)
             assert lo.pressure == pytest.approx(hi.pressure, rel=1e-5)
 
+    @pytest.mark.parametrize("base, temperature, pressure", [
+        (11000.0, 216.65, 22632.06),
+        (20000.0, 216.65, 5474.889),
+        (32000.0, 228.65, 868.0187),
+    ])
+    def test_published_layer_base_values(self, base, temperature, pressure):
+        # U.S. Standard Atmosphere 1976 layer bases.  A base belongs to
+        # the layer above it, which returns its base values exactly.
+        s = af.atmosphere(base)
+        assert s.temperature == temperature
+        assert s.pressure == pressure
+
+    def test_sample_unpacks_in_field_order(self):
+        rho, sound, temperature, pressure = af.atmosphere(5000.0)
+        assert rho == pytest.approx(pressure / (af.R_AIR * temperature), rel=1e-15)
+        assert sound == pytest.approx(math.sqrt(af.GAMMA * af.R_AIR * temperature),
+                                      rel=1e-15)
+        assert temperature == pytest.approx(288.15 - 0.0065 * 5000.0, rel=1e-15)
+        assert (rho, sound, temperature, pressure) == af.atmosphere(5000.0)
+
 
 class TestAeroTable:
     def test_interpolation_exact_at_nodes(self, frame):
@@ -82,6 +102,89 @@ class TestAeroTable:
     def test_needs_two_breakpoints(self):
         with pytest.raises(ValueError):
             af.AeroTable([0.5], [(10, 0.3, -1.0, -50, 5, 6)], 0.01, 2.0)
+
+
+def trapezoid_impulse(prof, t):
+    """Area under the piecewise-linear thrust curve on [times[0], t],
+    from numpy's trapezoid rule over the breakpoints before ``t`` and
+    the interpolated value at ``t``."""
+    if t <= prof.times[0]:
+        return 0.0
+    t = min(t, prof.times[-1])
+    grid = [tb for tb in prof.times if tb < t] + [t]
+    return float(np.trapezoid(np.interp(grid, prof.times, prof.values), grid))
+
+
+def segment_loop_impulse(prof, t):
+    """The burnt impulse summed segment by segment: the reference whose
+    float operations ``ThrustProfile.impulse_to`` keeps."""
+    ts, vs = prof.times, prof.values
+    if t <= ts[0]:
+        return 0.0
+    imp = 0.0
+    for i in range(len(ts) - 1):
+        t1 = min(t, ts[i + 1])
+        if t1 <= ts[i]:
+            break
+        v1 = vs[i] + (vs[i + 1] - vs[i]) * (t1 - ts[i]) / (ts[i + 1] - ts[i])
+        imp += 0.5 * (vs[i] + v1) * (t1 - ts[i])
+    return imp
+
+
+PROFILES = {
+    "builtin": lambda: af.load_airframe().thrust,
+    # the first segment's interpolated end value is not 14895.7 exactly,
+    # and the burnt impulse summed with it differs in the last bit
+    "irregular": lambda: af.ThrustProfile([0.8, 7.3, 8.2, 9.1],
+                                          [3828.1, 14895.7, 1175.2, 0.0], 90.0, 30.0),
+}
+
+
+class TestThrustProfile:
+    def test_builtin_total_impulse(self):
+        # 3 s at 15 kN, 0.2 s ramp to 5 kN, 3.3 s at 5 kN, 0.1 s ramp to 0
+        prof = af.load_airframe().thrust
+        want = 45000.0 + 2000.0 + 16500.0 + 250.0
+        assert prof.total_impulse == pytest.approx(want, rel=1e-12)
+        assert prof.impulse_to(prof.burnout_time) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_impulse_is_trapezoid_area(self, profile):
+        prof = PROFILES[profile]()
+        ts = prof.times
+        times = [ts[0] - 1.0, ts[0], ts[-1], ts[-1] + 0.5, ts[-1] + 100.0]
+        times += list(ts)
+        times += [0.5 * (a + b) for a, b in zip(ts, ts[1:])]
+        times += [a + 0.3 * (b - a) for a, b in zip(ts, ts[1:])]
+        for t in times:
+            want = trapezoid_impulse(prof, t)
+            assert prof.impulse_to(t) == pytest.approx(want, rel=1e-12, abs=1e-9), t
+        assert prof.impulse_to(ts[0] - 1.0) == 0.0
+        assert prof.impulse_to(ts[-1] + 100.0) == prof.impulse_to(ts[-1])
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_mass_continuous_across_breakpoints(self, profile):
+        prof = PROFILES[profile]()
+        # the steepest mass change is the peak thrust's mass flow
+        bound = 2.0 * prof.mass_flow(max(prof.values)) * 1e-9
+        for tb in prof.times:
+            lo, at, hi = (prof.mass_at(tb - 1e-9), prof.mass_at(tb),
+                          prof.mass_at(tb + 1e-9))
+            assert abs(at - lo) <= bound, tb
+            assert abs(hi - at) <= bound, tb
+        assert prof.mass_at(prof.burnout_time) == pytest.approx(
+            prof.initial_mass - prof.propellant_mass, rel=1e-12)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_matches_segment_loop_bits(self, profile):
+        prof = PROFILES[profile]()
+        rng = np.random.default_rng(3)
+        times = [float(t) for t in rng.uniform(prof.times[0] - 1.0,
+                                                prof.times[-1] + 1.0, 2000)]
+        for tb in prof.times:
+            times += [tb, math.nextafter(tb, -math.inf), math.nextafter(tb, math.inf)]
+        for t in times:
+            assert prof.impulse_to(t) == segment_loop_impulse(prof, t), t
 
 
 def make_state(velocity, pitch=0.0, yaw=0.0, pitch_rate=0.0, yaw_rate=0.0,
