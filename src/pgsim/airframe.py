@@ -131,19 +131,20 @@ class ThrustProfile:
             raise ValueError("thrust must be non-negative")
         if not (self.initial_mass > 0.0 and 0.0 <= self.propellant_mass < self.initial_mass):
             raise ValueError("need 0 <= propellant mass < initial mass")
-        # trapezoid total impulse; mass flow is thrust * propellant / impulse
+        # trapezoid total impulse; mass flow is thrust * propellant / impulse.
+        # The burnt impulse at each breakpoint sums the whole segments
+        # before it, each with its end value interpolated as impulse_to's
+        # partial segment is; that value can differ from the table's by
+        # an ulp, so the two sums are kept apart.
+        ts, vs = self.times, self.values
         imp = 0.0
-        for i in range(len(self.times) - 1):
-            imp += 0.5 * (self.values[i] + self.values[i + 1]) * (self.times[i + 1] - self.times[i])
-        self.total_impulse = imp
-        # burnt impulse at each breakpoint: the whole segments before it,
-        # each with its end value interpolated as impulse_to's partial
-        # segment is, summed in the same order
         burnt = [0.0]
-        for i in range(len(self.times) - 1):
-            w = self.times[i + 1] - self.times[i]
-            v1 = self.values[i] + (self.values[i + 1] - self.values[i]) * w / w
-            burnt.append(burnt[-1] + 0.5 * (self.values[i] + v1) * w)
+        for i in range(len(ts) - 1):
+            w = ts[i + 1] - ts[i]
+            imp += 0.5 * (vs[i] + vs[i + 1]) * w
+            v1 = vs[i] + (vs[i + 1] - vs[i]) * w / w
+            burnt.append(burnt[-1] + 0.5 * (vs[i] + v1) * w)
+        self.total_impulse = imp
         self._burnt = tuple(burnt)
         # past the last breakpoint the burnt impulse no longer depends on t
         self.burnout_mass = self._mass_after(self.impulse_to(self.burnout_time))
