@@ -150,11 +150,11 @@ class ThrustProfile:
         self.burnout_mass = self._mass_after(self.impulse_to(self.burnout_time))
 
     def thrust(self, t: float) -> float:
+        """Interpolated thrust; zero before the first breakpoint and from
+        the last on, where :meth:`impulse_to` counts no impulse either."""
         ts = self.times
-        if t <= ts[0]:
-            return self.values[0]
-        if t >= ts[-1]:
-            return 0.0  # burnout
+        if t < ts[0] or t >= ts[-1]:
+            return 0.0  # not yet ignited, or burnt out
         vs = self.values
         i = bisect_right(ts, t) - 1
         f = (t - ts[i]) / (ts[i + 1] - ts[i])

@@ -186,6 +186,27 @@ class TestThrustProfile:
         for t in times:
             assert prof.impulse_to(t) == segment_loop_impulse(prof, t), t
 
+    def test_thrust_integral_matches_impulse(self):
+        # the irregular profile ignites at 0.8 s: a dense trapezoid of
+        # thrust(t) from t = 0 gives the burnt impulse before, across and
+        # after the table; its error is at most one step of the jump
+        prof = PROFILES["irregular"]()
+        h = 1e-4
+        for t_end in (0.4, 0.8, 4.05, 10.0):
+            grid = np.linspace(0.0, t_end, int(round(t_end / h)) + 1)
+            dense = float(np.trapezoid([prof.thrust(float(t)) for t in grid], grid))
+            assert dense == pytest.approx(prof.impulse_to(t_end),
+                                          abs=max(prof.values) * h), t_end
+        assert prof.thrust(0.4) == 0.0
+        assert prof.thrust(0.8) == prof.values[0]
+
+    def test_one_row_table_is_zero_thrust(self):
+        prof = af.ThrustProfile([0.5], [900.0], 80.0, 20.0)
+        assert prof.thrust(0.25) == 0.0
+        assert prof.thrust(0.5) == 0.0
+        assert prof.total_impulse == 0.0
+        assert prof.mass_at(1.0) == 80.0
+
 
 def make_state(velocity, pitch=0.0, yaw=0.0, pitch_rate=0.0, yaw_rate=0.0,
                mass=70.0, position=(0.0, 0.0, 1000.0)):
