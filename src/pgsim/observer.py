@@ -15,7 +15,6 @@ __all__ = [
     "ObserverGains",
     "ObserverConfig",
     "validate_gains",
-    "rhs8",
     "rk4_step8",
 ]
 
@@ -86,30 +85,6 @@ class ObserverConfig:
                 b4)
 
 
-def rhs8(x: tuple, v: float, coeffs: tuple, coupled_step1: bool = False) -> tuple:
-    """Time derivatives of the eight states for input sample ``v``.
-
-    ``x`` is (x11, x21, x31, x41, x12, x22, x32, x42); ``coeffs`` is the
-    tuple from :meth:`ObserverConfig.coefficients`.
-    """
-    x11, x21, x31, x41, x12, x22, x32, x42 = x
-    b1, b2, b3, b4, g1, g2, g3, g4 = coeffs
-    e = v - x11
-    d41 = b4 * e
-    if coupled_step1:
-        d41 = x31 + d41
-    return (
-        x21 + b1 * e,
-        x31 + b2 * e,
-        x41 + b3 * e,
-        d41,
-        x22 + g1 * e,
-        x32 + g2 * e,
-        x42 + g3 * e,
-        g4 * e,
-    )
-
-
 def rk4_step8(x: tuple, v, dt: float, coeffs: tuple,
               coupled_step1: bool = False) -> tuple:
     """One classical RK4 step of the eight-state chain.
@@ -118,10 +93,13 @@ def rk4_step8(x: tuple, v, dt: float, coeffs: tuple,
     (start, midpoint, end) triple of stage samples; stage sampling makes
     the step fourth-order accurate in the input as well.
 
-    The four :func:`rhs8` stages are written out with the same float
-    operations in the same order, so the result is bit-identical to RK4
-    composed from :func:`rhs8`.  ``x12`` never enters the derivative, so
-    no stage state computes it.
+    The derivative of the eight states for input sample ``v`` is
+    ``(x21 + b1 e, x31 + b2 e, x41 + b3 e, b4 e, x22 + g1 e, x32 + g2 e,
+    x42 + g3 e, g4 e)`` with ``e = v - x11`` (``x31 + b4 e`` in the
+    fourth entry when ``coupled_step1``).  Its four RK4 stages are
+    written out, and ``tests/test_observer.py`` checks the result bit for
+    bit against classical RK4 composed from that derivative.  ``x12``
+    never enters the derivative, so no stage state computes it.
     """
     if isinstance(v, tuple):
         v0, vm, v1 = v

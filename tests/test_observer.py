@@ -21,6 +21,31 @@ def make_config(**kw):
     return schema_config("observer", **{"gains": GAINS, "coupled_step1": False, **kw})
 
 
+def rhs8(x, v, coeffs, coupled_step1=False):
+    """Time derivatives of the eight states for input sample ``v``: the
+    parity oracle that :func:`rk4_from_rhs8` composes RK4 from.
+
+    ``x`` is (x11, x21, x31, x41, x12, x22, x32, x42); ``coeffs`` is the
+    tuple from :meth:`ObserverConfig.coefficients`.
+    """
+    x11, x21, x31, x41, x12, x22, x32, x42 = x
+    b1, b2, b3, b4, g1, g2, g3, g4 = coeffs
+    e = v - x11
+    d41 = b4 * e
+    if coupled_step1:
+        d41 = x31 + d41
+    return (
+        x21 + b1 * e,
+        x31 + b2 * e,
+        x41 + b3 * e,
+        d41,
+        x22 + g1 * e,
+        x32 + g2 * e,
+        x42 + g3 * e,
+        g4 * e,
+    )
+
+
 class TestValidateGains:
     def test_binomial_gains_are_stable(self):
         assert ob.validate_gains(4, 6, 4, 1)
@@ -75,16 +100,16 @@ class TestInjectionGains:
 class TestObserverRhs:
     def test_zero_error_leaves_integrator_chains(self):
         coeffs = make_config(epsilon=0.1, delta=0.2).coefficients()
-        d = ob.rhs8((0.7, 1.0, 2.0, 3.0, 0.1, 4.0, 5.0, 6.0), 0.7, coeffs)
+        d = rhs8((0.7, 1.0, 2.0, 3.0, 0.1, 4.0, 5.0, 6.0), 0.7, coeffs)
         assert d == (1.0, 2.0, 3.0, 0.0, 4.0, 5.0, 6.0, 0.0)
 
     def test_unit_error_injects_gains(self):
         coeffs = make_config(epsilon=1.0, delta=0.0).coefficients()
-        d = ob.rhs8((0.0,) * 8, 1.0, coeffs)
+        d = rhs8((0.0,) * 8, 1.0, coeffs)
         assert d == (4.0, 6.0, 4.0, 1.0, 4.0, 6.0, 4.0, 1.0)
 
     def test_zero_state_zero_input(self):
-        assert ob.rhs8((0.0,) * 8, 0.0, make_config().coefficients()) == (0.0,) * 8
+        assert rhs8((0.0,) * 8, 0.0, make_config().coefficients()) == (0.0,) * 8
 
 
 def seed(v0):
@@ -316,10 +341,10 @@ def rk4_from_rhs8(x, v, dt, coeffs, coupled):
     """Classical RK4 composed from rhs8: the reference for rk4_step8."""
     v0, vm, v1 = v if isinstance(v, tuple) else (v, v, v)
     h2 = dt * 0.5
-    k1 = ob.rhs8(x, v0, coeffs, coupled)
-    k2 = ob.rhs8(tuple(a + h2 * b for a, b in zip(x, k1)), vm, coeffs, coupled)
-    k3 = ob.rhs8(tuple(a + h2 * b for a, b in zip(x, k2)), vm, coeffs, coupled)
-    k4 = ob.rhs8(tuple(a + dt * b for a, b in zip(x, k3)), v1, coeffs, coupled)
+    k1 = rhs8(x, v0, coeffs, coupled)
+    k2 = rhs8(tuple(a + h2 * b for a, b in zip(x, k1)), vm, coeffs, coupled)
+    k3 = rhs8(tuple(a + h2 * b for a, b in zip(x, k2)), vm, coeffs, coupled)
+    k4 = rhs8(tuple(a + dt * b for a, b in zip(x, k3)), v1, coeffs, coupled)
     h6 = dt / 6.0
     return tuple(a + h6 * (p + 2.0 * (q + r) + s)
                  for a, p, q, r, s in zip(x, k1, k2, k3, k4))
