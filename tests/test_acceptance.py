@@ -6,6 +6,7 @@ so the gate is readable straight from the pytest run.
 """
 
 import math
+import os
 import random
 import time
 
@@ -143,7 +144,7 @@ def test_criterion_6_sweep_trends(capsys):
         base=build(),
     )
     start = time.monotonic()
-    summary = mc.run_sweep(sweep)
+    summary = mc.run_sweep(sweep, jobs=os.cpu_count() or 1)
     elapsed = time.monotonic() - start
     g = summary.groups
     d_lo, d_hi = sweep.delays[0], sweep.delays[-1]
