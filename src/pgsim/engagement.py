@@ -9,6 +9,7 @@ below the step size.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,11 @@ CSV_COLUMNS = (
     "lam_pred_p", "lam_pred_y", "acc_cmd_p", "acc_cmd_y",
     "defl_p", "defl_y", "mx", "my", "mz", "tx", "ty", "tz", "range",
 )
+
+# one recorded step: CSV_COLUMNS, then missile and target velocity
+_ROW = struct.Struct("%dd" % (len(CSV_COLUMNS) + 6))
+# rows per block that write_csv converts to Python floats at a time
+CSV_BLOCK_ROWS = 1024
 
 # a failed run: its miss is no data point
 FAILURES = ("observer_divergence", "vehicle_divergence", "altitude_ceiling")
@@ -93,11 +99,15 @@ class EngagementRecord:
         return len(self.series["t"])
 
     def write_csv(self, path) -> None:
+        """Write the series, converting :data:`CSV_BLOCK_ROWS` rows at a
+        time so that no Python copy of the whole table is ever held."""
+        cols = [self.series[c] for c in CSV_COLUMNS]
         with open(path, "w") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            rows = np.array([self.series[c] for c in CSV_COLUMNS], dtype=float).T
-            for row in rows.tolist():
-                fh.write(",".join(map(repr, row)) + "\n")
+            for i in range(0, len(self), CSV_BLOCK_ROWS):
+                block = np.array([c[i:i + CSV_BLOCK_ROWS] for c in cols], dtype=float).T
+                for row in block.tolist():
+                    fh.write(",".join(map(repr, row)) + "\n")
 
 
 @dataclass(frozen=True)
@@ -146,7 +156,8 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
         frame.thrust.initial_mass,
     )
 
-    rows: list = []  # one tuple per step: CSV_COLUMNS, missile and target velocity
+    rows = bytearray()  # one packed _ROW per step
+    pack = _ROW.pack
     delayed = obs_p = obs_y = None  # set on the first step
     defl_p = defl_y = 0.0
     termination = "timeout"
@@ -191,10 +202,10 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
         defl_p = gd.autopilot_step(acc_p, defl_p, gain, lim, act_a, act_b)
         defl_y = gd.autopilot_step(acc_y, defl_y, gain, lim, act_a, act_b)
 
-        rows.append((t, true_rate[0], true_rate[1], delayed[0], delayed[1],
+        rows += pack(t, true_rate[0], true_rate[1], delayed[0], delayed[1],
                      predicted[0], predicted[1], acc_p, acc_y, defl_p, defl_y,
                      mx, my, mz, tx, ty, tz, rng,
-                     mvx, mvy, mvz, tvx, tvy, tvz))
+                     mvx, mvy, mvz, tvx, tvy, tvz)
 
         # termination checks on the recorded sample
         if rng > range_min:
@@ -231,7 +242,8 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
             diagnostic = "integration failed at t=%g: %s" % (t, exc)
             break
 
-    data = np.array(rows, dtype=float).reshape(-1, len(CSV_COLUMNS) + 6)
+    # a zero-copy view: the series and both velocities are its columns
+    data = np.frombuffer(rows, dtype=float).reshape(-1, len(CSV_COLUMNS) + 6)
     record = EngagementRecord(
         series=dict(zip(CSV_COLUMNS, data.T)),
         missile_velocity=data[:, -6:-3],

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import random
 import struct
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -377,6 +379,62 @@ class TestMetricsAndCsv:
         assert math.isnan(m.rmse_delayed)
         assert math.isnan(m.rmse_predicted)
         assert math.isfinite(m.miss_distance)
+
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_csv_blocks_round_trip_bits(self, n, tmp_path):
+        # rows on both sides of the write block boundaries reload bit for bit
+        rng = np.random.default_rng(n)
+        series = {}
+        for c in en.CSV_COLUMNS:
+            col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+            col[:3] = [-0.0, 1e-300, 1e300][:n]
+            series[c] = col
+        rec = en.EngagementRecord(
+            series=series, missile_velocity=np.zeros((n, 3)),
+            target_velocity=np.zeros((n, 3)), miss_distance=math.nan,
+            miss_time=math.nan, termination_reason="timeout",
+            source_switch_time=None)
+        path = tmp_path / "run.csv"
+        rec.write_csv(path)
+        lines = path.read_text().splitlines()
+        assert tuple(lines[0].split(",")) == en.CSV_COLUMNS
+        assert len(lines) == n + 1
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]],
+                       dtype=float).reshape(n, len(en.CSV_COLUMNS))
+        for j, c in enumerate(en.CSV_COLUMNS):
+            assert got[:, j].tobytes() == series[c].tobytes(), c
+
+    def test_record_memory_near_its_size(self):
+        # the loop keeps packed doubles, not a Python object per value:
+        # the traced peak stays within twice the record's own size
+        cfg = build({"engagement.max_time": 2.0})
+        en.run_engagement(cfg)  # warm-up: first-call caches are not the record
+        tracemalloc.start()
+        try:
+            record = en.run_engagement(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nbytes = len(record) * (len(en.CSV_COLUMNS) + 6) * 8
+        assert len(record) == 2001
+        assert peak < 2 * nbytes + 64 * 1024, (peak, nbytes)
+
+    def test_record_ending_at_step_zero(self, tmp_path):
+        # a target at the launch site gives no line of sight on step 0
+        cfg = build()
+        cfg = dataclasses.replace(cfg, target=dataclasses.replace(
+            cfg.target, initial_position=(0.0, 0.0, 0.0)))
+        record = en.run_engagement(cfg)
+        assert len(record) == 0
+        assert all(record.series[c].shape == (0,) for c in en.CSV_COLUMNS)
+        assert record.missile_velocity.shape == (0, 3)
+        assert record.target_velocity.shape == (0, 3)
+        assert math.isnan(record.miss_distance)
+        with pytest.raises(ValueError):
+            en.compute_metrics(record, cfg)
+        record.write_csv(tmp_path / "run.csv")
+        assert (tmp_path / "run.csv").read_text() == ",".join(en.CSV_COLUMNS) + "\n"
 
 
 def _bits(values) -> bytes:
