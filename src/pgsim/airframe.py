@@ -40,6 +40,13 @@ _ISA_LAYERS = (
     (32000.0, 228.65, 868.0187, 0.0028),
 )
 _ISA_BASES = tuple(layer[0] for layer in _ISA_LAYERS)
+# each layer with the constant of its pressure law appended: the scale
+# R_AIR * tb of an isothermal layer, the exponent G0 / (R_AIR * lapse)
+# of a gradient layer
+_ISA_TABLE = tuple((hb, tb, pb, lapse,
+                    R_AIR * tb if lapse == 0.0 else G0 / (R_AIR * lapse))
+                   for hb, tb, pb, lapse in _ISA_LAYERS)
+_GAMMA_R = GAMMA * R_AIR
 ISA_CEILING = 47000.0
 
 
@@ -48,6 +55,10 @@ class AtmosphereSample(NamedTuple):
     speed_of_sound: float  # m/s
     temperature: float    # K
     pressure: float       # Pa
+
+
+# builds an AtmosphereSample from a tuple without the Python-level __new__
+_new_tuple = tuple.__new__
 
 
 def atmosphere(altitude: float) -> AtmosphereSample:
@@ -60,14 +71,15 @@ def atmosphere(altitude: float) -> AtmosphereSample:
     if h > ISA_CEILING:
         raise ValueError("altitude %g m above the %g m atmosphere model ceiling"
                          % (altitude, ISA_CEILING))
-    hb, tb, pb, lapse = _ISA_LAYERS[bisect_right(_ISA_BASES, h) - 1]
+    hb, tb, pb, lapse, k = _ISA_TABLE[bisect_right(_ISA_BASES, h) - 1]
     if lapse == 0.0:
         t = tb
-        p = pb * math.exp(-G0 * (h - hb) / (R_AIR * tb))
+        p = pb * math.exp(-G0 * (h - hb) / k)
     else:
         t = tb + lapse * (h - hb)
-        p = pb * (tb / t) ** (G0 / (R_AIR * lapse))
-    return AtmosphereSample(p / (R_AIR * t), math.sqrt(GAMMA * R_AIR * t), t, p)
+        p = pb * (tb / t) ** k
+    return _new_tuple(AtmosphereSample,
+                      (p / (R_AIR * t), math.sqrt(_GAMMA_R * t), t, p))
 
 
 class AeroTable:
@@ -146,7 +158,9 @@ class ThrustProfile:
             burnt.append(burnt[-1] + 0.5 * (vs[i] + v1) * w)
         self.total_impulse = imp
         self._burnt = tuple(burnt)
-        # past the last breakpoint the burnt impulse no longer depends on t
+        # from the last breakpoint on, thrust is zero and the burnt
+        # impulse no longer depends on t
+        self.burnout_time = ts[-1]
         self.burnout_mass = self._mass_after(self.impulse_to(self.burnout_time))
 
     def thrust(self, t: float) -> float:
@@ -179,7 +193,7 @@ class ThrustProfile:
 
     def mass_at(self, t: float) -> float:
         """Vehicle mass at ``t`` from the exact burnt-impulse fraction."""
-        if t >= self.times[-1]:
+        if t >= self.burnout_time:
             return self.burnout_mass
         return self._mass_after(self.impulse_to(t))
 
@@ -190,10 +204,6 @@ class ThrustProfile:
         if frac > 1.0:  # min(frac, 1.0), including its NaN handling
             frac = 1.0
         return self.initial_mass - self.propellant_mass * frac
-
-    @property
-    def burnout_time(self) -> float:
-        return self.times[-1]
 
 
 @dataclass(frozen=True)
@@ -220,27 +230,30 @@ def body_axes(pitch: float, yaw: float) -> tuple:
     return bx, by, bz
 
 
-def vehicle_rhs(x: tuple, dp: float, dyaw: float, row: tuple, sref: float,
-                lref: float, inv_i: float, thrust: float, mdot: float,
+def vehicle_rhs(vx: float, vy: float, vz: float, pitch: float, yaw: float,
+                q_rate: float, r_rate: float, mass: float, dp: float, dyaw: float,
+                row: tuple, sref: float, lref: float, inv_i: float, thrust: float,
                 rho: float) -> tuple:
-    """First-order derivative of the 5-DOF state ``x``.
+    """Accelerations of the 5-DOF state: (ax, ay, az, q_dot, r_dot).
 
-    ``x`` is (x, y, z, vx, vy, vz, pitch, yaw, pitch_rate, yaw_rate,
-    mass); ``dp``/``dyaw`` are the pitch and yaw fin deflections in
-    radians; ``row`` is the interpolated aero row, ``sref``/``lref`` the
-    reference area and length, ``inv_i`` the inverse transverse inertia,
-    ``thrust``/``mdot`` the thrust and mass flow and ``rho`` the air
+    The eight arguments before ``dp`` are the states the dynamics read:
+    inertial velocity, pitch and yaw, pitch and yaw body rates, and mass.
+    The other derivatives of the state are those states themselves
+    (position rate = velocity, attitude rate = body rates) and the mass
+    flow, so the caller forms them.  ``dp``/``dyaw`` are the pitch and
+    yaw fin deflections in radians; ``row`` is the interpolated aero row,
+    ``sref``/``lref`` the reference area and length, ``inv_i`` the
+    inverse transverse inertia, ``thrust`` the thrust and ``rho`` the air
     density.  The pitch and yaw planes apply the same row to their own
     incidence, deflection and rate, which makes the cruciform symmetry
     exact; incidence signs are chosen so the normal force opposes the
     crossflow.  Zero airspeed leaves the incidence undefined and raises.
     """
-    _, _, _, vx, vy, vz, th, ps, q_rate, r_rate, m = x
-    cp = math.cos(th)
-    sp = math.sin(th)
-    cy = math.cos(ps)
-    sy = math.sin(ps)
-    # velocity along the body axes of body_axes(th, ps)
+    cp = math.cos(pitch)
+    sp = math.sin(pitch)
+    cy = math.cos(yaw)
+    sy = math.sin(yaw)
+    # velocity along the body axes of body_axes(pitch, yaw)
     u = vx * cp * cy + vy * cp * sy + vz * sp
     v = -vx * sy + vy * cy
     w = -vx * sp * cy - vy * sp * sy + vz * cp
@@ -251,21 +264,19 @@ def vehicle_rhs(x: tuple, dp: float, dyaw: float, row: tuple, sref: float,
     qbar = 0.5 * rho * speed2
     cn_a, ca0, cm_a, cm_q, cn_d, cm_d = row
     qs = qbar * sref
+    qsl = qs * lref
     rate_nd = lref / (2.0 * speed)
     fz = qs * (cn_a * alpha + cn_d * dp)
-    m_pitch = qs * lref * (cm_a * alpha + cm_d * dp + cm_q * q_rate * rate_nd)
+    m_pitch = qsl * (cm_a * alpha + cm_d * dp + cm_q * q_rate * rate_nd)
     fy = qs * (cn_a * beta + cn_d * dyaw)
-    m_yaw = qs * lref * (cm_a * beta + cm_d * dyaw + cm_q * r_rate * rate_nd)
+    m_yaw = qsl * (cm_a * beta + cm_d * dyaw + cm_q * r_rate * rate_nd)
     axial = thrust - qs * ca0
-    inv_m = 1.0 / m
+    inv_m = 1.0 / mass
     return (
-        vx, vy, vz,
         (axial * cp * cy - fy * sy - fz * sp * cy) * inv_m,
         (axial * cp * sy + fy * cy - fz * sp * sy) * inv_m,
         (axial * sp + fz * cp) * inv_m - G0,
-        q_rate, r_rate,
         m_pitch * inv_i, m_yaw * inv_i,
-        -mdot,
     )
 
 

@@ -33,6 +33,16 @@ def _parse_set(pairs):
     return out
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("need at least 1 worker, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgsim",
@@ -56,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", type=Path, default=Path("."),
                            help="output directory")
         if name == "sweep":
-            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                           help="worker processes")
+            p.add_argument("--jobs", type=_worker_count, default=os.cpu_count() or 1,
+                           help="worker processes (at least 1)")
     return parser
 
 
@@ -128,7 +138,7 @@ def cmd_sweep(args) -> int:
         sources=tuple(sw["sources"]),
         base=base,
     )
-    summary = mc.run_sweep(sweep, jobs=max(args.jobs, 1))
+    summary = mc.run_sweep(sweep, jobs=args.jobs)
     args.out.mkdir(parents=True, exist_ok=True)
     mc.write_runs_csv(summary, args.out / "sweep_runs.csv")
     summary.config_echo["resolved_config"] = cfg

@@ -162,7 +162,6 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
     defl_p = defl_y = 0.0
     termination = "timeout"
     diagnostic = ""
-    switch_time = guid.warmup if guid.source == "predicted" else None
 
     range_min = math.inf
     rising = 0
@@ -244,6 +243,9 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
 
     # a zero-copy view: the series and both velocities are its columns
     data = np.frombuffer(rows, dtype=float).reshape(-1, len(CSV_COLUMNS) + 6)
+    # guidance took the prediction only if a recorded step reached the warm-up
+    switch_time = (guid.warmup if guid.source == "predicted" and len(data) > 0
+                   and data[-1, 0] >= guid.warmup else None)
     record = EngagementRecord(
         series=dict(zip(CSV_COLUMNS, data.T)),
         missile_velocity=data[:, -6:-3],
@@ -268,11 +270,15 @@ def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
     step start (their within-step variation is negligible at the fixed
     step sizes used here), and the mass is reset from the exact
     burnt-impulse integral after the step.  The stages are classical RK4
-    on :func:`pgsim.airframe.vehicle_rhs`.
+    on the 11-state derivative: :func:`pgsim.airframe.vehicle_rhs` gives
+    the accelerations, the position and attitude rates are the stage
+    velocities and body rates, and the mass rate is minus the mass flow.
+    From burnout on, thrust and mass flow are zero and the mass after the
+    step is the burnout mass.
     """
-    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = x
-    rho, sound, _, _ = af.atmosphere(max(x2, 0.0))
-    speed = math.sqrt(x3 * x3 + x4 * x4 + x5 * x5)
+    px, py, pz, vx, vy, vz, pitch, yaw, q, r, m = x
+    rho, sound, _, _ = af.atmosphere(pz)
+    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     table = frame.table
     row = table.interpolate(speed / sound)
     sref = table.reference_area
@@ -281,43 +287,57 @@ def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
     dp, dyaw = deflections
     prof = frame.thrust
     h2 = dt * 0.5
-    th0 = prof.thrust(t)
-    th1 = prof.thrust(t + h2)
-    th2 = prof.thrust(t + dt)
-    md0 = prof.mass_flow(th0)
-    md1 = prof.mass_flow(th1)
-    md2 = prof.mass_flow(th2)
+    if t < prof.burnout_time:
+        th0 = prof.thrust(t)
+        th1 = prof.thrust(t + h2)
+        th2 = prof.thrust(t + dt)
+        md0 = prof.mass_flow(th0)
+        md1 = prof.mass_flow(th1)
+        m1 = m - h2 * md0
+        m2 = m - h2 * md1
+        m3 = m - dt * md1
+        m_end = prof.mass_at(t + dt)
+    else:
+        th0 = th1 = th2 = 0.0
+        m1 = m2 = m3 = m
+        m_end = prof.burnout_mass
     rhs = af.vehicle_rhs
-    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = rhs(
-        x, dp, dyaw, row, sref, lref, inv_i, th0, md0, rho)
-    q0, q1, q2, q3, q4, q5, q6, q7, q8, q9, q10 = rhs(
-        (x0 + h2 * p0, x1 + h2 * p1, x2 + h2 * p2, x3 + h2 * p3,
-         x4 + h2 * p4, x5 + h2 * p5, x6 + h2 * p6, x7 + h2 * p7,
-         x8 + h2 * p8, x9 + h2 * p9, x10 + h2 * p10),
-        dp, dyaw, row, sref, lref, inv_i, th1, md1, rho)
-    r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10 = rhs(
-        (x0 + h2 * q0, x1 + h2 * q1, x2 + h2 * q2, x3 + h2 * q3,
-         x4 + h2 * q4, x5 + h2 * q5, x6 + h2 * q6, x7 + h2 * q7,
-         x8 + h2 * q8, x9 + h2 * q9, x10 + h2 * q10),
-        dp, dyaw, row, sref, lref, inv_i, th1, md1, rho)
-    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, _ = rhs(
-        (x0 + dt * r0, x1 + dt * r1, x2 + dt * r2, x3 + dt * r3,
-         x4 + dt * r4, x5 + dt * r5, x6 + dt * r6, x7 + dt * r7,
-         x8 + dt * r8, x9 + dt * r9, x10 + dt * r10),
-        dp, dyaw, row, sref, lref, inv_i, th2, md2, rho)
+    ax0, ay0, az0, qd0, rd0 = rhs(vx, vy, vz, pitch, yaw, q, r, m,
+                                  dp, dyaw, row, sref, lref, inv_i, th0, rho)
+    vx1 = vx + h2 * ax0
+    vy1 = vy + h2 * ay0
+    vz1 = vz + h2 * az0
+    q1 = q + h2 * qd0
+    r1 = r + h2 * rd0
+    ax1, ay1, az1, qd1, rd1 = rhs(vx1, vy1, vz1, pitch + h2 * q, yaw + h2 * r, q1, r1, m1,
+                                  dp, dyaw, row, sref, lref, inv_i, th1, rho)
+    vx2 = vx + h2 * ax1
+    vy2 = vy + h2 * ay1
+    vz2 = vz + h2 * az1
+    q2 = q + h2 * qd1
+    r2 = r + h2 * rd1
+    ax2, ay2, az2, qd2, rd2 = rhs(vx2, vy2, vz2, pitch + h2 * q1, yaw + h2 * r1, q2, r2, m2,
+                                  dp, dyaw, row, sref, lref, inv_i, th1, rho)
+    vx3 = vx + dt * ax2
+    vy3 = vy + dt * ay2
+    vz3 = vz + dt * az2
+    q3 = q + dt * qd2
+    r3 = r + dt * rd2
+    ax3, ay3, az3, qd3, rd3 = rhs(vx3, vy3, vz3, pitch + dt * q2, yaw + dt * r2, q3, r3, m3,
+                                  dp, dyaw, row, sref, lref, inv_i, th2, rho)
     h6 = dt / 6.0
     return (
-        x0 + h6 * (p0 + 2.0 * (q0 + r0) + s0),
-        x1 + h6 * (p1 + 2.0 * (q1 + r1) + s1),
-        x2 + h6 * (p2 + 2.0 * (q2 + r2) + s2),
-        x3 + h6 * (p3 + 2.0 * (q3 + r3) + s3),
-        x4 + h6 * (p4 + 2.0 * (q4 + r4) + s4),
-        x5 + h6 * (p5 + 2.0 * (q5 + r5) + s5),
-        x6 + h6 * (p6 + 2.0 * (q6 + r6) + s6),
-        x7 + h6 * (p7 + 2.0 * (q7 + r7) + s7),
-        x8 + h6 * (p8 + 2.0 * (q8 + r8) + s8),
-        x9 + h6 * (p9 + 2.0 * (q9 + r9) + s9),
-        prof.mass_at(t + dt),
+        px + h6 * (vx + 2.0 * (vx1 + vx2) + vx3),
+        py + h6 * (vy + 2.0 * (vy1 + vy2) + vy3),
+        pz + h6 * (vz + 2.0 * (vz1 + vz2) + vz3),
+        vx + h6 * (ax0 + 2.0 * (ax1 + ax2) + ax3),
+        vy + h6 * (ay0 + 2.0 * (ay1 + ay2) + ay3),
+        vz + h6 * (az0 + 2.0 * (az1 + az2) + az3),
+        pitch + h6 * (q + 2.0 * (q1 + q2) + q3),
+        yaw + h6 * (r + 2.0 * (r1 + r2) + r3),
+        q + h6 * (qd0 + 2.0 * (qd1 + qd2) + qd3),
+        r + h6 * (rd0 + 2.0 * (rd1 + rd2) + rd3),
+        m_end,
     )
 
 

@@ -95,7 +95,8 @@ def _execute_item(args):
 
 
 def run_sweep(sweep: SweepConfig, jobs: int = 1) -> SweepSummary:
-    """Run the full sweep, optionally on a process pool.
+    """Run the full sweep, on a process pool of ``jobs`` workers, or
+    of one per run if there are fewer runs.
 
     A diverged engagement becomes a failure row; it never aborts the
     sweep.
@@ -104,9 +105,10 @@ def run_sweep(sweep: SweepConfig, jobs: int = 1) -> SweepSummary:
              for d in sweep.delays
              for src in sweep.sources
              for i in range(sweep.samples_per_delay)]
-    if jobs > 1:
+    workers = min(jobs, len(items))
+    if workers > 1:
         import multiprocessing as mp
-        with mp.Pool(jobs) as pool:
+        with mp.Pool(workers) as pool:
             results = pool.map(_execute_item, items, chunksize=1)
     else:
         results = [_execute_item(it) for it in items]

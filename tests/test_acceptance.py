@@ -230,11 +230,11 @@ def test_criterion_9_airframe_invariants(capsys):
     def loads(vel, rates, defl):
         # total force in N and body moments in N*m at 500 m, 70 kg
         speed = math.sqrt(sum(c * c for c in vel))
-        x = (0.0, 0.0, 500.0, *vel, 0.0, 0.0, *rates, 70.0)
-        d = af.vehicle_rhs(x, *defl, table.interpolate(speed / atm.speed_of_sound),
+        d = af.vehicle_rhs(*vel, 0.0, 0.0, *rates, 70.0, *defl,
+                           table.interpolate(speed / atm.speed_of_sound),
                            table.reference_area, table.reference_length,
-                           1.0 / inertia, 0.0, 0.0, atm.density)
-        return 70.0 * d[4], 70.0 * (d[5] + af.G0), inertia * d[8], inertia * d[9]
+                           1.0 / inertia, 0.0, atm.density)
+        return 70.0 * d[1], 70.0 * (d[2] + af.G0), inertia * d[3], inertia * d[4]
 
     worst_sym = 0.0
     mono_ok = True

@@ -1,7 +1,10 @@
 import math
+import struct
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from conftest import state_derivative
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,22 @@ from pgsim import airframe as af
 @pytest.fixture(scope="module")
 def frame():
     return af.load_airframe()
+
+
+def atmosphere_reference(altitude):
+    """The atmosphere with every layer constant computed at the call:
+    the reference whose float operations ``atmosphere`` keeps."""
+    h = max(altitude, 0.0)
+    if h > af.ISA_CEILING:
+        raise ValueError("above the ceiling")
+    hb, tb, pb, lapse = af._ISA_LAYERS[bisect_right(af._ISA_BASES, h) - 1]
+    if lapse == 0.0:
+        t = tb
+        p = pb * math.exp(-af.G0 * (h - hb) / (af.R_AIR * tb))
+    else:
+        t = tb + lapse * (h - hb)
+        p = pb * (tb / t) ** (af.G0 / (af.R_AIR * lapse))
+    return (p / (af.R_AIR * t), math.sqrt(af.GAMMA * af.R_AIR * t), t, p)
 
 
 class TestAtmosphere:
@@ -64,6 +83,18 @@ class TestAtmosphere:
         assert temperature == pytest.approx(288.15 - 0.0065 * 5000.0, rel=1e-15)
         assert (rho, sound, temperature, pressure) == af.atmosphere(5000.0)
 
+    def test_bit_identical_to_reference(self):
+        # each layer base, its neighbouring floats, the ceiling, and
+        # random altitudes over the whole model
+        hs = [-1.0, -0.0, af.ISA_CEILING, math.nextafter(af.ISA_CEILING, 0.0)]
+        for base in af._ISA_BASES:
+            hs += [base, math.nextafter(base, -math.inf), math.nextafter(base, math.inf)]
+        hs += np.random.default_rng(17).uniform(-100.0, af.ISA_CEILING, 20000).tolist()
+        for h in hs:
+            got = af.atmosphere(h)
+            assert type(got) is af.AtmosphereSample
+            assert struct.pack("4d", *got) == struct.pack("4d", *atmosphere_reference(h)), h
+
 
 class TestAeroTable:
     def test_interpolation_exact_at_nodes(self, frame):
@@ -75,13 +106,13 @@ class TestAeroTable:
         t = frame.table
         x = make_state((400.0, 0.0, 0.0))
         rho = 1.1
-        d = af.vehicle_rhs(x, 0.0, 0.0, t.interpolate(t.mach[1]), t.reference_area,
-                           t.reference_length, 1.0, 0.0, 0.0, rho)
+        d = af.vehicle_rhs(*x[3:], 0.0, 0.0, t.interpolate(t.mach[1]), t.reference_area,
+                           t.reference_length, 1.0, 0.0, rho)
         # no normal force or moment; the axial force is the row's drag
-        assert d[4] == 0.0 and d[5] == -af.G0
-        assert d[8] == 0.0 and d[9] == 0.0
+        assert d[1] == 0.0 and d[2] == -af.G0
+        assert d[3] == 0.0 and d[4] == 0.0
         drag = 0.5 * rho * 400.0 ** 2 * t.reference_area * t.rows[1][1]
-        assert x[10] * d[3] == pytest.approx(-drag, rel=1e-12)
+        assert x[10] * d[0] == pytest.approx(-drag, rel=1e-12)
 
     def test_midpoint_is_mean(self, frame):
         t = frame.table
@@ -214,18 +245,18 @@ def make_state(velocity, pitch=0.0, yaw=0.0, pitch_rate=0.0, yaw_rate=0.0,
 
 
 def rhs(frame, x, deflections=(0.0, 0.0), t=0.0, rho=None):
-    """vehicle_rhs with the ambient sample and aero row at the state's
-    altitude and Mach; ``rho`` overrides the density."""
+    """The 11-state derivative with the ambient sample and aero row at
+    the state's altitude and Mach; ``rho`` overrides the density."""
     atm = af.atmosphere(x[2])
     speed = math.sqrt(x[3] ** 2 + x[4] ** 2 + x[5] ** 2)
     table = frame.table
     thrust = frame.thrust.thrust(t)
-    return af.vehicle_rhs(x, deflections[0], deflections[1],
-                          table.interpolate(speed / atm.speed_of_sound),
-                          table.reference_area, table.reference_length,
-                          1.0 / frame.transverse_inertia, thrust,
-                          frame.thrust.mass_flow(thrust),
-                          atm.density if rho is None else rho)
+    return state_derivative(x, deflections[0], deflections[1],
+                            table.interpolate(speed / atm.speed_of_sound),
+                            table.reference_area, table.reference_length,
+                            1.0 / frame.transverse_inertia, thrust,
+                            frame.thrust.mass_flow(thrust),
+                            atm.density if rho is None else rho)
 
 
 def loads(frame, x, deflections=(0.0, 0.0), rho=None):
@@ -361,9 +392,9 @@ class TestVehicleRhs:
             thrust = rng.uniform(0.0, 20000.0)
             rho = rng.uniform(0.3, 1.3)
             row = table.interpolate(rng.uniform(0.2, 4.0))
-            x = (0.0, 0.0, 1000.0, *vel.tolist(), pitch, yaw, q_rate, r_rate, mass)
-            got = af.vehicle_rhs(x, dp, dyaw, row, sref, lref,
-                                 1.0 / frame.transverse_inertia, thrust, 2.5, rho)
+            got = af.vehicle_rhs(*vel.tolist(), pitch, yaw, q_rate, r_rate, mass,
+                                 dp, dyaw, row, sref, lref,
+                                 1.0 / frame.transverse_inertia, thrust, rho)
 
             bx, by, bz = (np.array(b) for b in af.body_axes(pitch, yaw))
             alpha = -math.atan2(vel @ bz, vel @ bx)
@@ -375,9 +406,9 @@ class TestVehicleRhs:
                      + qs * (cn_a * alpha + cn_d * dp) * bz)
             m_pitch = qs * lref * (cm_a * alpha + cm_d * dp + cm_q * q_rate * damp)
             m_yaw = qs * lref * (cm_a * beta + cm_d * dyaw + cm_q * r_rate * damp)
-            want = (*vel, *(force / mass - [0.0, 0.0, af.G0]), q_rate, r_rate,
+            want = (*(force / mass - [0.0, 0.0, af.G0]),
                     m_pitch / frame.transverse_inertia,
-                    m_yaw / frame.transverse_inertia, -2.5)
+                    m_yaw / frame.transverse_inertia)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 

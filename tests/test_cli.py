@@ -121,6 +121,14 @@ class TestValidate:
                        "--set", "sweep.delays=[Infinity]") == 2
         assert "sweep.delays" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-4", "two"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--out", str(tmp_path), "--jobs", jobs)
+        assert exc.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_runs.csv").exists()
+
     def test_stiffness_guard_cross_check(self, capsys):
         # dt and epsilon are only jointly invalid
         assert run_cli("validate", "--set", "observer.epsilon=0.003") == 2

@@ -7,6 +7,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from conftest import state_derivative
 
 from pgsim import airframe as af
 from pgsim import config as cf
@@ -230,6 +231,17 @@ class TestRunEngagement:
         record, cfg = predicted_run
         assert record.source_switch_time == cfg.guidance.warmup
 
+    @pytest.mark.parametrize("max_time, switch", [(1.0, None), (2.0, 2.0)])
+    def test_no_switch_before_warmup_reached(self, max_time, switch):
+        # a run that stops before the 2 s warm-up never hands off; one
+        # whose last step lands on it does
+        cfg = build({"guidance.source": "predicted", "seeker.lag_time_constant": 0.2,
+                     "engagement.max_time": max_time})
+        assert cfg.guidance.warmup == 2.0
+        record = en.run_engagement(cfg)
+        assert record.termination_reason == "timeout"
+        assert record.source_switch_time == switch
+
     def test_no_switch_for_direct_sources(self, true_run):
         record, _ = true_run
         assert record.source_switch_time is None
@@ -442,17 +454,19 @@ def _bits(values) -> bytes:
 
 
 def vehicle_rk4_reference(x, defl, frame, t, dt):
-    """RK4 composed from vehicle_rhs with the profile's own thrust,
-    mass_flow and mass_at: the reference for _vehicle_rk4."""
+    """Classical RK4 on the whole 11-state derivative, with the profile's
+    own thrust, mass_flow and mass_at at every stage time: the reference
+    for _vehicle_rk4, which integrates only the states the dynamics read
+    and skips the thrust table from burnout on."""
     atm = af.atmosphere(max(x[2], 0.0))
     speed = math.sqrt(x[3] * x[3] + x[4] * x[4] + x[5] * x[5])
     row = frame.table.interpolate(speed / atm.speed_of_sound)
     prof = frame.thrust
 
     def rhs(state, tt):
-        return af.vehicle_rhs(state, defl[0], defl[1], row, frame.table.reference_area,
-                              frame.table.reference_length, 1.0 / frame.transverse_inertia,
-                              prof.thrust(tt), prof.mass_flow(prof.thrust(tt)), atm.density)
+        return state_derivative(state, defl[0], defl[1], row, frame.table.reference_area,
+                                frame.table.reference_length, 1.0 / frame.transverse_inertia,
+                                prof.thrust(tt), prof.mass_flow(prof.thrust(tt)), atm.density)
 
     h2 = dt * 0.5
     k1 = rhs(x, t)
@@ -496,7 +510,7 @@ class TestVehicleStepParity:
                      *(float(v) for v in vel),
                      float(rng.uniform(-1.2, 1.2)), float(rng.uniform(-math.pi, math.pi)),
                      float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0)),
-                     prof.mass_at(t))
+                     prof.mass_at(t) * float(rng.uniform(0.9, 1.1)))
                 defl = (float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.5, 0.5)))
                 got = en._vehicle_rk4(x, defl, frame, t, self.DT)
                 want = vehicle_rk4_reference(x, defl, frame, t, self.DT)

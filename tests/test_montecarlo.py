@@ -193,6 +193,34 @@ class TestRunSweep:
         assert [key(r) for r in parallel.runs] == [key(r) for r in summary.runs]
         assert parallel.groups == summary.groups
 
+    @pytest.mark.parametrize("jobs, started", [(64, 2), (2, 2), (1, None)])
+    def test_pool_capped_at_item_count(self, monkeypatch, jobs, started):
+        # a stand-in pool records the worker count it is asked for and
+        # runs the items in this process
+        import multiprocessing
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return [fn(it) for it in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        sweep = mc.SweepConfig(delays=(0.05,), samples_per_delay=1, master_seed=3,
+                               sources=("delayed", "predicted"),
+                               base=base_config(max_time=0.05))
+        summary = mc.run_sweep(sweep, jobs=jobs)
+        assert len(summary.runs) == 2
+        assert requested == ([] if started is None else [started])
+
     def test_seeds_recorded(self, small_sweep):
         sweep, summary = small_sweep
         for r in summary.runs:
