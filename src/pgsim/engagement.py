@@ -293,6 +293,7 @@ def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
         th2 = prof.thrust(t + dt)
         md0 = prof.mass_flow(th0)
         md1 = prof.mass_flow(th1)
+        # m + h * (-mdot) of the full-state stage, rounded the same way
         m1 = m - h2 * md0
         m2 = m - h2 * md1
         m3 = m - dt * md1
