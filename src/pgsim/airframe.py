@@ -280,6 +280,13 @@ def vehicle_rhs(vx: float, vy: float, vz: float, pitch: float, yaw: float,
     )
 
 
+def _dataset_number(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError("non-finite dataset value %r" % text)
+    return v
+
+
 def _parse_dataset(text: str) -> dict:
     sections: dict = {}
     current = None
@@ -295,9 +302,9 @@ def _parse_dataset(text: str) -> dict:
             raise ValueError("dataset content before any [section] header")
         if "=" in line:
             key, val = (s.strip() for s in line.split("=", 1))
-            sections[current]["kv"][key] = float(val)
+            sections[current]["kv"][key] = _dataset_number(val)
         else:
-            sections[current]["rows"].append([float(v) for v in line.split()])
+            sections[current]["rows"].append([_dataset_number(v) for v in line.split()])
     return sections
 
 
@@ -334,5 +341,7 @@ def load_airframe(path: str | None = None) -> Airframe:
         initial_mass=value("mass", "initial_mass"),
         propellant_mass=value("mass", "propellant_mass"),
     )
-    return Airframe(table=table, thrust=profile,
-                    transverse_inertia=value("airframe", "transverse_inertia"))
+    inertia = value("airframe", "transverse_inertia")
+    if not inertia > 0.0:
+        raise ValueError("transverse_inertia must be > 0, got %g" % inertia)
+    return Airframe(table=table, thrust=profile, transverse_inertia=inertia)

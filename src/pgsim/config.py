@@ -210,6 +210,8 @@ def validate(cfg: dict) -> list:
                         "['delayed', 'predicted']")
     if type(cfg["seed"]) is not int:  # bool is an int subclass
         problems.append("seed must be an integer")
+    elif cfg["seed"] < 0:  # numpy's SeedSequence takes no negative entropy
+        problems.append("seed must be >= 0, got %d" % cfg["seed"])
     dataset = cfg["airframe"]["dataset"]
     if not isinstance(dataset, str):
         problems.append("airframe.dataset must be 'builtin' or a file path")

@@ -60,15 +60,6 @@ class EngagementConfig:
     launch_speed: float
     launch_elevation: float  # rad
 
-    def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if self.dt > self.observer.epsilon / 4.0:
-            raise ValueError("dt=%g exceeds the observer stiffness guard "
-                             "epsilon/4=%g" % (self.dt, self.observer.epsilon / 4.0))
-        if not self.max_time > 0.0:
-            raise ValueError("max_time must be positive")
-
     @staticmethod
     def from_setup(setup: dict) -> "EngagementConfig":
         eng = setup["engagement"]
@@ -347,8 +338,7 @@ def miss_distance(record: EngagementRecord) -> tuple:
 
     Fits a quadratic to the squared range at the three samples around
     the discrete minimum; squared range is exactly quadratic for locally
-    linear relative motion, so the vertex is the refined miss.  Falls
-    back to dense Hermite sampling at dt/100 if the fit is degenerate.
+    linear relative motion, so the vertex is the refined miss.
     """
     if len(record) == 0:
         raise ValueError("empty engagement record")
@@ -357,49 +347,18 @@ def miss_distance(record: EngagementRecord) -> tuple:
     i = int(np.argmin(rng))
     if i == 0 or i == len(rng) - 1:
         return float(rng[i]), float(ts[i])
-    t0, t1, t2 = ts[i - 1], ts[i], ts[i + 1]
+    t0, t1 = ts[i - 1], ts[i]
     f0, f1, f2 = rng[i - 1] ** 2, rng[i] ** 2, rng[i + 1] ** 2
-    # quadratic through three equally spaced samples
+    # quadratic through three equally spaced samples.  The first argmin
+    # is interior and squaring is strictly increasing on floats, so
+    # f0 > f1 <= f2: the curvature a is positive and the vertex lies
+    # within h/2 of t1, so no fit is degenerate.
     h = t1 - t0
     a = (f0 - 2.0 * f1 + f2) / (2.0 * h * h)
     b = (f2 - f0) / (2.0 * h)
-    if a > 0.0:
-        dt_star = -b / (2.0 * a)
-        if -h <= dt_star <= h:
-            val = f1 + b * dt_star + a * dt_star * dt_star
-            return math.sqrt(max(val, 0.0)), float(t1 + dt_star)
-    return _dense_miss(record, i)
-
-
-def _rel_state(record: EngagementRecord, i: int) -> tuple:
-    s = record.series
-    pos = np.array([s["tx"][i] - s["mx"][i], s["ty"][i] - s["my"][i],
-                    s["tz"][i] - s["mz"][i]])
-    vel = record.target_velocity[i] - record.missile_velocity[i]
-    return pos, vel
-
-
-def _dense_miss(record: EngagementRecord, i: int) -> tuple:
-    """Hermite resampling of the relative trajectory at dt/100."""
-    ts = record.series["t"]
-    lo = max(i - 1, 0)
-    hi = min(i + 1, len(ts) - 1)
-    best = (math.inf, ts[i])
-    for j in range(lo, hi):
-        p0, v0 = _rel_state(record, j)
-        p1, v1 = _rel_state(record, j + 1)
-        h = ts[j + 1] - ts[j]
-        for k in range(101):
-            s = k / 100.0
-            h00 = (1 + 2 * s) * (1 - s) ** 2
-            h10 = s * (1 - s) ** 2
-            h01 = s * s * (3 - 2 * s)
-            h11 = s * s * (s - 1)
-            p = h00 * p0 + h10 * h * v0 + h01 * p1 + h11 * h * v1
-            d = float(np.linalg.norm(p))
-            if d < best[0]:
-                best = (d, float(ts[j] + s * h))
-    return best
+    dt_star = -b / (2.0 * a)
+    val = f1 + b * dt_star + a * dt_star * dt_star
+    return math.sqrt(max(val, 0.0)), float(t1 + dt_star)
 
 
 def los_rmse(predicted_series, reference_series, delta: float, dt: float,

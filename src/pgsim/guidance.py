@@ -32,25 +32,12 @@ class GuidanceConfig:
     source: str
     warmup: float  # seconds of delayed-signal gating when source="predicted"
 
-    def __post_init__(self):
-        if not self.nav_ratio > 0.0:
-            raise ValueError("nav_ratio must be positive")
-        if self.source not in SOURCES:
-            raise ValueError("source must be one of %s" % (SOURCES,))
-        if self.warmup < 0.0:
-            raise ValueError("warmup must be >= 0")
-
 
 @dataclass(frozen=True)
 class AutopilotConfig:
     actuator_time_constant: float
     deflection_limit: float           # rad
     accel_to_deflection_gain: float   # rad per (m/s^2), from trim at load
-
-    def __post_init__(self):
-        if not (self.actuator_time_constant > 0.0 and self.deflection_limit > 0.0
-                and self.accel_to_deflection_gain > 0.0):
-            raise ValueError("autopilot parameters must be positive")
 
 
 def pn_command(los_rate: tuple, vc: float, config: GuidanceConfig) -> tuple:

@@ -32,15 +32,6 @@ class SweepConfig:
     sources: tuple
     base: en.EngagementConfig  # template; per-run fields are overridden
 
-    def __post_init__(self):
-        if not self.delays or any(d <= 0 for d in self.delays) \
-                or any(b <= a for a, b in zip(self.delays, self.delays[1:])):
-            raise ValueError("delays must be positive and ascending")
-        if self.samples_per_delay < 1:
-            raise ValueError("samples_per_delay must be >= 1")
-        if not self.sources or not set(self.sources) <= {"delayed", "predicted"}:
-            raise ValueError("sources must be a subset of {'delayed', 'predicted'}")
-
 
 @dataclass(frozen=True)
 class RunResult:

@@ -8,7 +8,6 @@ to the signal and derivatives evaluated a fixed horizon ahead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -57,12 +56,6 @@ class ObserverConfig:
     epsilon: float        # bandwidth parameter; injection gains scale as k_i / eps^i
     delta: float          # prediction horizon, seconds
     coupled_step1: bool   # keep the alternate x31 cross-term in the x41 equation
-
-    def __post_init__(self):
-        if not (self.epsilon > 0.0) or not math.isfinite(self.epsilon):
-            raise ValueError("epsilon must be a positive finite number")
-        if self.delta < 0.0 or not math.isfinite(self.delta):
-            raise ValueError("delta must be finite and >= 0")
 
     def coefficients(self) -> tuple:
         """Injection gains (b1..b4, g1..g4) of the two steps.

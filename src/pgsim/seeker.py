@@ -17,10 +17,6 @@ __all__ = ["SeekerConfig", "los_rate_channels", "lag_coefficients", "delay_step"
 class SeekerConfig:
     lag_time_constant: float  # seconds; 0 means an ideal seeker
 
-    def __post_init__(self):
-        if self.lag_time_constant < 0.0 or not math.isfinite(self.lag_time_constant):
-            raise ValueError("lag_time_constant must be finite and >= 0")
-
 
 def los_rate_channels(rel_pos: tuple, rel_vel: tuple) -> tuple:
     """(elevation, azimuth) components of the LOS angular velocity.

@@ -27,16 +27,6 @@ class TargetConfig:
     weave_frequency: float    # rad/s
     phase: float              # rad
 
-    def __post_init__(self):
-        if self.kind not in ("level", "weaving"):
-            raise ValueError("target kind must be 'level' or 'weaving'")
-        if not self.speed > 0.0:
-            raise ValueError("target speed must be positive")
-        if self.weave_amplitude < 0.0:
-            raise ValueError("weave amplitude must be >= 0")
-        if self.kind == "weaving" and not self.weave_frequency > 0.0:
-            raise ValueError("weave frequency must be positive")
-
 
 def ground_velocity(config: TargetConfig) -> tuple:
     """Constant horizontal velocity (vx, vy), heading toward the launch

@@ -178,7 +178,14 @@ class TestInputFiles:
         (("reference_area = 0.0254\n", ""), "[airframe] missing key 'reference_area'"),
         # fins that turn the body against the demand: no trim gain exists
         (("8.0 10.0\n", "8.0 -10.0\n"), "reference trim produces no usable acceleration"),
-    ], ids=["non-numeric-value", "missing-section", "missing-key", "no-trim-gain"])
+        (("transverse_inertia = 22.0", "transverse_inertia = 0.0"),
+         "transverse_inertia must be > 0, got 0"),
+        (("transverse_inertia = 22.0", "transverse_inertia = -22.0"),
+         "transverse_inertia must be > 0, got -22"),
+        (("0.4 20.0 0.3", "0.4 nan 0.3"), "non-finite dataset value 'nan'"),
+        (("3.0 15000.0", "3.0 inf"), "non-finite dataset value 'inf'"),
+    ], ids=["non-numeric-value", "missing-section", "missing-key", "no-trim-gain",
+            "zero-inertia", "negative-inertia", "nan-aero-entry", "inf-thrust-entry"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_malformed_dataset_exits_2(self, capsys, tmp_path, command, edit, message):
         assert edit[0] in UNSTABLE_AIRFRAME
@@ -233,6 +240,19 @@ class TestSeedPrecedence:
         monkeypatch.setenv("PGS_SEED", "abc")
         assert run_cli("validate") == 2
         assert "config error: PGS_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_negative_seed_exits_2(self, capsys, monkeypatch, tmp_path, command, via):
+        # numpy's SeedSequence takes no negative entropy
+        monkeypatch.delenv("PGS_SEED", raising=False)
+        argv = ["--seed", "-1"] if via == "flag" else []
+        if via == "env":
+            monkeypatch.setenv("PGS_SEED", "-1")
+        out = ["--out", str(tmp_path)] if command != "validate" else []
+        assert run_cli(command, *out, *argv) == 2
+        assert "config error: seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_without_env(self, capsys, monkeypatch):
         monkeypatch.delenv("PGS_SEED", raising=False)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pgsim import config as cf
@@ -78,6 +80,50 @@ class TestValidate:
         for sources in (["true"], [["delayed"]]):
             cfg["sweep"]["sources"] = sources
             assert any("sources" in p for p in cf.validate(cfg))
+
+
+# one bad value per case, and the key that validate must name; the
+# typed configs that build_setup returns carry no range checks of their own
+EPS_GUARD = cf.DEFAULTS["observer"]["epsilon"] / 4.0 * 1.01
+BAD_VALUES = [
+    ("observer.epsilon", 0.0),
+    ("observer.epsilon", math.inf),
+    ("observer.delta", -0.1),
+    ("observer.delta", math.nan),
+    ("seeker.lag_time_constant", -0.1),
+    ("seeker.lag_time_constant", math.inf),
+    ("seeker.lag_time_constant", math.nan),
+    ("guidance.nav_ratio", 0.0),
+    ("guidance.source", "estimated"),
+    ("guidance.warmup", -1.0),
+    ("autopilot.actuator_time_constant", 0.0),
+    ("autopilot.deflection_limit", 0.0),
+    ("autopilot.gain", 0.0),
+    ("target.kind", "spiral"),
+    ("target.speed", 0.0),
+    ("target.weave_frequency", 0.0),
+    ("target.weave_amplitude", -1.0),
+    ("engagement.dt", -1e-3),
+    ("engagement.dt", 0.0),
+    ("engagement.dt", EPS_GUARD),
+    ("engagement.max_time", 0.0),
+    ("sweep.delays", []),
+    ("sweep.delays", [0.2, 0.1]),
+    ("sweep.samples_per_delay", 0),
+    ("sweep.sources", ["true"]),
+    ("seed", -1),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUES,
+                         ids=["%s=%r" % case for case in BAD_VALUES])
+def test_validate_names_the_bad_key(key, value):
+    cfg = cf.resolve()
+    cfg["target"]["kind"] = "weaving"  # as a sweep flies it
+    section, _, name = key.rpartition(".")
+    (cfg[section] if section else cfg)[name] = value
+    problems = cf.validate(cfg)
+    assert len(problems) == 1 and key in problems[0], problems
 
 
 class TestBuildSetup:

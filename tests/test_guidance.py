@@ -69,14 +69,6 @@ class TestPnCommand:
         assert ap == pytest.approx(n * vc * wp, rel=1e-12, abs=1e-12)
         assert ay == pytest.approx(n * vc * wy, rel=1e-12, abs=1e-12)
 
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            schema_config("guidance", nav_ratio=0.0)
-        with pytest.raises(ValueError):
-            schema_config("guidance", source="estimated")
-        with pytest.raises(ValueError):
-            schema_config("guidance", warmup=-1.0)
-
 
 class TestSelectSource:
     TRUE = (1.0, 10.0)

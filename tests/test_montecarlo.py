@@ -141,21 +141,6 @@ class TestBuildRunConfig:
         cfg = mc.build_run_config(sweep, 0.1, "delayed", 2)
         assert cfg.target.phase == tg.sample_phase(tg.derive_seed(99, 2))
 
-    def test_invalid_sweep_configs(self):
-        base = base_config()
-        with pytest.raises(ValueError):
-            mc.SweepConfig(delays=(), samples_per_delay=1, master_seed=1,
-                           sources=SOURCES, base=base)
-        with pytest.raises(ValueError):
-            mc.SweepConfig(delays=(0.2, 0.1), samples_per_delay=1,
-                           master_seed=1, sources=SOURCES, base=base)
-        with pytest.raises(ValueError):
-            mc.SweepConfig(delays=(0.1,), samples_per_delay=0, master_seed=1,
-                           sources=SOURCES, base=base)
-        with pytest.raises(ValueError):
-            mc.SweepConfig(delays=(0.1,), samples_per_delay=1, master_seed=1,
-                           sources=("true",), base=base)
-
 
 class TestRunSweep:
     def test_complete_and_ordered(self, small_sweep):

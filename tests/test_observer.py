@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import struct
 
@@ -157,15 +156,6 @@ class TestReset:
 class TestObserverStep:
     def test_equilibrium(self):
         assert step((0.0,) * 8, 0.0, 0.0, 1e-3, make_config()) == (0.0,) * 8
-
-    def test_dt_guards(self):
-        # the step must satisfy 0 < dt <= epsilon / 4; larger steps would
-        # put the stiff injection eigenvalues outside the RK4 stability
-        # region, so an engagement refuses them
-        base = en.EngagementConfig.from_setup(cf.build_setup(cf.resolve()))
-        for dt in (-1e-3, 0.0, base.observer.epsilon / 4.0 * 1.01):
-            with pytest.raises(ValueError):
-                dataclasses.replace(base, dt=dt)
 
     def test_divergence_names_entry(self, monkeypatch):
         # a non-finite observer state ends the run as observer_divergence

@@ -87,16 +87,6 @@ class TestWeavingTarget:
         assert pa[:2] == pb[:2]
         assert va[:2] == vb[:2]
 
-    def test_invalid_configs(self):
-        with pytest.raises(ValueError):
-            schema_config("target", kind="spiral")
-        with pytest.raises(ValueError):
-            schema_config("target", speed=0.0)
-        with pytest.raises(ValueError):
-            schema_config("target", kind="weaving", weave_frequency=0.0)
-        with pytest.raises(ValueError):
-            schema_config("target", weave_amplitude=-1.0)
-
 
 class TestSeeding:
     def test_phase_deterministic(self):
