@@ -8,6 +8,7 @@ below the step size.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from . import targets as tg
 __all__ = [
     "EngagementConfig",
     "EngagementRecord",
+    "WarmupState",
     "MetricsReport",
     "run_engagement",
     "miss_distance",
@@ -72,6 +74,41 @@ class EngagementConfig:
             launch_elevation=math.radians(float(eng["launch_elevation_deg"])),
         )
 
+    def with_source(self, source: str) -> "EngagementConfig":
+        """This config with guidance fed from ``source``."""
+        return dataclasses.replace(self, guidance=dataclasses.replace(self.guidance,
+                                                                      source=source))
+
+
+@dataclass(frozen=True)
+class WarmupState:
+    """The loop state at the start of the warm-up step, the first step
+    at which a predicted source hands guidance the prediction.
+
+    Until that step the delayed and the predicted source fly the same
+    engagement, so :func:`run_engagement` can resume either of them from
+    here.  ``prefix`` holds the rows recorded before the step, one per
+    step; in a record it is a view of the record's own rows.  A run of
+    the true source, or one that ends before the step, has no state.
+    """
+
+    config: EngagementConfig
+    step: int
+    vehicle: tuple
+    delayed: tuple | None     # None before step 0
+    obs_p: tuple | None
+    obs_y: tuple | None
+    defl_p: float
+    defl_y: float
+    range_min: float
+    rising: int
+    prefix: np.ndarray        # (step, len(CSV_COLUMNS) + 6) packed rows
+
+    def detached(self) -> "WarmupState":
+        """This state with its own copy of the prefix rows, so that it
+        keeps no record's rows alive."""
+        return dataclasses.replace(self, prefix=self.prefix.copy())
+
 
 @dataclass
 class EngagementRecord:
@@ -83,8 +120,9 @@ class EngagementRecord:
     miss_distance: float
     miss_time: float
     termination_reason: str
-    source_switch_time: float | None  # warm-up handoff instant, if gated
+    source_switch_time: float | None  # first step that used the prediction
     diagnostic: str = ""
+    warmup: WarmupState | None = None  # None if the run shares no warm-up
 
     def __len__(self):
         return len(self.series["t"])
@@ -112,7 +150,8 @@ class MetricsReport:
     integrated_abs_deflection: float
 
 
-def run_engagement(config: EngagementConfig) -> EngagementRecord:
+def run_engagement(config: EngagementConfig,
+                   resume: WarmupState | None = None) -> EngagementRecord:
     """Simulate one engagement to termination.
 
     Never raises for in-flight failures: they terminate the record with
@@ -120,6 +159,12 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
     observer state is ``observer_divergence``; a non-finite vehicle state
     or an airframe step that fails is ``vehicle_divergence``, except above
     the atmosphere model's ceiling, which is ``altitude_ceiling``.
+
+    Given ``resume``, the warm-up state of a delayed- or predicted-source
+    run of the same config, the run continues from that state's step with
+    a copy of its prefix rows; the record is the one an independent run
+    gives, bit for bit.  Raises ``ValueError`` if ``config`` differs from
+    the state's in anything but the source, or flies the true source.
     """
     dt = config.dt
     n_max = int(round(config.max_time / dt))
@@ -134,30 +179,43 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
     ap = config.autopilot
     gain, lim = ap.accel_to_deflection_gain, ap.deflection_limit
     act_a, act_b = gd.actuator_coefficients(dt, ap)
+    # the delayed and predicted sources fly the same steps up to this one
+    warm_n = warmup_step(guid.warmup, dt, n_max) if guid.source != "true" else -1
+    warm = None  # the loop state at step warm_n
 
-    tx, ty, _, _ = tg.target_state(0.0, target, tvx, tvy)
-    az = math.atan2(ty, tx)
-    el = config.launch_elevation
-    bx, _, _ = af.body_axes(el, az)
-    vehicle = (
-        0.0, 0.0, 0.0,
-        config.launch_speed * bx[0], config.launch_speed * bx[1],
-        config.launch_speed * bx[2],
-        el, az, 0.0, 0.0,
-        frame.thrust.initial_mass,
-    )
-
-    rows = bytearray()  # one packed _ROW per step
+    if resume is None:
+        tx, ty, _, _ = tg.target_state(0.0, target, tvx, tvy)
+        az = math.atan2(ty, tx)
+        el = config.launch_elevation
+        bx, _, _ = af.body_axes(el, az)
+        vehicle = (
+            0.0, 0.0, 0.0,
+            config.launch_speed * bx[0], config.launch_speed * bx[1],
+            config.launch_speed * bx[2],
+            el, az, 0.0, 0.0,
+            frame.thrust.initial_mass,
+        )
+        start = 0
+        rows = bytearray()  # one packed _ROW per step
+        delayed = obs_p = obs_y = None  # set on the first step
+        defl_p = defl_y = 0.0
+        range_min = math.inf
+        rising = 0
+    else:
+        if warm_n < 0 or config.with_source(resume.config.guidance.source) != resume.config:
+            raise ValueError("a warm-up state resumes only a delayed- or predicted-source "
+                             "run of the config it was recorded with")
+        warm = (resume.step, resume.vehicle, resume.delayed, resume.obs_p, resume.obs_y,
+                resume.defl_p, resume.defl_y, resume.range_min, resume.rising)
+        start, vehicle, delayed, obs_p, obs_y, defl_p, defl_y, range_min, rising = warm
+        rows = bytearray(resume.prefix.data)
     pack = _ROW.pack
-    delayed = obs_p = obs_y = None  # set on the first step
-    defl_p = defl_y = 0.0
     termination = "timeout"
     diagnostic = ""
 
-    range_min = math.inf
-    rising = 0
-
-    for n in range(n_max + 1):
+    for n in range(start, n_max + 1):
+        if n == warm_n:
+            warm = (n, vehicle, delayed, obs_p, obs_y, defl_p, defl_y, range_min, rising)
         t = n * dt
         tx, ty, tz, tvz = tg.target_state(t, target, tvx, tvy)
         mx, my, mz, mvx, mvy, mvz = vehicle[:6]
@@ -211,6 +269,10 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
             break
         if n == n_max:
             termination = "timeout"
+            if warm_n > n_max:
+                # the whole run is the shared prefix; resuming it adds no step
+                warm = (n + 1, vehicle, delayed, obs_p, obs_y, defl_p, defl_y,
+                        range_min, rising)
             break
 
         # advance observer (ZOH on the delayed signal) and the airframe
@@ -235,8 +297,7 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
     # a zero-copy view: the series and both velocities are its columns
     data = np.frombuffer(rows, dtype=float).reshape(-1, len(CSV_COLUMNS) + 6)
     # guidance took the prediction only if a recorded step reached the warm-up
-    switch_time = (guid.warmup if guid.source == "predicted" and len(data) > 0
-                   and data[-1, 0] >= guid.warmup else None)
+    switch_time = warm_n * dt if guid.source == "predicted" and len(data) > warm_n else None
     record = EngagementRecord(
         series=dict(zip(CSV_COLUMNS, data.T)),
         missile_velocity=data[:, -6:-3],
@@ -245,12 +306,30 @@ def run_engagement(config: EngagementConfig) -> EngagementRecord:
         termination_reason=termination,
         source_switch_time=switch_time,
         diagnostic=diagnostic,
+        warmup=None if warm is None else WarmupState(config, *warm, data[:warm[0]]),
     )
     if len(record) > 0:
         d, tm = miss_distance(record)
         record.miss_distance = d
         record.miss_time = tm
     return record
+
+
+def warmup_step(warmup: float, dt: float, n_max: int) -> int:
+    """Index of the first step n with ``n * dt >= warmup``, the step at
+    which :func:`pgsim.guidance.select_source` first picks a predicted
+    source's prediction; ``n_max + 1`` if no step up to ``n_max`` does."""
+    k = warmup / dt
+    if not k <= n_max + 1:
+        return n_max + 1
+    # k is within an ulp of the exact quotient, so ceil(k) is off by at
+    # most one step on the grid n * dt that select_source compares
+    n = math.ceil(k)
+    while n > 0 and (n - 1) * dt >= warmup:
+        n -= 1
+    while n * dt < warmup:
+        n += 1
+    return min(n, n_max + 1)
 
 
 def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,

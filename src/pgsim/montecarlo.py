@@ -1,9 +1,11 @@
 """Seeded delay-sweep experiment over weaving-target engagements.
 
 Every (delay, sample) pair gets one target phase, shared by the
-corrected and uncorrected runs so the comparison is paired.  Seeding is
-keyed by (master seed, sample index), which makes the summary
-independent of execution order and worker count.
+corrected and uncorrected runs so the comparison is paired.  One work
+item flies a pair: the warm-up, through which both sources feed guidance
+the delayed rate, is flown once, and each source's run goes on from the
+handoff step.  Seeding is keyed by (master seed, sample index), which
+makes the summary independent of execution order and worker count.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ class SweepSummary:
     config_echo: dict  # delays/samples/sources/master_seed
 
 
-def build_run_config(sweep: SweepConfig, delay: float, source: str,
-                     sample: int) -> en.EngagementConfig:
-    """Engagement config for one work item.
+def build_run_config(sweep: SweepConfig, delay: float, sample: int) -> tuple:
+    """Seed and engagement config of one (delay, sample) pair's runs,
+    which set their source with ``with_source``.
 
     The seeker lag and the observer horizon are both set to the swept
     delay; the weaving-target phase comes from the per-sample seed.
@@ -65,45 +67,57 @@ def build_run_config(sweep: SweepConfig, delay: float, source: str,
     target = dataclasses.replace(base.target, kind="weaving", phase=phase)
     seeker = dataclasses.replace(base.seeker, lag_time_constant=delay)
     observer = dataclasses.replace(base.observer, delta=delay)
-    guidance = dataclasses.replace(base.guidance, source=source)
-    return dataclasses.replace(base, target=target, seeker=seeker,
-                               observer=observer, guidance=guidance)
+    return seed, dataclasses.replace(base, target=target, seeker=seeker,
+                                     observer=observer)
 
 
 def _execute_item(args):
-    sweep, delay, source, sample = args
-    cfg = build_run_config(sweep, delay, source, sample)
-    seed = tg.derive_seed(sweep.master_seed, sample)
-    record = en.run_engagement(cfg)
-    metrics = en.compute_metrics(record, cfg)
-    return RunResult(
-        delay=delay, source=source, sample=sample, seed=seed,
-        miss=record.miss_distance, rmse=metrics.rmse_predicted
-        if source == "predicted" else metrics.rmse_delayed,
-        peak_accel=metrics.peak_accel_cmd,
-        termination=record.termination_reason,
-    )
+    """One (delay, sample) pair: a result per source, in ``sweep.sources``
+    order.  Each run after the first resumes from the previous run's
+    warm-up state; a run that ends before the warm-up step leaves none,
+    and the next one flies from the start."""
+    sweep, delay, sample = args
+    seed, pair = build_run_config(sweep, delay, sample)
+    results = []
+    warm = None
+    for i, source in enumerate(sweep.sources):
+        cfg = pair.with_source(source)
+        record = en.run_engagement(cfg, warm)
+        warm = None  # the prefix copy is not held through the metrics
+        metrics = en.compute_metrics(record, cfg)
+        results.append(RunResult(
+            delay=delay, source=source, sample=sample, seed=seed,
+            miss=record.miss_distance, rmse=metrics.rmse_predicted
+            if source == "predicted" else metrics.rmse_delayed,
+            peak_accel=metrics.peak_accel_cmd,
+            termination=record.termination_reason,
+        ))
+        if record.warmup is not None and i + 1 < len(sweep.sources):
+            # a copy of the prefix rows, so that this record is freed
+            # before the next run
+            warm = record.warmup.detached()
+        record = None
+    return results
 
 
 def run_sweep(sweep: SweepConfig, jobs: int = 1) -> SweepSummary:
     """Run the full sweep, on a process pool of ``jobs`` workers, or
-    of one per run if there are fewer runs.
+    of one per (delay, sample) pair if there are fewer pairs.
 
     A diverged engagement becomes a failure row; it never aborts the
     sweep.
     """
-    items = [(sweep, d, src, i)
+    items = [(sweep, d, i)
              for d in sweep.delays
-             for src in sweep.sources
              for i in range(sweep.samples_per_delay)]
     workers = min(jobs, len(items))
     if workers > 1:
         import multiprocessing as mp
         with mp.Pool(workers) as pool:
-            results = pool.map(_execute_item, items, chunksize=1)
+            pairs = pool.map(_execute_item, items, chunksize=1)
     else:
-        results = [_execute_item(it) for it in items]
-    summary = aggregate(results)
+        pairs = [_execute_item(it) for it in items]
+    summary = aggregate([r for pair in pairs for r in pair])
     summary.config_echo = {
         "delays": list(sweep.delays),
         "samples_per_delay": sweep.samples_per_delay,

@@ -6,9 +6,7 @@ so the gate is readable straight from the pytest run.
 """
 
 import math
-import os
 import random
-import time
 
 import numpy as np
 import pytest
@@ -134,18 +132,8 @@ def test_criterion_5_zero_delay_baseline(capsys):
            "zero-lag ideal-source miss %.4g m (< 0.5 m)" % record.miss_distance)
 
 
-def test_criterion_6_sweep_trends(capsys):
-    cfg = cf.resolve()
-    sweep = mc.SweepConfig(
-        delays=tuple(cfg["sweep"]["delays"]),
-        samples_per_delay=cfg["sweep"]["samples_per_delay"],
-        master_seed=cfg["seed"],
-        sources=tuple(cfg["sweep"]["sources"]),
-        base=build(),
-    )
-    start = time.monotonic()
-    summary = mc.run_sweep(sweep, jobs=os.cpu_count() or 1)
-    elapsed = time.monotonic() - start
+def test_criterion_6_sweep_trends(capsys, default_sweep):
+    sweep, summary, elapsed = default_sweep
     g = summary.groups
     d_lo, d_hi = sweep.delays[0], sweep.delays[-1]
     near_02 = min(sweep.delays, key=lambda d: abs(d - 0.2))

@@ -242,6 +242,30 @@ class TestRunEngagement:
         assert record.termination_reason == "timeout"
         assert record.source_switch_time == switch
 
+    def test_switch_time_is_first_predicted_step(self):
+        # an off-grid warm-up hands off at the next step, t = 0.201; the
+        # commands replayed from the recorded kinematics take the delayed
+        # rate before that row and the prediction from it on
+        cfg = build({"guidance.source": "predicted", "seeker.lag_time_constant": 0.2,
+                     "target.kind": "weaving", "target.phase": 0.7,
+                     "guidance.warmup": 0.2005, "engagement.max_time": 0.25})
+        record = en.run_engagement(cfg)
+        s = record.series
+        assert record.source_switch_time == s["t"][201] == 0.201
+        r = np.column_stack([s["tx"] - s["mx"], s["ty"] - s["my"], s["tz"] - s["mz"]])
+        rv = record.target_velocity - record.missile_velocity
+        nav = cfg.guidance.nav_ratio
+        for i in range(190, 212):
+            rx, ry, rz = r[i].tolist()
+            rvx, rvy, rvz = rv[i].tolist()
+            vc = -(rx * rvx + ry * rvy + rz * rvz) / math.sqrt(rx * rx + ry * ry + rz * rz)
+            src = "pred" if i >= 201 else "del"
+            for ch in ("p", "y"):
+                acc = float(s["acc_cmd_" + ch][i])
+                assert acc == nav * vc * float(s["lam_%s_%s" % (src, ch)][i]), i
+            # the two sources differ here, so the check tells them apart
+            assert s["lam_pred_p"][i] != s["lam_del_p"][i], i
+
     def test_no_switch_for_direct_sources(self, true_run):
         record, _ = true_run
         assert record.source_switch_time is None
@@ -352,6 +376,122 @@ propellant_mass = 30.0
             record = en.run_engagement(build(over))
             assert record.termination_reason in en.TERMINATIONS
             assert len(record) > 0
+
+
+def assert_same_record(a, b):
+    """Every recorded value and outcome field of ``a`` and ``b`` agree
+    bit for bit."""
+    assert len(a) == len(b)
+    for c in en.CSV_COLUMNS:
+        assert a.series[c].tobytes() == b.series[c].tobytes(), c
+    assert a.missile_velocity.tobytes() == b.missile_velocity.tobytes()
+    assert a.target_velocity.tobytes() == b.target_velocity.tobytes()
+    assert _bits([a.miss_distance, a.miss_time]) == _bits([b.miss_distance, b.miss_time])
+    assert a.termination_reason == b.termination_reason
+    assert a.diagnostic == b.diagnostic
+    assert a.source_switch_time == b.source_switch_time
+
+
+class TestWarmupResume:
+    """A run resumed from the other source's warm-up state is the
+    independent run of its own source."""
+
+    LAGGED = {"seeker.lag_time_constant": 0.2, "target.kind": "weaving",
+              "target.phase": 0.7}
+    # warm-up, max_time: on the grid, off it, at t = 0, and past the
+    # timeout, where the whole run is the shared prefix
+    WARMUPS = [(0.0, 60.0), (0.2005, 60.0), (2.0, 60.0), (5.0, 3.0)]
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """(config, record) of each source's independent run; the configs
+        of one warm-up share everything but the source."""
+        bases, cache = {}, {}
+
+        def run(warmup, max_time, source):
+            key = (warmup, max_time)
+            if key not in bases:
+                bases[key] = build({**self.LAGGED, "guidance.warmup": warmup,
+                                    "engagement.max_time": max_time})
+            if key + (source,) not in cache:
+                cfg = bases[key].with_source(source)
+                cache[key + (source,)] = cfg, en.run_engagement(cfg)
+            return cache[key + (source,)]
+        return run
+
+    @pytest.mark.parametrize("warmup, max_time", WARMUPS)
+    @pytest.mark.parametrize("first, second", [("delayed", "predicted"),
+                                               ("predicted", "delayed")])
+    def test_resumed_run_is_independent_run(self, runs, warmup, max_time, first, second):
+        _, first_record = runs(warmup, max_time, first)
+        cfg, independent = runs(warmup, max_time, second)
+        state = first_record.warmup
+        n_max = int(round(max_time / cfg.dt))
+        assert state.step == min(math.ceil(warmup / cfg.dt - 1e-9), n_max + 1)
+        assert len(state.prefix) == state.step
+        # the closest-approach bookkeeping over the prefix ranges
+        range_min, rising = math.inf, 0
+        for r in first_record.series["range"][:state.step].tolist():
+            range_min, rising = (range_min, rising + 1) if r > range_min else (r, 0)
+        assert (state.range_min, state.rising) == (range_min, rising)
+        resumed = en.run_engagement(cfg, state.detached())
+        assert_same_record(resumed, independent)
+        assert resumed.termination_reason == ("timeout" if warmup > max_time
+                                              else "closest_approach")
+
+    def test_state_shares_the_record_rows(self, runs):
+        _, record = runs(2.0, 60.0, "delayed")
+        prefix = record.warmup.prefix
+        assert np.shares_memory(prefix, record.missile_velocity)
+        assert not np.shares_memory(record.warmup.detached().prefix, prefix)
+
+    def test_no_state_for_closest_approach_before_warmup(self):
+        cfg = build({**self.LAGGED, "guidance.source": "predicted",
+                     "guidance.warmup": 30.0, "target.position": [2000.0, 0.0, 800.0]})
+        record = en.run_engagement(cfg)
+        assert record.termination_reason == "closest_approach"
+        assert record.series["t"][-1] < 30.0
+        assert record.warmup is None
+        assert record.source_switch_time is None
+
+    def test_no_state_for_true_source(self, true_run):
+        record, _ = true_run
+        assert record.warmup is None
+
+    @pytest.mark.parametrize("change", [
+        lambda c: dataclasses.replace(c, seeker=dataclasses.replace(
+            c.seeker, lag_time_constant=0.1)),
+        lambda c: dataclasses.replace(c, target=dataclasses.replace(c.target, phase=0.8)),
+        lambda c: dataclasses.replace(c, dt=0.0005),
+        lambda c: dataclasses.replace(c, guidance=dataclasses.replace(
+            c.guidance, warmup=1.0)),
+        lambda c: c.with_source("true"),
+    ], ids=["lag", "phase", "dt", "warmup", "true-source"])
+    def test_resume_of_another_config_rejected(self, runs, change):
+        cfg, record = runs(0.2005, 60.0, "delayed")
+        with pytest.raises(ValueError, match="warm-up state"):
+            en.run_engagement(change(cfg.with_source("predicted")), record.warmup)
+
+    def test_warmup_step_matches_step_grid(self):
+        # the first n with n * dt >= warmup, found by walking the grid
+        rng = random.Random(11)
+        for _ in range(300):
+            dt = rng.choice([1e-3, 5e-4, 1.0 / 3.0e3, rng.uniform(1e-4, 1e-2)])
+            n_max = rng.randint(0, 5000)
+            k = rng.randint(0, n_max + 3)
+            for warmup in (k * dt, math.nextafter(k * dt, math.inf),
+                           math.nextafter(k * dt, 0.0), (k + 0.5) * dt):
+                want = next((n for n in range(n_max + 1) if n * dt >= warmup), n_max + 1)
+                assert en.warmup_step(warmup, dt, n_max) == want, (warmup, dt, n_max)
+
+    def test_warmup_step_constant_time(self):
+        assert en.warmup_step(1e300, 1e-3, 1000) == 1001
+        assert en.warmup_step(math.inf, 1e-3, 1000) == 1001
+        record = en.run_engagement(build({"guidance.source": "predicted",
+                                          "guidance.warmup": 1e300,
+                                          "engagement.max_time": 0.01}))
+        assert record.warmup.step == 11
+        assert record.source_switch_time is None
 
 
 class TestMetricsAndCsv:

@@ -8,8 +8,8 @@ hashes below and says so, with the old and the new values, in
 ``sin``, ``atan2`` and friends are not correctly rounded everywhere), so
 they hold for the Linux/glibc x86-64 build they were recorded on.
 
-The full 400-run default sweep is too slow for this suite; its
-``sweep_runs.csv`` hash stays a manual check (``CHANGES.md``).
+The full 400-run default sweep's ``sweep_runs.csv`` is hashed from the
+session's one run of it, which acceptance criterion 6 also reads.
 """
 
 import hashlib
@@ -17,9 +17,12 @@ import hashlib
 import pytest
 
 from pgsim import cli
+from pgsim import montecarlo as mc
 
 REDUCED_SWEEP = ["--set", "sweep.delays=[0.025, 0.35]",
                  "--set", "sweep.samples_per_delay=2"]
+
+DEFAULT_SWEEP_RUNS_CSV = "18346051223a38d51a27239e630189915976583f1bf35b58ea928b5f265d4718"
 
 SWEEP_HASHES = {
     "sweep_runs.csv": "aceb4e38e6c695fd4e72d347c1d11b6badd74a28032d05a7306f8a3dc2b8dffa",
@@ -50,3 +53,10 @@ def test_output_bytes(case, tmp_path, monkeypatch, capsys):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in hashes}
     assert got == hashes
+
+
+def test_default_sweep_runs_csv(default_sweep, tmp_path):
+    _, summary, _ = default_sweep
+    path = tmp_path / "sweep_runs.csv"
+    mc.write_runs_csv(summary, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_SWEEP_RUNS_CSV

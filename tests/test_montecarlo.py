@@ -111,8 +111,9 @@ class TestBuildRunConfig:
         sweep = mc.SweepConfig(delays=(0.1,), samples_per_delay=2,
                                master_seed=42, sources=SOURCES,
                                base=base_config())
-        a = mc.build_run_config(sweep, 0.1, "delayed", 0)
-        b = mc.build_run_config(sweep, 0.1, "predicted", 0)
+        _, pair = mc.build_run_config(sweep, 0.1, 0)
+        a = pair.with_source("delayed")
+        b = pair.with_source("predicted")
         assert a.target.phase == b.target.phase
         assert a.guidance.source == "delayed"
         assert b.guidance.source == "predicted"
@@ -121,7 +122,7 @@ class TestBuildRunConfig:
         sweep = mc.SweepConfig(delays=(0.25,), samples_per_delay=1,
                                master_seed=42, sources=SOURCES,
                                base=base_config())
-        cfg = mc.build_run_config(sweep, 0.25, "predicted", 0)
+        _, cfg = mc.build_run_config(sweep, 0.25, 0)
         assert cfg.seeker.lag_time_constant == 0.25
         assert cfg.observer.delta == 0.25
         assert cfg.target.kind == "weaving"
@@ -130,7 +131,7 @@ class TestBuildRunConfig:
         sweep = mc.SweepConfig(delays=(0.1,), samples_per_delay=5,
                                master_seed=42, sources=SOURCES,
                                base=base_config())
-        phases = {mc.build_run_config(sweep, 0.1, "delayed", i).target.phase
+        phases = {mc.build_run_config(sweep, 0.1, i)[1].target.phase
                   for i in range(5)}
         assert len(phases) == 5
 
@@ -138,8 +139,9 @@ class TestBuildRunConfig:
         sweep = mc.SweepConfig(delays=(0.1,), samples_per_delay=3,
                                master_seed=99, sources=SOURCES,
                                base=base_config())
-        cfg = mc.build_run_config(sweep, 0.1, "delayed", 2)
-        assert cfg.target.phase == tg.sample_phase(tg.derive_seed(99, 2))
+        seed, cfg = mc.build_run_config(sweep, 0.1, 2)
+        assert seed == tg.derive_seed(99, 2)
+        assert cfg.target.phase == tg.sample_phase(seed)
 
 
 class TestRunSweep:
@@ -199,12 +201,52 @@ class TestRunSweep:
                 return [fn(it) for it in items]
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-        sweep = mc.SweepConfig(delays=(0.05,), samples_per_delay=1, master_seed=3,
+        # two work items: one (delay, sample) pair each
+        sweep = mc.SweepConfig(delays=(0.05,), samples_per_delay=2, master_seed=3,
                                sources=("delayed", "predicted"),
                                base=base_config(max_time=0.05))
         summary = mc.run_sweep(sweep, jobs=jobs)
-        assert len(summary.runs) == 2
+        assert len(summary.runs) == 4
         assert requested == ([] if started is None else [started])
+
+    @pytest.mark.parametrize("case", ["handoff", "intercept-before-warmup"])
+    def test_pairs_match_independent_runs(self, case, tmp_path):
+        # the runs CSV rows do not depend on how the sources are paired,
+        # in which order, or on the worker count.  "handoff" branches
+        # every pair at t = 2 s; in the other case each run reaches
+        # closest approach before the warm-up ends, leaves no warm-up
+        # state, and the second source flies from the start
+        cfg = cf.resolve()
+        cfg["engagement"]["max_time"] = 2.5
+        if case == "intercept-before-warmup":
+            cfg["engagement"]["max_time"] = 60.0
+            cfg["guidance"]["warmup"] = 30.0
+            cfg["target"]["position"] = [2000.0, 0.0, 800.0]
+        base = en.EngagementConfig.from_setup(cf.build_setup(cfg))
+
+        def rows(sources, jobs=1):
+            sweep = mc.SweepConfig(delays=(0.05, 0.2), samples_per_delay=2,
+                                   master_seed=31, sources=sources, base=base)
+            path = tmp_path / "runs.csv"
+            mc.write_runs_csv(mc.run_sweep(sweep, jobs=jobs), path)
+            return path.read_text().splitlines()[1:]
+
+        paired = rows(("delayed", "predicted"))
+        assert len(paired) == 8
+        assert rows(("predicted", "delayed")) == paired
+        assert rows(("delayed", "predicted"), jobs=2) == paired
+        singles = rows(("delayed",)) + rows(("predicted",))
+        assert sorted(singles) == sorted(paired)
+        want = "timeout" if case == "handoff" else "closest_approach"
+        assert {row.split(",")[-1] for row in paired} == {want}
+
+    def test_item_is_one_pair(self):
+        sweep = mc.SweepConfig(delays=(0.05,), samples_per_delay=1, master_seed=3,
+                               sources=("predicted", "delayed"),
+                               base=base_config(max_time=0.05))
+        got = mc._execute_item((sweep, 0.05, 0))
+        assert [(r.delay, r.source, r.sample) for r in got] == [
+            (0.05, "predicted", 0), (0.05, "delayed", 0)]
 
     def test_seeds_recorded(self, small_sweep):
         sweep, summary = small_sweep
