@@ -217,9 +217,9 @@ class TestRunSweep:
         # closest approach before the warm-up ends, leaves no warm-up
         # state, and the second source flies from the start
         cfg = cf.resolve()
-        cfg["engagement"]["max_time"] = 2.5
-        if case == "intercept-before-warmup":
-            cfg["engagement"]["max_time"] = 60.0
+        if case == "handoff":
+            cfg["engagement"]["max_time"] = 2.5
+        else:
             cfg["guidance"]["warmup"] = 30.0
             cfg["target"]["position"] = [2000.0, 0.0, 800.0]
         base = en.EngagementConfig.from_setup(cf.build_setup(cfg))
