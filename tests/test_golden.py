@@ -40,6 +40,14 @@ CASES = {
         "engagement.csv": "98457b254f5106bbf60ecc7240b76661ccef15027e3d0a3fa357b7b8c45812ff",
         "metrics.json": "d9fdda08dce0daf33faa0410ae423691c1a9f76c4f6fdfebcb56213de1c3850e",
     }),
+    # a warm-up off the step grid: guidance hands over at t = 2.001
+    "run-weave-predicted-offgrid": (["run", "--set", "seeker.lag_time_constant=0.2",
+                                     "--set", "guidance.source=predicted",
+                                     "--set", "target.kind=weaving",
+                                     "--set", "guidance.warmup=2.0005"], {
+        "engagement.csv": "8cd78537887e177c7404344e3574e9c104ad64b57b5afa46b4526ded60afc918",
+        "metrics.json": "10dc477a5cd4dca6e3a5de4482dd911e7cdfb7b2ea51d652bdce3f71201922f9",
+    }),
     "sweep-jobs1": (["sweep", "--jobs", "1", *REDUCED_SWEEP], SWEEP_HASHES),
     "sweep-jobs2": (["sweep", "--jobs", "2", *REDUCED_SWEEP], SWEEP_HASHES),
 }
