@@ -82,8 +82,10 @@ class EngagementConfig:
 
 @dataclass(frozen=True)
 class WarmupState:
-    """The loop state at the start of the warm-up step, the first step
-    at which a predicted source hands guidance the prediction.
+    """The loop state at the start of the handoff step, the first step
+    with ``t >= guidance.warmup``, at which
+    :func:`pgsim.guidance.select_source` hands a predicted source the
+    prediction.
 
     Until that step the delayed and the predicted source fly the same
     engagement, so :func:`run_engagement` can resume either of them from
@@ -92,7 +94,6 @@ class WarmupState:
     the true source, or one that ends before the step, has no state.
     """
 
-    config: EngagementConfig
     step: int
     vehicle: tuple
     delayed: tuple | None     # None before step 0
@@ -161,10 +162,9 @@ def run_engagement(config: EngagementConfig,
     the atmosphere model's ceiling, which is ``altitude_ceiling``.
 
     Given ``resume``, the warm-up state of a delayed- or predicted-source
-    run of the same config, the run continues from that state's step with
-    a copy of its prefix rows; the record is the one an independent run
-    gives, bit for bit.  Raises ``ValueError`` if ``config`` differs from
-    the state's in anything but the source, or flies the true source.
+    run of ``config`` with only the source changed, the run continues
+    from that state's step with a copy of its prefix rows; the record is
+    the one an independent run gives, bit for bit.
     """
     dt = config.dt
     n_max = int(round(config.max_time / dt))
@@ -179,9 +179,10 @@ def run_engagement(config: EngagementConfig,
     ap = config.autopilot
     gain, lim = ap.accel_to_deflection_gain, ap.deflection_limit
     act_a, act_b = gd.actuator_coefficients(dt, ap)
-    # the delayed and predicted sources fly the same steps up to this one
-    warm_n = warmup_step(guid.warmup, dt, n_max) if guid.source != "true" else -1
-    warm = None  # the loop state at step warm_n
+    # the delayed and predicted sources fly the same steps before the
+    # first with t >= warm_t, where select_source hands over
+    warm_t = guid.warmup if guid.source != "true" else math.inf
+    warm = None  # the loop state at the start of that step
 
     if resume is None:
         tx, ty, _, _ = tg.target_state(0.0, target, tvx, tvy)
@@ -202,9 +203,6 @@ def run_engagement(config: EngagementConfig,
         range_min = math.inf
         rising = 0
     else:
-        if warm_n < 0 or config.with_source(resume.config.guidance.source) != resume.config:
-            raise ValueError("a warm-up state resumes only a delayed- or predicted-source "
-                             "run of the config it was recorded with")
         warm = (resume.step, resume.vehicle, resume.delayed, resume.obs_p, resume.obs_y,
                 resume.defl_p, resume.defl_y, resume.range_min, resume.rising)
         start, vehicle, delayed, obs_p, obs_y, defl_p, defl_y, range_min, rising = warm
@@ -214,9 +212,9 @@ def run_engagement(config: EngagementConfig,
     diagnostic = ""
 
     for n in range(start, n_max + 1):
-        if n == warm_n:
-            warm = (n, vehicle, delayed, obs_p, obs_y, defl_p, defl_y, range_min, rising)
         t = n * dt
+        if warm is None and t >= warm_t:
+            warm = (n, vehicle, delayed, obs_p, obs_y, defl_p, defl_y, range_min, rising)
         tx, ty, tz, tvz = tg.target_state(t, target, tvx, tvy)
         mx, my, mz, mvx, mvy, mvz = vehicle[:6]
         rx = tx - mx
@@ -269,10 +267,6 @@ def run_engagement(config: EngagementConfig,
             break
         if n == n_max:
             termination = "timeout"
-            if warm_n > n_max:
-                # the whole run is the shared prefix; resuming it adds no step
-                warm = (n + 1, vehicle, delayed, obs_p, obs_y, defl_p, defl_y,
-                        range_min, rising)
             break
 
         # advance observer (ZOH on the delayed signal) and the airframe
@@ -296,8 +290,9 @@ def run_engagement(config: EngagementConfig,
 
     # a zero-copy view: the series and both velocities are its columns
     data = np.frombuffer(rows, dtype=float).reshape(-1, len(CSV_COLUMNS) + 6)
-    # guidance took the prediction only if a recorded step reached the warm-up
-    switch_time = warm_n * dt if guid.source == "predicted" and len(data) > warm_n else None
+    # guidance took the prediction only if the handoff step was recorded
+    switch_time = (warm[0] * dt if guid.source == "predicted" and warm is not None
+                   and len(data) > warm[0] else None)
     record = EngagementRecord(
         series=dict(zip(CSV_COLUMNS, data.T)),
         missile_velocity=data[:, -6:-3],
@@ -306,30 +301,13 @@ def run_engagement(config: EngagementConfig,
         termination_reason=termination,
         source_switch_time=switch_time,
         diagnostic=diagnostic,
-        warmup=None if warm is None else WarmupState(config, *warm, data[:warm[0]]),
+        warmup=None if warm is None else WarmupState(*warm, data[:warm[0]]),
     )
     if len(record) > 0:
         d, tm = miss_distance(record)
         record.miss_distance = d
         record.miss_time = tm
     return record
-
-
-def warmup_step(warmup: float, dt: float, n_max: int) -> int:
-    """Index of the first step n with ``n * dt >= warmup``, the step at
-    which :func:`pgsim.guidance.select_source` first picks a predicted
-    source's prediction; ``n_max + 1`` if no step up to ``n_max`` does."""
-    k = warmup / dt
-    if not k <= n_max + 1:
-        return n_max + 1
-    # k is within an ulp of the exact quotient, so ceil(k) is off by at
-    # most one step on the grid n * dt that select_source compares
-    n = math.ceil(k)
-    while n > 0 and (n - 1) * dt >= warmup:
-        n -= 1
-    while n * dt < warmup:
-        n += 1
-    return min(n, n_max + 1)
 
 
 def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
@@ -441,14 +419,14 @@ def miss_distance(record: EngagementRecord) -> tuple:
 
 
 def los_rmse(predicted_series, reference_series, delta: float, dt: float,
-             exclude_before: float = 0.0, min_samples: int = 1) -> float:
+             start: int = 0, min_samples: int = 1) -> float:
     """RMSE of a horizon-ahead prediction against the shifted reference.
 
     Sample i of ``predicted_series`` is compared with sample
     i + delta/dt of ``reference_series``; ``delta`` must sit on the step
     grid.  Series are (n, 2) channel arrays or 1-D; the result is the
     root of the mean of the per-channel mean squared errors.  Samples
-    before ``exclude_before`` seconds are dropped.  Engagement metrics
+    before index ``start`` are dropped.  Engagement metrics
     demand at least 100 overlapping samples; the default permits the
     short hand-checked series used in unit tests.
     """
@@ -458,7 +436,6 @@ def los_rmse(predicted_series, reference_series, delta: float, dt: float,
     shift = int(round(shift_f))
     if abs(shift_f - shift) > 1e-9:
         raise ValueError("delta=%g is not an integer multiple of dt=%g" % (delta, dt))
-    start = int(math.ceil(exclude_before / dt - 1e-9))
     n = min(len(pred), len(ref) - shift)
     if n - start < max(min_samples, 1):
         raise ValueError("fewer than %d overlapping samples after alignment"
@@ -480,7 +457,13 @@ def commanded_accel_stats(record: EngagementRecord) -> dict:
 
 def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> MetricsReport:
     """Engagement-level metrics; RMSE entries are NaN when the series is
-    too short to align."""
+    too short to align.
+
+    The windowed RMSEs start at the first recorded step with
+    ``t >= guidance.warmup``, the step at which
+    :func:`pgsim.guidance.select_source` hands a predicted source the
+    prediction.
+    """
     s = record.series
     dt = config.dt
     delta = config.observer.delta
@@ -488,11 +471,11 @@ def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> Metri
     true_series = np.column_stack([s["lam_true_p"], s["lam_true_y"]])
     pred_series = np.column_stack([s["lam_pred_p"], s["lam_pred_y"]])
     del_series = np.column_stack([s["lam_del_p"], s["lam_del_y"]])
-    warm = config.guidance.warmup
+    warm = int(np.searchsorted(s["t"], config.guidance.warmup, side="left"))
 
-    def safe(series, exclude):
+    def safe(series, start):
         try:
-            return los_rmse(series, true_series, delta_aligned, dt, exclude,
+            return los_rmse(series, true_series, delta_aligned, dt, start,
                             min_samples=100)
         except ValueError:
             return math.nan
@@ -501,8 +484,8 @@ def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> Metri
     return MetricsReport(
         rmse_delayed=safe(del_series, warm),
         rmse_predicted=safe(pred_series, warm),
-        rmse_delayed_full=safe(del_series, 0.0),
-        rmse_predicted_full=safe(pred_series, 0.0),
+        rmse_delayed_full=safe(del_series, 0),
+        rmse_predicted_full=safe(pred_series, 0),
         miss_distance=record.miss_distance,
         peak_accel_cmd=stats["peak"],
         integrated_abs_deflection=stats["integral_abs_deflection"],

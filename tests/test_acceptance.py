@@ -93,8 +93,9 @@ def test_criterion_2_prediction_dominance(capsys):
         obs = observer_step(obs, math.sin, obs_t, dt, cfg)
         obs_t = obs_t + dt
         filt = sk.delay_step(filt, (math.sin(t), 0.0), lag)
-    r_pred = en.los_rmse(pred, ref, delta, dt, exclude_before=2.0)
-    r_del = en.los_rmse(delayed, ref, delta, dt, exclude_before=2.0)
+    start = int(round(2.0 / dt))  # t = 2 s
+    r_pred = en.los_rmse(pred, ref, delta, dt, start)
+    r_del = en.los_rmse(delayed, ref, delta, dt, start)
     report(capsys, 2, r_pred <= r_del / 5.0,
            "prediction RMSE %.3g vs lagged RMSE %.3g (ratio %.1fx, need >= 5x)"
            % (r_pred, r_del, r_del / max(r_pred, 1e-300)))
