@@ -27,7 +27,6 @@ DEFAULTS = {
         "k1": 4.0, "k2": 6.0, "k3": 4.0, "k4": 1.0,
         "epsilon": 0.05,
         "delta": "auto",          # "auto": match the seeker lag
-        "coupled_step1": False,
     },
     "seeker": {
         "lag_time_constant": 0.0,
@@ -163,8 +162,6 @@ def validate(cfg: dict) -> list:
     if None not in ks and not ob.validate_gains(*ks):
         problems.append("observer gains (k1..k4) fail the Hurwitz stability gate")
     eps = _num(cfg, "observer.epsilon", problems, lambda v: v > 0, "must be > 0")
-    if not isinstance(cfg["observer"]["coupled_step1"], bool):
-        problems.append("observer.coupled_step1 must be true or false")
     if cfg["observer"]["delta"] != "auto":
         _num(cfg, "observer.delta", problems, lambda v: v >= 0, "must be >= 0 or 'auto'")
     _num(cfg, "seeker.lag_time_constant", problems, lambda v: v >= 0, "must be >= 0")
@@ -241,7 +238,6 @@ def build_setup(cfg: dict):
         gains=ob.ObserverGains(float(o["k1"]), float(o["k2"]),
                                float(o["k3"]), float(o["k4"])),
         epsilon=float(o["epsilon"]), delta=delta,
-        coupled_step1=o["coupled_step1"],
     )
     frame = af.load_airframe(None if cfg["airframe"]["dataset"] == "builtin"
                              else cfg["airframe"]["dataset"])

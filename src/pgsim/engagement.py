@@ -171,7 +171,6 @@ def run_engagement(config: EngagementConfig,
     frame = config.airframe
     obs_cfg = config.observer
     coeffs = obs_cfg.coefficients()
-    coupled = obs_cfg.coupled_step1
     guid = config.guidance
     target = config.target
     tvx, tvy = tg.ground_velocity(target)
@@ -271,8 +270,8 @@ def run_engagement(config: EngagementConfig,
 
         # advance observer (ZOH on the delayed signal) and the airframe
         try:
-            obs_p = ob.rk4_step8(obs_p, delayed[0], dt, coeffs, coupled)
-            obs_y = ob.rk4_step8(obs_y, delayed[1], dt, coeffs, coupled)
+            obs_p = ob.rk4_step8(obs_p, delayed[0], dt, coeffs)
+            obs_y = ob.rk4_step8(obs_y, delayed[1], dt, coeffs)
             if not (math.isfinite(obs_p[4]) and math.isfinite(obs_y[4])):
                 raise ValueError("observer state non-finite at t=%g" % t)
         except (ValueError, OverflowError) as exc:

@@ -55,7 +55,6 @@ class ObserverConfig:
     gains: ObserverGains
     epsilon: float        # bandwidth parameter; injection gains scale as k_i / eps^i
     delta: float          # prediction horizon, seconds
-    coupled_step1: bool   # keep the alternate x31 cross-term in the x41 equation
 
     def coefficients(self) -> tuple:
         """Injection gains (b1..b4, g1..g4) of the two steps.
@@ -78,8 +77,7 @@ class ObserverConfig:
                 b4)
 
 
-def rk4_step8(x: tuple, v, dt: float, coeffs: tuple,
-              coupled_step1: bool = False) -> tuple:
+def rk4_step8(x: tuple, v, dt: float, coeffs: tuple) -> tuple:
     """One classical RK4 step of the eight-state chain.
 
     ``v`` is either a single held sample (zero-order hold) or a
@@ -88,8 +86,7 @@ def rk4_step8(x: tuple, v, dt: float, coeffs: tuple,
 
     The derivative of the eight states for input sample ``v`` is
     ``(x21 + b1 e, x31 + b2 e, x41 + b3 e, b4 e, x22 + g1 e, x32 + g2 e,
-    x42 + g3 e, g4 e)`` with ``e = v - x11`` (``x31 + b4 e`` in the
-    fourth entry when ``coupled_step1``).  Its four RK4 stages are
+    x42 + g3 e, g4 e)`` with ``e = v - x11``.  Its four RK4 stages are
     written out, and ``tests/test_observer.py`` checks the result bit for
     bit against classical RK4 composed from that derivative.  ``x12``
     never enters the derivative, so no stage state computes it.
@@ -106,37 +103,34 @@ def rk4_step8(x: tuple, v, dt: float, coeffs: tuple,
     p1 = x21 + b1 * e
     p2 = x31 + b2 * e
     p3 = x41 + b3 * e
-    p4 = x31 + b4 * e if coupled_step1 else b4 * e
+    p4 = b4 * e
     p5 = x22 + g1 * e
     p6 = x32 + g2 * e
     p7 = x42 + g3 * e
     p8 = g4 * e
     e = vm - (x11 + h2 * p1)
-    y31 = x31 + h2 * p3
     q1 = (x21 + h2 * p2) + b1 * e
-    q2 = y31 + b2 * e
+    q2 = (x31 + h2 * p3) + b2 * e
     q3 = (x41 + h2 * p4) + b3 * e
-    q4 = y31 + b4 * e if coupled_step1 else b4 * e
+    q4 = b4 * e
     q5 = (x22 + h2 * p6) + g1 * e
     q6 = (x32 + h2 * p7) + g2 * e
     q7 = (x42 + h2 * p8) + g3 * e
     q8 = g4 * e
     e = vm - (x11 + h2 * q1)
-    y31 = x31 + h2 * q3
     r1 = (x21 + h2 * q2) + b1 * e
-    r2 = y31 + b2 * e
+    r2 = (x31 + h2 * q3) + b2 * e
     r3 = (x41 + h2 * q4) + b3 * e
-    r4 = y31 + b4 * e if coupled_step1 else b4 * e
+    r4 = b4 * e
     r5 = (x22 + h2 * q6) + g1 * e
     r6 = (x32 + h2 * q7) + g2 * e
     r7 = (x42 + h2 * q8) + g3 * e
     r8 = g4 * e
     e = v1 - (x11 + dt * r1)
-    y31 = x31 + dt * r3
     s1 = (x21 + dt * r2) + b1 * e
-    s2 = y31 + b2 * e
+    s2 = (x31 + dt * r3) + b2 * e
     s3 = (x41 + dt * r4) + b3 * e
-    s4 = y31 + b4 * e if coupled_step1 else b4 * e
+    s4 = b4 * e
     s5 = (x22 + dt * r6) + g1 * e
     s6 = (x32 + dt * r7) + g2 * e
     s7 = (x42 + dt * r8) + g3 * e

@@ -39,8 +39,7 @@ def build(overrides=None):
 
 def observer_config(epsilon=0.05, delta=0.2):
     gains = ob.ObserverGains(4.0, 6.0, 4.0, 1.0)
-    return ob.ObserverConfig(gains=gains, epsilon=epsilon, delta=delta,
-                             coupled_step1=False)
+    return ob.ObserverConfig(gains=gains, epsilon=epsilon, delta=delta)
 
 
 def seed(v0):
@@ -53,7 +52,7 @@ def observer_step(x, v, t, dt, cfg):
     at the RK4 stage times, a number is held over the step."""
     if callable(v):
         v = (v(t), v(t + dt * 0.5), v(t + dt))
-    return ob.rk4_step8(x, v, dt, cfg.coefficients(), cfg.coupled_step1)
+    return ob.rk4_step8(x, v, dt, cfg.coefficients())
 
 
 def test_criterion_1_polynomial_exactness(capsys):

@@ -141,13 +141,6 @@ class TestValidate:
         assert run_cli("validate", "--set", "sweep.samples_per_delay=true") == 2
         assert "sweep.samples_per_delay" in capsys.readouterr().err
 
-    def test_coupled_step1_takes_only_booleans(self, capsys):
-        for value in ("no", '"false"', "0", "2"):
-            assert run_cli("validate", "--set", "observer.coupled_step1=" + value) == 2
-            assert "observer.coupled_step1" in capsys.readouterr().err
-        assert run_cli("validate", "--set", "observer.coupled_step1=true") == 0
-        assert json.loads(capsys.readouterr().out)["observer"]["coupled_step1"] is True
-
     @pytest.mark.parametrize("command", ["run", "demo"])
     def test_target_at_launch_site_exits_2(self, capsys, tmp_path, command):
         # zero initial range: no step could be recorded

@@ -36,10 +36,10 @@ class TestApplyOverride:
         cfg = cf.resolve()
         cf.apply_override(cfg, "observer.epsilon", "0.07")
         cf.apply_override(cfg, "sweep.delays", "[0.1, 0.2]")
-        cf.apply_override(cfg, "observer.coupled_step1", "true")
+        cf.apply_override(cfg, "seed", "7")
         assert cfg["observer"]["epsilon"] == 0.07
         assert cfg["sweep"]["delays"] == [0.1, 0.2]
-        assert cfg["observer"]["coupled_step1"] is True
+        assert cfg["seed"] == 7 and type(cfg["seed"]) is int
 
     def test_bare_string_value(self):
         cfg = cf.resolve()

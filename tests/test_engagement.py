@@ -735,6 +735,6 @@ class TestLoopReplay:
             x = (delayed[0], 0.0, 0.0, 0.0, delayed[0], 0.0, 0.0, 0.0)
             pred = [x[4]]
             for v in delayed[:-1]:
-                x = ob.rk4_step8(x, v, cfg.dt, coeffs, cfg.observer.coupled_step1)
+                x = ob.rk4_step8(x, v, cfg.dt, coeffs)
                 pred.append(x[4])
             assert _bits(pred) == s["lam_pred_" + ch].tobytes()

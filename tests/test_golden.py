@@ -26,19 +26,19 @@ DEFAULT_SWEEP_RUNS_CSV = "18346051223a38d51a27239e630189915976583f1bf35b58ea928b
 
 SWEEP_HASHES = {
     "sweep_runs.csv": "aceb4e38e6c695fd4e72d347c1d11b6badd74a28032d05a7306f8a3dc2b8dffa",
-    "sweep_summary.json": "d339237150e3e2c22d2a3e176e644cf0239480f3f9a6bd496c65c013099c70ee",
+    "sweep_summary.json": "6056da433b0db2577383865a463eb15eb08850a88f9e401128106d65a9af9faa",
 }
 
 CASES = {
     "run-default": (["run"], {
         "engagement.csv": "03ce1a71c655f544c87c37795a764a6ed97333c44d2b2d5cd5bad53b55535866",
-        "metrics.json": "31515d525db78efe2f26fee23eae08776725f0d98b42e5588c0a4b4a7e45f7ec",
+        "metrics.json": "c36f69c37e98f234cb93c36dd1e08954b77c2d72823b0b897084fcf630497a0d",
     }),
     "run-weave-predicted": (["run", "--set", "seeker.lag_time_constant=0.2",
                              "--set", "guidance.source=predicted",
                              "--set", "target.kind=weaving"], {
         "engagement.csv": "98457b254f5106bbf60ecc7240b76661ccef15027e3d0a3fa357b7b8c45812ff",
-        "metrics.json": "d9fdda08dce0daf33faa0410ae423691c1a9f76c4f6fdfebcb56213de1c3850e",
+        "metrics.json": "e843d1d48709fcf185e0e5782f128799c47eeef82681dc2987dbdcb1e1bd5939",
     }),
     # a warm-up off the step grid: guidance hands over at t = 2.001
     "run-weave-predicted-offgrid": (["run", "--set", "seeker.lag_time_constant=0.2",
@@ -46,7 +46,7 @@ CASES = {
                                      "--set", "target.kind=weaving",
                                      "--set", "guidance.warmup=2.0005"], {
         "engagement.csv": "8cd78537887e177c7404344e3574e9c104ad64b57b5afa46b4526ded60afc918",
-        "metrics.json": "10dc477a5cd4dca6e3a5de4482dd911e7cdfb7b2ea51d652bdce3f71201922f9",
+        "metrics.json": "749c02a7467f011d69440ea2df3c6aa0f6f0d6c6527e9a822989bca2f9e08036",
     }),
     "sweep-jobs1": (["sweep", "--jobs", "1", *REDUCED_SWEEP], SWEEP_HASHES),
     "sweep-jobs2": (["sweep", "--jobs", "2", *REDUCED_SWEEP], SWEEP_HASHES),

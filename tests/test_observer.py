@@ -15,12 +15,12 @@ GAINS = ob.ObserverGains(4.0, 6.0, 4.0, 1.0)  # (s+1)^4, roots all at -1
 
 
 def make_config(**kw):
-    """The schema's observer config with the binomial gains and the
-    uncoupled step one; ``kw`` replaces any field."""
-    return schema_config("observer", **{"gains": GAINS, "coupled_step1": False, **kw})
+    """The schema's observer config with the binomial gains; ``kw``
+    replaces any field."""
+    return schema_config("observer", **{"gains": GAINS, **kw})
 
 
-def rhs8(x, v, coeffs, coupled_step1=False):
+def rhs8(x, v, coeffs):
     """Time derivatives of the eight states for input sample ``v``: the
     parity oracle that :func:`rk4_from_rhs8` composes RK4 from.
 
@@ -30,14 +30,11 @@ def rhs8(x, v, coeffs, coupled_step1=False):
     x11, x21, x31, x41, x12, x22, x32, x42 = x
     b1, b2, b3, b4, g1, g2, g3, g4 = coeffs
     e = v - x11
-    d41 = b4 * e
-    if coupled_step1:
-        d41 = x31 + d41
     return (
         x21 + b1 * e,
         x31 + b2 * e,
         x41 + b3 * e,
-        d41,
+        b4 * e,
         x22 + g1 * e,
         x32 + g2 * e,
         x42 + g3 * e,
@@ -122,7 +119,7 @@ def step(x, v, t, dt, cfg):
     and a number is held over the step (zero-order hold)."""
     if callable(v):
         v = (v(t), v(t + dt * 0.5), v(t + dt))
-    return ob.rk4_step8(x, v, dt, cfg.coefficients(), cfg.coupled_step1)
+    return ob.rk4_step8(x, v, dt, cfg.coefficients())
 
 
 def run_observer(cfg, signal, duration, dt):
@@ -163,9 +160,9 @@ class TestObserverStep:
         real = ob.rk4_step8
         calls = []
 
-        def blow_up(x, v, dt, coeffs, coupled_step1=False):
+        def blow_up(x, v, dt, coeffs):
             calls.append(1)
-            x = real(x, v, dt, coeffs, coupled_step1)
+            x = real(x, v, dt, coeffs)
             return x if len(calls) < 10 else x[:4] + (math.inf,) + x[5:]
 
         monkeypatch.setattr(ob, "rk4_step8", blow_up)
@@ -301,49 +298,26 @@ class TestInvariants:
         assert run() == run()
 
 
-class TestCoupledStepOneVariant:
-    def test_flag_changes_dynamics(self):
-        plain = make_config(epsilon=0.05, delta=0.1)
-        coupled = make_config(epsilon=0.05, delta=0.1, coupled_step1=True)
-        s1, _ = run_observer(plain, math.sin, 1.0, 1e-3)
-        s2, _ = run_observer(coupled, math.sin, 1.0, 1e-3)
-        assert s1[:4] != s2[:4]
-
-    def test_coupled_variant_corrupts_prediction(self):
-        # the cross-coupled x41 equation destroys the tracking property,
-        # which is why the default drops it
-        delta = 0.3
-        plain = make_config(epsilon=0.05, delta=delta)
-        coupled = make_config(epsilon=0.05, delta=delta, coupled_step1=True)
-        e_plain = abs(run_observer(plain, math.sin, 6.0, 1e-3)[0][4]
-                      - math.sin(6.0 + delta))
-        e_coupled = abs(run_observer(coupled, math.sin, 6.0, 1e-3)[0][4]
-                        - math.sin(6.0 + delta))
-        assert e_plain < 0.01
-        assert e_coupled > 10 * e_plain
-
-
 def _bits(values) -> bytes:
     return struct.pack("%dd" % len(values), *values)
 
 
-def rk4_from_rhs8(x, v, dt, coeffs, coupled):
+def rk4_from_rhs8(x, v, dt, coeffs):
     """Classical RK4 composed from rhs8: the reference for rk4_step8."""
     v0, vm, v1 = v if isinstance(v, tuple) else (v, v, v)
     h2 = dt * 0.5
-    k1 = rhs8(x, v0, coeffs, coupled)
-    k2 = rhs8(tuple(a + h2 * b for a, b in zip(x, k1)), vm, coeffs, coupled)
-    k3 = rhs8(tuple(a + h2 * b for a, b in zip(x, k2)), vm, coeffs, coupled)
-    k4 = rhs8(tuple(a + dt * b for a, b in zip(x, k3)), v1, coeffs, coupled)
+    k1 = rhs8(x, v0, coeffs)
+    k2 = rhs8(tuple(a + h2 * b for a, b in zip(x, k1)), vm, coeffs)
+    k3 = rhs8(tuple(a + h2 * b for a, b in zip(x, k2)), vm, coeffs)
+    k4 = rhs8(tuple(a + dt * b for a, b in zip(x, k3)), v1, coeffs)
     h6 = dt / 6.0
     return tuple(a + h6 * (p + 2.0 * (q + r) + s)
                  for a, p, q, r, s in zip(x, k1, k2, k3, k4))
 
 
 class TestRk4StepParity:
-    @pytest.mark.parametrize("coupled", [False, True])
     @pytest.mark.parametrize("stage_samples", [False, True])
-    def test_bit_identical_to_rhs8_composition(self, coupled, stage_samples):
+    def test_bit_identical_to_rhs8_composition(self, stage_samples):
         rng = np.random.default_rng(11)
         for _ in range(300):
             x = tuple(float(v) for v in rng.normal(size=8) * 10.0 ** rng.integers(-3, 4, 8))
@@ -355,6 +329,6 @@ class TestRk4StepParity:
                 v = tuple(float(s) for s in rng.normal(size=3))
             else:
                 v = float(rng.normal())
-            got = ob.rk4_step8(x, v, dt, coeffs, coupled)
-            want = rk4_from_rhs8(x, v, dt, coeffs, coupled)
+            got = ob.rk4_step8(x, v, dt, coeffs)
+            want = rk4_from_rhs8(x, v, dt, coeffs)
             assert _bits(got) == _bits(want)
