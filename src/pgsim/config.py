@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 
 from . import airframe as af
 from . import guidance as gd
@@ -141,7 +142,9 @@ def resolve(file_cfg: dict | None = None, overrides=()) -> dict:
 
 
 def _finite(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # abs() compares an int exactly, so one beyond the float range fails
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _num(cfg, key, problems, cond=lambda v: True, msg=""):
@@ -155,16 +158,28 @@ def _num(cfg, key, problems, cond=lambda v: True, msg=""):
     return float(node)
 
 
+def _finite_injection_gains(ks, eps: float, delta: float) -> bool:
+    """Whether the observer's injection gains (~ delta**3 / eps**4) are finite."""
+    try:
+        coeffs = ob.ObserverConfig(ob.ObserverGains(*ks), eps, delta).coefficients()
+    except (OverflowError, ZeroDivisionError):
+        return False
+    return all(math.isfinite(c) for c in coeffs)
+
+
 def validate(cfg: dict) -> list:
     """All violations in the resolved config; empty list means valid."""
     problems: list = []
     ks = [_num(cfg, "observer." + k, problems) for k in ("k1", "k2", "k3", "k4")]
-    if None not in ks and not ob.validate_gains(*ks):
+    gains_ok = None not in ks and ob.validate_gains(*ks)
+    if None not in ks and not gains_ok:
         problems.append("observer gains (k1..k4) fail the Hurwitz stability gate")
     eps = _num(cfg, "observer.epsilon", problems, lambda v: v > 0, "must be > 0")
+    lag = _num(cfg, "seeker.lag_time_constant", problems, lambda v: v >= 0, "must be >= 0")
+    horizons = [("seeker.lag_time_constant", lag)]  # observer horizons, by key
     if cfg["observer"]["delta"] != "auto":
-        _num(cfg, "observer.delta", problems, lambda v: v >= 0, "must be >= 0 or 'auto'")
-    _num(cfg, "seeker.lag_time_constant", problems, lambda v: v >= 0, "must be >= 0")
+        horizons = [("observer.delta", _num(cfg, "observer.delta", problems,
+                                            lambda v: v >= 0, "must be >= 0 or 'auto'"))]
     _num(cfg, "guidance.nav_ratio", problems, lambda v: v > 0, "must be > 0")
     _num(cfg, "guidance.warmup", problems, lambda v: v >= 0, "must be >= 0")
     if cfg["guidance"]["source"] not in gd.SOURCES:
@@ -182,12 +197,19 @@ def validate(cfg: dict) -> list:
     elif not any(t["position"]):
         problems.append("target.position must not be the launch site [0, 0, 0]")
     _num(cfg, "target.speed", problems, lambda v: v > 0, "must be > 0")
-    _num(cfg, "target.weave_amplitude", problems, lambda v: v >= 0, "must be >= 0")
-    _num(cfg, "target.weave_frequency", problems, lambda v: v > 0, "must be > 0")
+    amp = _num(cfg, "target.weave_amplitude", problems, lambda v: v >= 0, "must be >= 0")
+    freq = _num(cfg, "target.weave_frequency", problems, lambda v: v > 0, "must be > 0")
+    # checked whatever target.kind says: the sweep flies weaving targets
+    if amp is not None and freq is not None and not math.isfinite(amp / freq):
+        problems.append("invalid value for target.weave_frequency: %r (target.weave_"
+                        "amplitude / target.weave_frequency overflows)" % freq)
     if t["phase"] != "auto":
         _num(cfg, "target.phase", problems)
     dt = _num(cfg, "engagement.dt", problems, lambda v: v > 0, "must be > 0")
-    _num(cfg, "engagement.max_time", problems, lambda v: v > 0, "must be > 0")
+    max_time = _num(cfg, "engagement.max_time", problems, lambda v: v > 0, "must be > 0")
+    if dt is not None and max_time is not None and not math.isfinite(max_time / dt):
+        problems.append("invalid value for engagement.dt: %r (the step count "
+                        "engagement.max_time / engagement.dt overflows)" % dt)
     _num(cfg, "engagement.launch_speed", problems, lambda v: v > 0, "must be > 0")
     _num(cfg, "engagement.launch_elevation_deg", problems)
     if dt is not None and eps is not None and dt > eps / 4.0:
@@ -199,12 +221,20 @@ def validate(cfg: dict) -> list:
             and all(_finite(d) and d > 0 for d in delays)
             and all(b > a for a, b in zip(delays, delays[1:]))):
         problems.append("sweep.delays must be a positive ascending list")
+    else:
+        horizons.append(("max(sweep.delays)", float(delays[-1])))
+    if gains_ok and eps is not None:
+        for key, delta in horizons:
+            if delta is not None and not _finite_injection_gains(ks, eps, delta):
+                problems.append("observer.epsilon=%r and %s=%r give the observer "
+                                "non-finite injection gains" % (eps, key, delta))
     if not (type(sw["samples_per_delay"]) is int and sw["samples_per_delay"] >= 1):
         problems.append("sweep.samples_per_delay must be an integer >= 1")
     if not (isinstance(sw["sources"], (list, tuple)) and sw["sources"]
-            and all(s in ("delayed", "predicted") for s in sw["sources"])):
+            and all(s in ("delayed", "predicted") for s in sw["sources"])
+            and len(set(sw["sources"])) == len(sw["sources"])):
         problems.append("sweep.sources must be a non-empty subset of "
-                        "['delayed', 'predicted']")
+                        "['delayed', 'predicted'], without repeats")
     if type(cfg["seed"]) is not int:  # bool is an int subclass
         problems.append("seed must be an integer")
     elif cfg["seed"] < 0:  # numpy's SeedSequence takes no negative entropy

@@ -82,10 +82,9 @@ class EngagementConfig:
 
 @dataclass(frozen=True)
 class WarmupState:
-    """The loop state at the start of the handoff step, the first step
-    with ``t >= guidance.warmup``, at which
-    :func:`pgsim.guidance.select_source` hands a predicted source the
-    prediction.
+    """The loop state at the start of the first step with
+    ``t >= guidance.warmup``, where a predicted source's guidance takes
+    the prediction (:func:`pgsim.guidance.select_source`).
 
     Until that step the delayed and the predicted source fly the same
     engagement, so :func:`run_engagement` can resume either of them from
@@ -456,12 +455,8 @@ def commanded_accel_stats(record: EngagementRecord) -> dict:
 
 def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> MetricsReport:
     """Engagement-level metrics; RMSE entries are NaN when the series is
-    too short to align.
-
-    The windowed RMSEs start at the first recorded step with
-    ``t >= guidance.warmup``, the step at which
-    :func:`pgsim.guidance.select_source` hands a predicted source the
-    prediction.
+    too short to align.  The windowed RMSEs start at the first recorded
+    step with ``t >= guidance.warmup``, where guidance takes the prediction.
     """
     s = record.series
     dt = config.dt

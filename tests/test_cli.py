@@ -149,6 +149,31 @@ class TestValidate:
         assert "config error: target.position" in capsys.readouterr().err
         assert not (tmp_path / "engagement.csv").exists()
 
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("run", ["observer.epsilon=1e200"], "observer.epsilon"),
+        ("run", ["observer.delta=1e110"], "observer.delta"),
+        ("run", ["seeker.lag_time_constant=1e110"], "seeker.lag_time_constant"),
+        ("sweep", ["sweep.delays=[1e110]"], "sweep.delays"),
+        ("run", ["engagement.dt=1e-320"], "engagement.dt"),
+        ("run", ["target.kind=weaving", "target.weave_frequency=1e-320"],
+         "target.weave_frequency"),
+        # the sweep flies weaving targets whatever target.kind says
+        ("sweep", ["target.weave_frequency=1e-320"], "target.weave_frequency"),
+        ("validate", ["observer.epsilon=1" + "0" * 400], "observer.epsilon"),
+        ("sweep", ['sweep.sources=["delayed","delayed"]'], "sweep.sources"),
+    ], ids=["epsilon-gains", "delta-gains", "lag-gains", "sweep-delay-gains",
+            "step-count", "weave-height", "sweep-weave-height", "int-beyond-float",
+            "repeated-sources"])
+    def test_overflowing_or_repeated_input_exits_2(self, capsys, tmp_path, command,
+                                                   overrides, key):
+        out = [] if command == "validate" else ["--out", str(tmp_path)]
+        jobs = ["--jobs", "1"] if command == "sweep" else []
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        assert run_cli(command, *out, *jobs, *sets) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and key in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestInputFiles:
     """An unreadable or malformed input file is a config error (exit 2)
