@@ -87,6 +87,7 @@ def _flatten(d, prefix=""):
 
 
 _FLAT_DEFAULTS = _flatten(DEFAULTS)
+_FLOAT_MAX = sys.float_info.max
 KNOWN_KEYS = frozenset(_FLAT_DEFAULTS)
 
 
@@ -144,7 +145,7 @@ def resolve(file_cfg: dict | None = None, overrides=()) -> dict:
 def _finite(v) -> bool:
     # abs() compares an int exactly, so one beyond the float range fails
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
+            and abs(v) <= _FLOAT_MAX)
 
 
 def _num(cfg, key, problems, cond=lambda v: True, msg=""):
@@ -223,11 +224,12 @@ def validate(cfg: dict) -> list:
         problems.append("sweep.delays must be a positive ascending list")
     else:
         horizons.append(("max(sweep.delays)", float(delays[-1])))
-    if gains_ok and eps is not None:
-        for key, delta in horizons:
-            if delta is not None and not _finite_injection_gains(ks, eps, delta):
-                problems.append("observer.epsilon=%r and %s=%r give the observer "
-                                "non-finite injection gains" % (eps, key, delta))
+    if gains_ok and eps is not None and all(d is not None for _, d in horizons):
+        # the gains grow with the horizon, so the longest one decides
+        key, delta = max(horizons, key=lambda h: h[1])
+        if not _finite_injection_gains(ks, eps, delta):
+            problems.append("observer.epsilon=%r and %s=%r give the observer "
+                            "non-finite injection gains" % (eps, key, delta))
     if not (type(sw["samples_per_delay"]) is int and sw["samples_per_delay"] >= 1):
         problems.append("sweep.samples_per_delay must be an integer >= 1")
     if not (isinstance(sw["sources"], (list, tuple)) and sw["sources"]
