@@ -465,7 +465,7 @@ def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> Metri
     true_series = np.column_stack([s["lam_true_p"], s["lam_true_y"]])
     pred_series = np.column_stack([s["lam_pred_p"], s["lam_pred_y"]])
     del_series = np.column_stack([s["lam_del_p"], s["lam_del_y"]])
-    warm = int(np.searchsorted(s["t"], config.guidance.warmup, side="left"))
+    handoff = int(np.searchsorted(s["t"], config.guidance.warmup, side="left"))
 
     def safe(series, start):
         try:
@@ -476,8 +476,8 @@ def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> Metri
 
     stats = commanded_accel_stats(record)
     return MetricsReport(
-        rmse_delayed=safe(del_series, warm),
-        rmse_predicted=safe(pred_series, warm),
+        rmse_delayed=safe(del_series, handoff),
+        rmse_predicted=safe(pred_series, handoff),
         rmse_delayed_full=safe(del_series, 0),
         rmse_predicted_full=safe(pred_series, 0),
         miss_distance=record.miss_distance,
