@@ -88,6 +88,9 @@ def _flatten(d, prefix=""):
 
 _FLAT_DEFAULTS = _flatten(DEFAULTS)
 _FLOAT_MAX = sys.float_info.max
+# the most steps max_time / dt may ask of one engagement: 167 times the
+# default's 60,000, a 1.9 GB record and minutes of flight per run
+MAX_STEPS = 10_000_000
 KNOWN_KEYS = frozenset(_FLAT_DEFAULTS)
 
 
@@ -208,9 +211,9 @@ def validate(cfg: dict) -> list:
         _num(cfg, "target.phase", problems)
     dt = _num(cfg, "engagement.dt", problems, lambda v: v > 0, "must be > 0")
     max_time = _num(cfg, "engagement.max_time", problems, lambda v: v > 0, "must be > 0")
-    if dt is not None and max_time is not None and not math.isfinite(max_time / dt):
+    if dt is not None and max_time is not None and not max_time / dt <= MAX_STEPS:
         problems.append("invalid value for engagement.dt: %r (the step count "
-                        "engagement.max_time / engagement.dt overflows)" % dt)
+                        "engagement.max_time / engagement.dt exceeds %d)" % (dt, MAX_STEPS))
     _num(cfg, "engagement.launch_speed", problems, lambda v: v > 0, "must be > 0")
     _num(cfg, "engagement.launch_elevation_deg", problems)
     if dt is not None and eps is not None and dt > eps / 4.0:

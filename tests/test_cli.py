@@ -155,6 +155,7 @@ class TestValidate:
         ("run", ["seeker.lag_time_constant=1e110"], "seeker.lag_time_constant"),
         ("sweep", ["sweep.delays=[1e110]"], "sweep.delays"),
         ("run", ["engagement.dt=1e-320"], "engagement.dt"),
+        ("run", ["engagement.dt=1e-300"], "engagement.dt"),
         ("run", ["target.kind=weaving", "target.weave_frequency=1e-320"],
          "target.weave_frequency"),
         # the sweep flies weaving targets whatever target.kind says
@@ -162,7 +163,7 @@ class TestValidate:
         ("validate", ["observer.epsilon=1" + "0" * 400], "observer.epsilon"),
         ("sweep", ['sweep.sources=["delayed","delayed"]'], "sweep.sources"),
     ], ids=["epsilon-gains", "delta-gains", "lag-gains", "sweep-delay-gains",
-            "step-count", "weave-height", "sweep-weave-height", "int-beyond-float",
+            "step-count", "step-count-cap", "weave-height", "sweep-weave-height", "int-beyond-float",
             "repeated-sources"])
     def test_overflowing_or_repeated_input_exits_2(self, capsys, tmp_path, command,
                                                    overrides, key):

@@ -70,6 +70,18 @@ class TestValidate:
         cfg["observer"]["epsilon"] = 0.003
         assert any("epsilon/4" in p for p in cf.validate(cfg))
 
+    def test_step_count_cap(self):
+        # a power-of-two dt makes max_time / dt exact at the cap
+        cfg = cf.resolve()
+        dt = 2.0 ** -12
+        cfg["observer"]["epsilon"] = 1.0  # keeps the stiffness guard out of it
+        cfg["engagement"]["dt"] = dt
+        cfg["engagement"]["max_time"] = cf.MAX_STEPS * dt
+        assert cf.validate(cfg) == []
+        cfg["engagement"]["max_time"] = (cf.MAX_STEPS + 1) * dt
+        problems = cf.validate(cfg)
+        assert len(problems) == 1 and "engagement.dt" in problems[0], problems
+
     def test_bad_sweep_delays(self):
         cfg = cf.resolve()
         cfg["sweep"]["delays"] = [0.2, 0.1]
