@@ -168,8 +168,7 @@ def run_engagement(config: EngagementConfig,
     dt = config.dt
     n_max = int(round(config.max_time / dt))
     frame = config.airframe
-    obs_cfg = config.observer
-    coeffs = obs_cfg.coefficients()
+    obs_map = ob.step_map(dt, config.observer.coefficients())
     guid = config.guidance
     target = config.target
     tvx, tvy = tg.ground_velocity(target)
@@ -269,8 +268,9 @@ def run_engagement(config: EngagementConfig,
 
         # advance observer (ZOH on the delayed signal) and the airframe
         try:
-            obs_p = ob.rk4_step8(obs_p, delayed[0], dt, coeffs)
-            obs_y = ob.rk4_step8(obs_y, delayed[1], dt, coeffs)
+            obs_p = ob.rk4_step8(obs_p, delayed[0], obs_map)
+            obs_y = ob.rk4_step8(obs_y, delayed[1], obs_map)
+            # a non-finite state or map entry reaches x12 within two steps
             if not (math.isfinite(obs_p[4]) and math.isfinite(obs_y[4])):
                 raise ValueError("observer state non-finite at t=%g" % t)
         except (ValueError, OverflowError) as exc:

@@ -14,6 +14,7 @@ __all__ = [
     "ObserverGains",
     "ObserverConfig",
     "validate_gains",
+    "step_map",
     "rk4_step8",
 ]
 
@@ -77,8 +78,77 @@ class ObserverConfig:
                 b4)
 
 
-def rk4_step8(x: tuple, v, dt: float, coeffs: tuple) -> tuple:
-    """One classical RK4 step of the eight-state chain.
+def _offset_rhs(s, v: float, coeffs: tuple) -> tuple:
+    """Derivative of (x11, x21, x31, x41, d1, d2, d3, d4), where
+    ``d_i = x_i2 - x_i1``, for input sample ``v``.  Step two's gains
+    enter only as ``g_i - b_i``, which is exactly 0 at a zero horizon."""
+    x11, x21, x31, x41, d1, d2, d3, d4 = s
+    b1, b2, b3, b4, g1, g2, g3, g4 = coeffs
+    e = v - x11
+    return (x21 + b1 * e, x31 + b2 * e, x41 + b3 * e, b4 * e,
+            d2 + (g1 - b1) * e, d3 + (g2 - b2) * e, d4 + (g3 - b3) * e, (g4 - b4) * e)
+
+
+def _rk4_increment(s, v: tuple, dt: float, coeffs: tuple) -> list:
+    """Classical RK4 increment of :func:`_offset_rhs` over one step from
+    ``s``, with stage samples ``v = (v0, vm, v1)``."""
+    v0, vm, v1 = v
+    h2 = dt * 0.5
+    k1 = _offset_rhs(s, v0, coeffs)
+    k2 = _offset_rhs([a + h2 * b for a, b in zip(s, k1)], vm, coeffs)
+    k3 = _offset_rhs([a + h2 * b for a, b in zip(s, k2)], vm, coeffs)
+    k4 = _offset_rhs([a + dt * b for a, b in zip(s, k3)], v1, coeffs)
+    h6 = dt / 6.0
+    return [h6 * (p + 2.0 * (q + r) + w) for p, q, r, w in zip(k1, k2, k3, k4)]
+
+
+def step_map(dt: float, coeffs: tuple) -> tuple:
+    """One classical RK4 step of the observer as a linear map, for
+    :func:`rk4_step8`.
+
+    The observer is linear and time-invariant, so one RK4 step is a fixed
+    linear function of the tracking error ``e = v - x11``, the step-one
+    chain (x21, x31, x41) and the offsets ``d_i = x_i2 - x_i1``; it
+    returns the step-one increments and the offset increments.  Each
+    column is the RK4 increment of one unit input, computed in plain
+    floats, so the map does not depend on a BLAS kernel.  Entries that
+    are zero by the chain's structure are left out: the offsets never
+    feed step one, and offset ``d_i`` is fed only by ``d_{i+1}..d4``
+    (``d4`` is constant, since ``g4 = b4``).
+
+    Returns ``(held, staged)``.  Each is flat, row by row for the
+    increments of x11, x21, x31, x41, d1, d2, d3: the error column(s),
+    then the x21, x31 and x41 columns, then, on the offset rows, the
+    columns of the later offsets.  ``held`` has one error column (a
+    sample held over the step); ``staged`` has three, e0, em and e1, for
+    the errors of the start, midpoint and end samples.
+    """
+    def response(unit=None, v=(0.0, 0.0, 0.0)):
+        s = [0.0] * 8
+        if unit is not None:
+            s[unit] = 1.0
+        return _rk4_increment(s, v, dt, coeffs)
+
+    x21, x31, x41, d2, d3, d4 = (response(i) for i in (1, 2, 3, 5, 6, 7))
+
+    def flatten(error_columns):
+        cols = (*error_columns, x21, x31, x41)
+        out = []
+        for r in range(7):
+            out += [c[r] for c in cols]
+            if r >= 4:
+                out += [c[r] for c in (d2, d3, d4)[r - 4:]]
+        return tuple(out)
+
+    held = flatten([response(v=(1.0, 1.0, 1.0))])
+    staged = flatten([response(v=(1.0, 0.0, 0.0)), response(v=(0.0, 1.0, 0.0)),
+                      response(v=(0.0, 0.0, 1.0))])
+    return held, staged
+
+
+def rk4_step8(x: tuple, v, m: tuple) -> tuple:
+    """One classical RK4 step of the eight-state chain, through the map
+    ``m`` from :func:`step_map` for the step size and gains.
 
     ``v`` is either a single held sample (zero-order hold) or a
     (start, midpoint, end) triple of stage samples; stage sampling makes
@@ -86,62 +156,52 @@ def rk4_step8(x: tuple, v, dt: float, coeffs: tuple) -> tuple:
 
     The derivative of the eight states for input sample ``v`` is
     ``(x21 + b1 e, x31 + b2 e, x41 + b3 e, b4 e, x22 + g1 e, x32 + g2 e,
-    x42 + g3 e, g4 e)`` with ``e = v - x11``.  Its four RK4 stages are
-    written out, and ``tests/test_observer.py`` checks the result bit for
-    bit against classical RK4 composed from that derivative.  ``x12``
-    never enters the derivative, so no stage state computes it.
+    x42 + g3 e, g4 e)`` with ``e = v - x11``.  The map applies RK4 of it
+    to the error, the step-one chain and the offsets ``x_i2 - x_i1``, so
+    a state at rest under a constant input stays bit for bit where it is,
+    and at a zero horizon step two equals step one bit for bit.  Against
+    RK4 composed from the derivative (``rhs8`` in
+    ``tests/test_observer.py``) it agrees to a few ulp of the state's
+    scale, as rounding differs.
     """
-    if isinstance(v, tuple):
-        v0, vm, v1 = v
-    else:
-        v0 = vm = v1 = v
     x11, x21, x31, x41, x12, x22, x32, x42 = x
-    b1, b2, b3, b4, g1, g2, g3, g4 = coeffs
-    h2 = dt * 0.5
-    h6 = dt / 6.0
-    e = v0 - x11
-    p1 = x21 + b1 * e
-    p2 = x31 + b2 * e
-    p3 = x41 + b3 * e
-    p4 = b4 * e
-    p5 = x22 + g1 * e
-    p6 = x32 + g2 * e
-    p7 = x42 + g3 * e
-    p8 = g4 * e
-    e = vm - (x11 + h2 * p1)
-    q1 = (x21 + h2 * p2) + b1 * e
-    q2 = (x31 + h2 * p3) + b2 * e
-    q3 = (x41 + h2 * p4) + b3 * e
-    q4 = b4 * e
-    q5 = (x22 + h2 * p6) + g1 * e
-    q6 = (x32 + h2 * p7) + g2 * e
-    q7 = (x42 + h2 * p8) + g3 * e
-    q8 = g4 * e
-    e = vm - (x11 + h2 * q1)
-    r1 = (x21 + h2 * q2) + b1 * e
-    r2 = (x31 + h2 * q3) + b2 * e
-    r3 = (x41 + h2 * q4) + b3 * e
-    r4 = b4 * e
-    r5 = (x22 + h2 * q6) + g1 * e
-    r6 = (x32 + h2 * q7) + g2 * e
-    r7 = (x42 + h2 * q8) + g3 * e
-    r8 = g4 * e
-    e = v1 - (x11 + dt * r1)
-    s1 = (x21 + dt * r2) + b1 * e
-    s2 = (x31 + dt * r3) + b2 * e
-    s3 = (x41 + dt * r4) + b3 * e
-    s4 = b4 * e
-    s5 = (x22 + dt * r6) + g1 * e
-    s6 = (x32 + dt * r7) + g2 * e
-    s7 = (x42 + dt * r8) + g3 * e
-    s8 = g4 * e
-    return (
-        x11 + h6 * (p1 + 2.0 * (q1 + r1) + s1),
-        x21 + h6 * (p2 + 2.0 * (q2 + r2) + s2),
-        x31 + h6 * (p3 + 2.0 * (q3 + r3) + s3),
-        x41 + h6 * (p4 + 2.0 * (q4 + r4) + s4),
-        x12 + h6 * (p5 + 2.0 * (q5 + r5) + s5),
-        x22 + h6 * (p6 + 2.0 * (q6 + r6) + s6),
-        x32 + h6 * (p7 + 2.0 * (q7 + r7) + s7),
-        x42 + h6 * (p8 + 2.0 * (q8 + r8) + s8),
-    )
+    d2 = x22 - x21
+    d3 = x32 - x31
+    d4 = x42 - x41
+    # coefficient names are row then column: rows u1..u4 give the
+    # increments of x11..x41 and f1..f3 those of d1..d3; columns are the
+    # error(s), x21 (2), x31 (3), x41 (4) and d2..d4
+    if isinstance(v, tuple):
+        (u1e0, u1em, u1e1, u12, u13, u14, u2e0, u2em, u2e1, u22, u23, u24,
+         u3e0, u3em, u3e1, u32, u33, u34, u4e0, u4em, u4e1, u42, u43, u44,
+         f1e0, f1em, f1e1, f12, f13, f14, f1d2, f1d3, f1d4,
+         f2e0, f2em, f2e1, f22, f23, f24, f2d3, f2d4,
+         f3e0, f3em, f3e1, f32, f33, f34, f3d4) = m[1]
+        v0, vm, v1 = v
+        e0 = v0 - x11
+        em = vm - x11
+        e1 = v1 - x11
+        y11 = x11 + (u1e0 * e0 + u1em * em + u1e1 * e1 + u12 * x21 + u13 * x31 + u14 * x41)
+        y21 = x21 + (u2e0 * e0 + u2em * em + u2e1 * e1 + u22 * x21 + u23 * x31 + u24 * x41)
+        y31 = x31 + (u3e0 * e0 + u3em * em + u3e1 * e1 + u32 * x21 + u33 * x31 + u34 * x41)
+        y41 = x41 + (u4e0 * e0 + u4em * em + u4e1 * e1 + u42 * x21 + u43 * x31 + u44 * x41)
+        f1 = (f1e0 * e0 + f1em * em + f1e1 * e1 + f12 * x21 + f13 * x31 + f14 * x41
+              + f1d2 * d2 + f1d3 * d3 + f1d4 * d4)
+        f2 = (f2e0 * e0 + f2em * em + f2e1 * e1 + f22 * x21 + f23 * x31 + f24 * x41
+              + f2d3 * d3 + f2d4 * d4)
+        f3 = (f3e0 * e0 + f3em * em + f3e1 * e1 + f32 * x21 + f33 * x31 + f34 * x41
+              + f3d4 * d4)
+    else:
+        (u1e, u12, u13, u14, u2e, u22, u23, u24, u3e, u32, u33, u34,
+         u4e, u42, u43, u44, f1e, f12, f13, f14, f1d2, f1d3, f1d4,
+         f2e, f22, f23, f24, f2d3, f2d4, f3e, f32, f33, f34, f3d4) = m[0]
+        e = v - x11
+        y11 = x11 + (u1e * e + u12 * x21 + u13 * x31 + u14 * x41)
+        y21 = x21 + (u2e * e + u22 * x21 + u23 * x31 + u24 * x41)
+        y31 = x31 + (u3e * e + u32 * x21 + u33 * x31 + u34 * x41)
+        y41 = x41 + (u4e * e + u42 * x21 + u43 * x31 + u44 * x41)
+        f1 = f1e * e + f12 * x21 + f13 * x31 + f14 * x41 + f1d2 * d2 + f1d3 * d3 + f1d4 * d4
+        f2 = f2e * e + f22 * x21 + f23 * x31 + f24 * x41 + f2d3 * d3 + f2d4 * d4
+        f3 = f3e * e + f32 * x21 + f33 * x31 + f34 * x41 + f3d4 * d4
+    return (y11, y21, y31, y41,
+            y11 + ((x12 - x11) + f1), y21 + (d2 + f2), y31 + (d3 + f3), y41 + d4)

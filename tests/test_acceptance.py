@@ -47,12 +47,13 @@ def seed(v0):
     return (v0, 0.0, 0.0, 0.0, v0, 0.0, 0.0, 0.0)
 
 
-def observer_step(x, v, t, dt, cfg):
-    """One observer step from time ``t``: a callable ``v(t)`` is sampled
-    at the RK4 stage times, a number is held over the step."""
+def observer_step(x, v, t, dt, m):
+    """One observer step from time ``t`` through the step map ``m`` of
+    ``dt``: a callable ``v(t)`` is sampled at the RK4 stage times, a
+    number is held over the step."""
     if callable(v):
         v = (v(t), v(t + dt * 0.5), v(t + dt))
-    return ob.rk4_step8(x, v, dt, cfg.coefficients())
+    return ob.rk4_step8(x, v, m)
 
 
 def test_criterion_1_polynomial_exactness(capsys):
@@ -63,10 +64,11 @@ def test_criterion_1_polynomial_exactness(capsys):
     def v(t):
         return 2.0 * t ** 3 - t ** 2 + 5.0
 
+    m = ob.step_map(dt, cfg.coefficients())
     x, t = seed(v(0.0)), 0.0
     n = int(round(2.0 / dt))
     for _ in range(n):
-        x = observer_step(x, v, t, dt, cfg)
+        x = observer_step(x, v, t, dt, m)
         t = t + dt
     want = v(t + cfg.delta)
     rel = abs(x[4] - want) / abs(want)
@@ -80,6 +82,7 @@ def test_criterion_2_prediction_dominance(capsys):
     cfg = observer_config(epsilon=0.05, delta=delta)
     dt = 1e-3
     lag = sk.lag_coefficients(dt, sk.SeekerConfig(lag_time_constant=delta))
+    m = ob.step_map(dt, cfg.coefficients())
     obs, obs_t = seed(0.0), 0.0
     filt = (0.0, 0.0)
     pred, delayed, ref = [], [], []
@@ -89,7 +92,7 @@ def test_criterion_2_prediction_dominance(capsys):
         ref.append(math.sin(t))
         pred.append(obs[4])
         delayed.append(filt[0])
-        obs = observer_step(obs, math.sin, obs_t, dt, cfg)
+        obs = observer_step(obs, math.sin, obs_t, dt, m)
         obs_t = obs_t + dt
         filt = sk.delay_step(filt, (math.sin(t), 0.0), lag)
     start = int(round(2.0 / dt))  # t = 2 s
@@ -103,10 +106,11 @@ def test_criterion_2_prediction_dominance(capsys):
 def test_criterion_3_zero_horizon_degeneracy(capsys):
     cfg = observer_config(epsilon=0.05, delta=0.0)
     dt = cfg.epsilon / 10.0
+    m = ob.step_map(dt, cfg.coefficients())
     x = seed(0.0)
     worst = 0.0
     for i in range(10000):
-        x = observer_step(x, math.sin(0.7 * i * dt), 0.0, dt, cfg)
+        x = observer_step(x, math.sin(0.7 * i * dt), 0.0, dt, m)
         worst = max(worst, max(abs(a - b) for a, b in zip(x[:4], x[4:])))
     report(capsys, 3, worst <= 1e-12,
            "max |step-one - step-two| over 1e4 steps = %.3g (<= 1e-12)" % worst)

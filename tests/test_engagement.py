@@ -729,12 +729,12 @@ class TestLoopReplay:
         # the observer runs on the delayed rate, held over each step
         record, cfg = weave_run
         s = record.series
-        coeffs = cfg.observer.coefficients()
+        m = ob.step_map(cfg.dt, cfg.observer.coefficients())
         for ch in ("p", "y"):
             delayed = s["lam_del_" + ch].tolist()
             x = (delayed[0], 0.0, 0.0, 0.0, delayed[0], 0.0, 0.0, 0.0)
             pred = [x[4]]
             for v in delayed[:-1]:
-                x = ob.rk4_step8(x, v, cfg.dt, coeffs)
+                x = ob.rk4_step8(x, v, m)
                 pred.append(x[4])
             assert _bits(pred) == s["lam_pred_" + ch].tobytes()

@@ -22,31 +22,31 @@ from pgsim import montecarlo as mc
 REDUCED_SWEEP = ["--set", "sweep.delays=[0.025, 0.35]",
                  "--set", "sweep.samples_per_delay=2"]
 
-DEFAULT_SWEEP_RUNS_CSV = "18346051223a38d51a27239e630189915976583f1bf35b58ea928b5f265d4718"
+DEFAULT_SWEEP_RUNS_CSV = "41c5c775abc67eadbb43f9c27c0f5266f32b74a70e76c77a66e97b8fd2cf269c"
 
 SWEEP_HASHES = {
-    "sweep_runs.csv": "aceb4e38e6c695fd4e72d347c1d11b6badd74a28032d05a7306f8a3dc2b8dffa",
-    "sweep_summary.json": "6056da433b0db2577383865a463eb15eb08850a88f9e401128106d65a9af9faa",
+    "sweep_runs.csv": "ba75887a27c5071801b075ab420e3b2f7433301f7f6033089403e0bba7fea78d",
+    "sweep_summary.json": "fe5d06f8e4b813b09509c36bbb542a3999f9d11a24418f496c638b25faba92fc",
 }
 
 CASES = {
     "run-default": (["run"], {
-        "engagement.csv": "03ce1a71c655f544c87c37795a764a6ed97333c44d2b2d5cd5bad53b55535866",
+        "engagement.csv": "26160f4c551e48f60596f7335718a368f54f89d29aa1215e9cea0dc94768e31b",
         "metrics.json": "c36f69c37e98f234cb93c36dd1e08954b77c2d72823b0b897084fcf630497a0d",
     }),
     "run-weave-predicted": (["run", "--set", "seeker.lag_time_constant=0.2",
                              "--set", "guidance.source=predicted",
                              "--set", "target.kind=weaving"], {
-        "engagement.csv": "98457b254f5106bbf60ecc7240b76661ccef15027e3d0a3fa357b7b8c45812ff",
-        "metrics.json": "e843d1d48709fcf185e0e5782f128799c47eeef82681dc2987dbdcb1e1bd5939",
+        "engagement.csv": "5a5129b6d23de79a0a7778ff39aebbc8aeb1549ab73883808d767304d0607e01",
+        "metrics.json": "e3cb824c4b374144f4e4d9021987877198d7a8f6240cf003073f74c459ef640e",
     }),
     # a warm-up off the step grid: guidance hands over at t = 2.001
     "run-weave-predicted-offgrid": (["run", "--set", "seeker.lag_time_constant=0.2",
                                      "--set", "guidance.source=predicted",
                                      "--set", "target.kind=weaving",
                                      "--set", "guidance.warmup=2.0005"], {
-        "engagement.csv": "8cd78537887e177c7404344e3574e9c104ad64b57b5afa46b4526ded60afc918",
-        "metrics.json": "749c02a7467f011d69440ea2df3c6aa0f6f0d6c6527e9a822989bca2f9e08036",
+        "engagement.csv": "0585ecbdbc210634b2b8709609ec5e419574b6d56d722657ddf61f23bbd05ffd",
+        "metrics.json": "b34ba7f4084c46961cebb55ea4ebf362b0035c8383825fe364311de7e150f53a",
     }),
     "sweep-jobs1": (["sweep", "--jobs", "1", *REDUCED_SWEEP], SWEEP_HASHES),
     "sweep-jobs2": (["sweep", "--jobs", "2", *REDUCED_SWEEP], SWEEP_HASHES),
