@@ -89,7 +89,7 @@ def _flatten(d, prefix=""):
 _FLAT_DEFAULTS = _flatten(DEFAULTS)
 _FLOAT_MAX = sys.float_info.max
 # the most steps max_time / dt may ask of one engagement: 167 times the
-# default's 60,000, a 1.9 GB record and minutes of flight per run
+# default's 60,000: a 1.9 GB record, and 170 s of stepping at 17 us a step
 MAX_STEPS = 10_000_000
 KNOWN_KEYS = frozenset(_FLAT_DEFAULTS)
 

@@ -190,7 +190,7 @@ class TestObserverStep:
 
     def test_nonfinite_map_diverges(self, monkeypatch):
         # any non-finite entry of the held-input map the loop steps with
-        # ends the run as observer_divergence within a few steps
+        # ends the run as observer_divergence within two steps
         real = ob.step_map
         cfg = cf.resolve()
         cfg["engagement"]["max_time"] = 0.05
