@@ -41,6 +41,8 @@ CSV_COLUMNS = (
 
 # one recorded step: CSV_COLUMNS, then missile and target velocity
 _ROW = struct.Struct("%dd" % (len(CSV_COLUMNS) + 6))
+# the prefix at launch, and of a handoff state until its record attaches one
+_NO_ROWS = np.empty((0, len(CSV_COLUMNS) + 6))
 # rows per block that write_csv converts to Python floats at a time
 CSV_BLOCK_ROWS = 1024
 
@@ -91,11 +93,12 @@ class WarmupState:
     here.  ``prefix`` holds the rows recorded before the step, one per
     step; in a record it is a view of the record's own rows.  A run of
     the true source, or one that ends before the step, has no state.
+    A fresh run starts from the launch state, at step 0.
     """
 
     step: int
     vehicle: tuple
-    delayed: tuple | None     # None before step 0
+    delayed: tuple | None     # None at launch: step 0 seeds the channels
     obs_p: tuple | None
     obs_y: tuple | None
     defl_p: float
@@ -163,7 +166,8 @@ def run_engagement(config: EngagementConfig,
     Given ``resume``, the warm-up state of a delayed- or predicted-source
     run of ``config`` with only the source changed, the run continues
     from that state's step with a copy of its prefix rows; the record is
-    the one an independent run gives, bit for bit.
+    the one an independent run gives, bit for bit.  Without it, the
+    run resumes from the launch state.
     """
     dt = config.dt
     n_max = int(round(config.max_time / dt))
@@ -179,31 +183,23 @@ def run_engagement(config: EngagementConfig,
     # the delayed and predicted sources fly the same steps before the
     # first with t >= warm_t, where select_source hands over
     warm_t = guid.warmup if guid.source != "true" else math.inf
-    warm = None  # the loop state at the start of that step
+    warm = resume  # the loop state at the start of that step
 
     if resume is None:
         tx, ty, _, _ = tg.target_state(0.0, target, tvx, tvy)
         az = math.atan2(ty, tx)
         el = config.launch_elevation
         bx, _, _ = af.body_axes(el, az)
-        vehicle = (
-            0.0, 0.0, 0.0,
-            config.launch_speed * bx[0], config.launch_speed * bx[1],
-            config.launch_speed * bx[2],
-            el, az, 0.0, 0.0,
-            frame.thrust.initial_mass,
-        )
-        start = 0
-        rows = bytearray()  # one packed _ROW per step
-        delayed = obs_p = obs_y = None  # set on the first step
-        defl_p = defl_y = 0.0
-        range_min = math.inf
-        rising = 0
-    else:
-        warm = (resume.step, resume.vehicle, resume.delayed, resume.obs_p, resume.obs_y,
-                resume.defl_p, resume.defl_y, resume.range_min, resume.rising)
-        start, vehicle, delayed, obs_p, obs_y, defl_p, defl_y, range_min, rising = warm
-        rows = bytearray(resume.prefix.data)
+        speed = config.launch_speed
+        vehicle = (0.0, 0.0, 0.0, speed * bx[0], speed * bx[1], speed * bx[2],
+                   el, az, 0.0, 0.0, frame.thrust.initial_mass)
+        resume = WarmupState(step=0, vehicle=vehicle, delayed=None, obs_p=None, obs_y=None,
+                             defl_p=0.0, defl_y=0.0, range_min=math.inf, rising=0,
+                             prefix=_NO_ROWS)
+    s = resume
+    start, vehicle, delayed, obs_p, obs_y = s.step, s.vehicle, s.delayed, s.obs_p, s.obs_y
+    defl_p, defl_y, range_min, rising = s.defl_p, s.defl_y, s.range_min, s.rising
+    rows = bytearray(s.prefix.data)  # one packed _ROW per step
     pack = _ROW.pack
     termination = "timeout"
     diagnostic = ""
@@ -211,7 +207,8 @@ def run_engagement(config: EngagementConfig,
     for n in range(start, n_max + 1):
         t = n * dt
         if warm is None and t >= warm_t:
-            warm = (n, vehicle, delayed, obs_p, obs_y, defl_p, defl_y, range_min, rising)
+            warm = WarmupState(n, vehicle, delayed, obs_p, obs_y, defl_p, defl_y,
+                               range_min, rising, _NO_ROWS)
         tx, ty, tz, tvz = tg.target_state(t, target, tvx, tvy)
         mx, my, mz, mvx, mvy, mvz = vehicle[:6]
         rx = tx - mx
@@ -289,8 +286,8 @@ def run_engagement(config: EngagementConfig,
     # a zero-copy view: the series and both velocities are its columns
     data = np.frombuffer(rows, dtype=float).reshape(-1, len(CSV_COLUMNS) + 6)
     # guidance took the prediction only if the handoff step was recorded
-    switch_time = (warm[0] * dt if guid.source == "predicted" and warm is not None
-                   and len(data) > warm[0] else None)
+    switch_time = (warm.step * dt if guid.source == "predicted" and warm is not None
+                   and len(data) > warm.step else None)
     record = EngagementRecord(
         series=dict(zip(CSV_COLUMNS, data.T)),
         missile_velocity=data[:, -6:-3],
@@ -299,7 +296,7 @@ def run_engagement(config: EngagementConfig,
         termination_reason=termination,
         source_switch_time=switch_time,
         diagnostic=diagnostic,
-        warmup=None if warm is None else WarmupState(*warm, data[:warm[0]]),
+        warmup=None if warm is None else dataclasses.replace(warm, prefix=data[:warm.step]),
     )
     if len(record) > 0:
         d, tm = miss_distance(record)
