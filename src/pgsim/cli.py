@@ -129,6 +129,12 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
+    # build_run_config sets these per run, whatever the config says
+    swept = {"observer.delta": cfg["observer"]["delta"], "target.phase": cfg["target"]["phase"]}
+    problems = ["%s must be 'auto' in a sweep, which sets it per run, got %r" % (key, value)
+                for key, value in swept.items() if value != "auto"]
+    if problems:
+        raise cf.ConfigError(problems)
     base = _engagement_config(cfg)
     sw = cfg["sweep"]
     sweep = mc.SweepConfig(
@@ -143,7 +149,7 @@ def cmd_sweep(args) -> int:
     mc.write_runs_csv(summary, args.out / "sweep_runs.csv")
     summary.config_echo["resolved_config"] = cfg
     mc.write_summary_json(summary, args.out / "sweep_summary.json")
-    mc.write_plotdata(summary, lambda s: args.out / ("plotdata_%s.csv" % s))
+    mc.write_plotdata(summary, args.out)
     for (d, s), st in sorted(summary.groups.items()):
         print("delay=%.3f source=%-9s mean=%.4g m std=%.4g m n=%d failures=%d"
               % (d, s, st["mean_miss"], st["std_miss"], st["n"], st["failure_count"]))

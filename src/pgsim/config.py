@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import airframe as af
 from . import guidance as gd
 from . import observer as ob
@@ -92,6 +94,9 @@ _FLOAT_MAX = sys.float_info.max
 # default's 60,000: a 1.9 GB record, and 170 s of stepping at 17 us a step
 MAX_STEPS = 10_000_000
 KNOWN_KEYS = frozenset(_FLAT_DEFAULTS)
+# classical RK4's stability region holds the closed left half-disk of this
+# radius (its boundary comes within 2.6156 of the origin)
+RK4_STABLE_RADIUS = 2.61
 
 
 def apply_override(cfg: dict, dotted_key: str, raw_value: str) -> None:
@@ -171,6 +176,23 @@ def _finite_injection_gains(ks, eps: float, delta: float) -> bool:
     return all(math.isfinite(c) for c in coeffs)
 
 
+def _rk4_stable(ks, h: float) -> bool:
+    """Whether an RK4 step of ``h`` (dt / epsilon) damps every root r of
+    the Hurwitz quartic s^4 + k1 s^3 + k2 s^2 + k3 s + k4: |R(h r)| < 1,
+    with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
+
+    Fujiwara's bound on |r| settles most gains without finding roots.
+    """
+    k1, k2, k3, k4 = ks
+    if h * 2.0 * max(k1, k2 ** 0.5, k3 ** (1.0 / 3.0), (k4 / 2.0) ** 0.25) \
+            <= RK4_STABLE_RADIUS:
+        return True
+    with np.errstate(all="ignore"):
+        z = h * np.roots([1.0, k1, k2, k3, k4])
+        amp = np.abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
+    return bool(np.all(amp < 1.0))
+
+
 def validate(cfg: dict) -> list:
     """All violations in the resolved config; empty list means valid."""
     problems: list = []
@@ -219,6 +241,10 @@ def validate(cfg: dict) -> list:
     if dt is not None and eps is not None and dt > eps / 4.0:
         problems.append("engagement.dt=%g exceeds the observer stiffness guard "
                         "epsilon/4=%g" % (dt, eps / 4.0))
+    elif gains_ok and dt is not None and eps is not None and not _rk4_stable(ks, dt / eps):
+        problems.append("observer gains (k1..k4) with observer.epsilon=%g and "
+                        "engagement.dt=%g have poles the RK4 step does not damp"
+                        % (eps, dt))
     sw = cfg["sweep"]
     delays = sw["delays"]
     if not (isinstance(delays, (list, tuple)) and delays

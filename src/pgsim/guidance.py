@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 SOURCES = ("true", "delayed", "predicted")
+# the flight condition trim_deflection_gain trims at
+TRIM_MACH = 1.5
+TRIM_ALTITUDE = 1000.0  # m
 
 
 @dataclass(frozen=True)
@@ -82,21 +85,19 @@ def autopilot_step(cmd: float, prev: float, gain: float, lim: float,
     return prev * a + target * b
 
 
-def trim_deflection_gain(airframe: Airframe, ref_mach: float = 1.5,
-                         ref_altitude: float = 1000.0,
-                         ref_mass: float | None = None) -> float:
-    """Deflection per unit lateral acceleration at a trimmed reference point.
+def trim_deflection_gain(airframe: Airframe) -> float:
+    """Deflection per unit lateral acceleration at a trimmed reference point:
+    Mach :data:`TRIM_MACH` at :data:`TRIM_ALTITUDE`, half the propellant burnt.
 
     At trim the fin moment balances the incidence moment, so the steady
     incidence per deflection is -cm_delta/cm_alpha and the resulting
     acceleration fixes the inverse gain.
     """
-    atm = atmosphere(ref_altitude)
-    if ref_mass is None:
-        ref_mass = airframe.thrust.initial_mass - 0.5 * airframe.thrust.propellant_mass
-    speed = ref_mach * atm.speed_of_sound
+    atm = atmosphere(TRIM_ALTITUDE)
+    ref_mass = airframe.thrust.initial_mass - 0.5 * airframe.thrust.propellant_mass
+    speed = TRIM_MACH * atm.speed_of_sound
     qbar = 0.5 * atm.density * speed * speed
-    cn_alpha, _, cm_alpha, _, cn_delta, cm_delta = airframe.table.interpolate(ref_mach)
+    cn_alpha, _, cm_alpha, _, cn_delta, cm_delta = airframe.table.interpolate(TRIM_MACH)
     alpha_per_delta = -cm_delta / cm_alpha
     accel_per_delta = qbar * airframe.table.reference_area * (
         cn_alpha * alpha_per_delta + cn_delta) / ref_mass

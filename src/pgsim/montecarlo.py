@@ -195,14 +195,15 @@ def finite_or_null(obj):
     return obj
 
 
-def write_plotdata(summary: SweepSummary, path_for_source) -> None:
+def write_plotdata(summary: SweepSummary, out_dir) -> None:
     """Per-source columns (delay, mean, mean-std, mean+std) for external
-    plotting; ``path_for_source`` maps a source name to a file path."""
+    plotting, one ``plotdata_<source>.csv`` per source in the directory
+    ``out_dir``, a :class:`pathlib.Path`."""
     sources = sorted({s for _, s in summary.groups})
     for src in sources:
         rows = [(d, st["mean_miss"], st["std_miss"])
                 for (d, s), st in sorted(summary.groups.items()) if s == src]
-        with open(path_for_source(src), "w") as fh:
+        with open(out_dir / ("plotdata_%s.csv" % src), "w") as fh:
             fh.write("delay,mean,mean_minus_std,mean_plus_std\n")
             for d, m, sd in rows:
                 fh.write("%s,%s,%s,%s\n" % (repr(d), repr(m), repr(m - sd), repr(m + sd)))

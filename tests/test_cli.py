@@ -162,9 +162,15 @@ class TestValidate:
         ("sweep", ["target.weave_frequency=1e-320"], "target.weave_frequency"),
         ("validate", ["observer.epsilon=1" + "0" * 400], "observer.epsilon"),
         ("sweep", ['sweep.sources=["delayed","delayed"]'], "sweep.sources"),
+        # the sweep sets the horizon and the phase per run
+        ("sweep", ["observer.delta=0.1"], "observer.delta"),
+        ("sweep", ["target.phase=1.0"], "target.phase"),
+        # every pole at -1000: dt/epsilon * |pole| = 20, beyond RK4's damping
+        ("validate", ["observer.k1=4000", "observer.k2=6000000", "observer.k3=4000000000",
+                      "observer.k4=1000000000000"], "observer.epsilon"),
     ], ids=["epsilon-gains", "delta-gains", "lag-gains", "sweep-delay-gains",
             "step-count", "step-count-cap", "weave-height", "sweep-weave-height", "int-beyond-float",
-            "repeated-sources"])
+            "repeated-sources", "sweep-delta", "sweep-phase", "stiff-gains"])
     def test_overflowing_or_repeated_input_exits_2(self, capsys, tmp_path, command,
                                                    overrides, key):
         out = [] if command == "validate" else ["--out", str(tmp_path)]

@@ -70,6 +70,27 @@ class TestValidate:
         cfg["observer"]["epsilon"] = 0.003
         assert any("epsilon/4" in p for p in cf.validate(cfg))
 
+    @staticmethod
+    def quadruple_root(a):
+        """Gains of (s + a)^4: every observer pole at -a / epsilon."""
+        return {"k1": 4.0 * a, "k2": 6.0 * a ** 2, "k3": 4.0 * a ** 3, "k4": a ** 4}
+
+    @pytest.mark.parametrize("a", [20.0, 139.0])
+    def test_rk4_damped_gains_pass(self, a):
+        # Fujiwara's root bound, 8a, is too loose to settle these: the
+        # gate must find the roots (the defaults, a = 1, pass on the bound)
+        cfg = cf.resolve()
+        cfg["observer"].update(self.quadruple_root(a))
+        assert cf.validate(cfg) == []
+
+    def test_rk4_undamped_gains_rejected(self):
+        # dt / epsilon = 0.02: RK4 damps a real pole z = -0.02 a only above
+        # z = -2.7853, its stability limit on the real axis
+        cfg = cf.resolve()
+        cfg["observer"].update(self.quadruple_root(140.0))
+        problems = cf.validate(cfg)
+        assert len(problems) == 1 and "RK4 step does not damp" in problems[0], problems
+
     def test_step_count_cap(self):
         # a power-of-two dt makes max_time / dt exact at the cap
         cfg = cf.resolve()

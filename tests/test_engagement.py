@@ -132,9 +132,7 @@ class TestMissDistance:
                                t_pos, lambda t: (-30.0, 2.0, -1.0))
         miss, tm = en.miss_distance(rec)
         fine = np.arange(0.0, 4.0, 1e-6)
-        d = np.linalg.norm(
-            np.array([t_pos(t) for t in fine]) - np.array([m_pos(t) for t in fine]),
-            axis=1)
+        d = np.sqrt(sum((a - b) ** 2 for a, b in zip(t_pos(fine), m_pos(fine))))
         assert miss == pytest.approx(float(d.min()), abs=1e-6)
         assert tm == pytest.approx(float(fine[d.argmin()]), abs=1e-4)
 

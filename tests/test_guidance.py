@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -154,8 +155,15 @@ class TestTrimDeflectionGain:
         g = trim_deflection_gain(af.load_airframe())
         assert 0.0 < g < 0.1  # well under a radian per g
 
-    def test_mass_override(self):
-        frame = af.load_airframe()
-        heavy = trim_deflection_gain(frame, ref_mass=85.0)
-        light = trim_deflection_gain(frame, ref_mass=55.0)
+    def test_mass_override(self, tmp_path):
+        # two datasets that differ only in their launch mass
+        text = resources.files("pgsim.data").joinpath("generic_airframe.txt").read_text()
+        line = "initial_mass = 85.0"
+        assert line in text
+        gains = []
+        for mass in (85.0, 95.0):
+            path = tmp_path / ("frame_%g.txt" % mass)
+            path.write_text(text.replace(line, "initial_mass = %r" % mass))
+            gains.append(trim_deflection_gain(af.load_airframe(str(path))))
+        light, heavy = gains
         assert heavy > light  # heavier vehicle needs more fin per m/s^2

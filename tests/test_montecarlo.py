@@ -279,9 +279,9 @@ class TestOutputs:
 
     def test_plotdata(self, small_sweep, tmp_path):
         sweep, summary = small_sweep
-        mc.write_plotdata(summary, lambda s: tmp_path / ("plot_%s.csv" % s))
+        mc.write_plotdata(summary, tmp_path)
         for src in sweep.sources:
-            lines = (tmp_path / ("plot_%s.csv" % src)).read_text().splitlines()
+            lines = (tmp_path / ("plotdata_%s.csv" % src)).read_text().splitlines()
             assert lines[0] == "delay,mean,mean_minus_std,mean_plus_std"
             assert len(lines) == 1 + len(sweep.delays)
             d, m, lo, hi = (float(v) for v in lines[1].split(","))
