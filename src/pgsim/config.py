@@ -220,8 +220,10 @@ def validate(cfg: dict) -> list:
     if not (isinstance(t["position"], (list, tuple)) and len(t["position"]) == 3
             and all(_finite(v) for v in t["position"])):
         problems.append("target.position must be a list of 3 finite numbers")
-    elif not any(t["position"]):
-        problems.append("target.position must not be the launch site [0, 0, 0]")
+    elif sum(v * v for v in t["position"]) <= 0:
+        # the seeker divides by the squared range, which underflows to 0 near the origin
+        problems.append("target.position must not be the launch site [0, 0, 0]: "
+                        "its squared range is 0")
     _num(cfg, "target.speed", problems, lambda v: v > 0, "must be > 0")
     amp = _num(cfg, "target.weave_amplitude", problems, lambda v: v >= 0, "must be >= 0")
     freq = _num(cfg, "target.weave_frequency", problems, lambda v: v > 0, "must be > 0")

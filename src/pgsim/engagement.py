@@ -264,19 +264,16 @@ def run_engagement(config: EngagementConfig,
             break
 
         # advance observer (ZOH on the delayed signal) and the airframe
-        try:
-            obs_p = ob.rk4_step8(obs_p, delayed[0], obs_map)
-            obs_y = ob.rk4_step8(obs_y, delayed[1], obs_map)
-            # a non-finite state or map entry reaches x12 within two steps
-            if not (math.isfinite(obs_p[4]) and math.isfinite(obs_y[4])):
-                raise ValueError("observer state non-finite at t=%g" % t)
-        except (ValueError, OverflowError) as exc:
+        obs_p = ob.rk4_step8(obs_p, delayed[0], obs_map)
+        obs_y = ob.rk4_step8(obs_y, delayed[1], obs_map)
+        # a non-finite state or map entry reaches x12 within two steps
+        if not (math.isfinite(obs_p[4]) and math.isfinite(obs_y[4])):
             termination = "observer_divergence"
-            diagnostic = "integration failed at t=%g: %s" % (t, exc)
+            diagnostic = "integration failed at t=%g: observer state non-finite at t=%g" % (t, t)
             break
         try:
             vehicle = _vehicle_rk4(vehicle, (defl_p, defl_y), frame, t, dt)
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
             # the atmosphere model raises for the step-start altitude mz
             termination = ("altitude_ceiling" if mz > af.ISA_CEILING
                            else "vehicle_divergence")

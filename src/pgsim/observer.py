@@ -89,15 +89,14 @@ def _offset_rhs(s, v: float, coeffs: tuple) -> tuple:
             d2 + (g1 - b1) * e, d3 + (g2 - b2) * e, d4 + (g3 - b3) * e, (g4 - b4) * e)
 
 
-def _rk4_increment(s, v: tuple, dt: float, coeffs: tuple) -> list:
+def _rk4_increment(s, v: float, dt: float, coeffs: tuple) -> list:
     """Classical RK4 increment of :func:`_offset_rhs` over one step from
-    ``s``, with stage samples ``v = (v0, vm, v1)``."""
-    v0, vm, v1 = v
+    ``s``, with sample ``v`` held over the step."""
     h2 = dt * 0.5
-    k1 = _offset_rhs(s, v0, coeffs)
-    k2 = _offset_rhs([a + h2 * b for a, b in zip(s, k1)], vm, coeffs)
-    k3 = _offset_rhs([a + h2 * b for a, b in zip(s, k2)], vm, coeffs)
-    k4 = _offset_rhs([a + dt * b for a, b in zip(s, k3)], v1, coeffs)
+    k1 = _offset_rhs(s, v, coeffs)
+    k2 = _offset_rhs([a + h2 * b for a, b in zip(s, k1)], v, coeffs)
+    k3 = _offset_rhs([a + h2 * b for a, b in zip(s, k2)], v, coeffs)
+    k4 = _offset_rhs([a + dt * b for a, b in zip(s, k3)], v, coeffs)
     h6 = dt / 6.0
     return [h6 * (p + 2.0 * (q + r) + w) for p, q, r, w in zip(k1, k2, k3, k4)]
 
@@ -116,43 +115,30 @@ def step_map(dt: float, coeffs: tuple) -> tuple:
     feed step one, and offset ``d_i`` is fed only by ``d_{i+1}..d4``
     (``d4`` is constant, since ``g4 = b4``).
 
-    Returns ``(held, staged)``.  Each is flat, row by row for the
-    increments of x11, x21, x31, x41, d1, d2, d3: the error column(s),
-    then the x21, x31 and x41 columns, then, on the offset rows, the
-    columns of the later offsets.  ``held`` has one error column (a
-    sample held over the step); ``staged`` has three, e0, em and e1, for
-    the errors of the start, midpoint and end samples.
+    The map is flat, row by row for the increments of x11, x21, x31,
+    x41, d1, d2, d3: the error column, then the x21, x31 and x41
+    columns, then, on the offset rows, the columns of the later offsets.
     """
-    def response(unit=None, v=(0.0, 0.0, 0.0)):
+    def response(unit=None, v=0.0):
         s = [0.0] * 8
         if unit is not None:
             s[unit] = 1.0
         return _rk4_increment(s, v, dt, coeffs)
 
-    x21, x31, x41, d2, d3, d4 = (response(i) for i in (1, 2, 3, 5, 6, 7))
-
-    def flatten(error_columns):
-        cols = (*error_columns, x21, x31, x41)
-        out = []
-        for r in range(7):
-            out += [c[r] for c in cols]
-            if r >= 4:
-                out += [c[r] for c in (d2, d3, d4)[r - 4:]]
-        return tuple(out)
-
-    held = flatten([response(v=(1.0, 1.0, 1.0))])
-    staged = flatten([response(v=(1.0, 0.0, 0.0)), response(v=(0.0, 1.0, 0.0)),
-                      response(v=(0.0, 0.0, 1.0))])
-    return held, staged
+    cols = (response(v=1.0), *(response(i) for i in (1, 2, 3)))
+    d2, d3, d4 = (response(i) for i in (5, 6, 7))
+    out = []
+    for r in range(7):
+        out += [c[r] for c in cols]
+        if r >= 4:
+            out += [c[r] for c in (d2, d3, d4)[r - 4:]]
+    return tuple(out)
 
 
-def rk4_step8(x: tuple, v, m: tuple) -> tuple:
-    """One classical RK4 step of the eight-state chain, through the map
-    ``m`` from :func:`step_map` for the step size and gains.
-
-    ``v`` is either a single held sample (zero-order hold) or a
-    (start, midpoint, end) triple of stage samples; stage sampling makes
-    the step fourth-order accurate in the input as well.
+def rk4_step8(x: tuple, v: float, m: tuple) -> tuple:
+    """One classical RK4 step of the eight-state chain for sample ``v``
+    held over the step (zero-order hold), through the map ``m`` from
+    :func:`step_map` for the step size and gains.
 
     The derivative of the eight states for input sample ``v`` is
     ``(x21 + b1 e, x31 + b2 e, x41 + b3 e, b4 e, x22 + g1 e, x32 + g2 e,
@@ -160,9 +146,9 @@ def rk4_step8(x: tuple, v, m: tuple) -> tuple:
     to the error, the step-one chain and the offsets ``x_i2 - x_i1``, so
     a state at rest under a constant input stays bit for bit where it is,
     and at a zero horizon step two equals step one bit for bit.  Against
-    RK4 composed from the derivative (``rhs8`` in
-    ``tests/test_observer.py``) it agrees to a few ulp of the state's
-    scale, as rounding differs.
+    RK4 composed from the derivative (``rk4_from_rhs8`` in
+    ``tests/conftest.py``) it agrees to a few ulp of the state's scale,
+    as rounding differs.
     """
     x11, x21, x31, x41, x12, x22, x32, x42 = x
     d2 = x22 - x21
@@ -170,38 +156,17 @@ def rk4_step8(x: tuple, v, m: tuple) -> tuple:
     d4 = x42 - x41
     # coefficient names are row then column: rows u1..u4 give the
     # increments of x11..x41 and f1..f3 those of d1..d3; columns are the
-    # error(s), x21 (2), x31 (3), x41 (4) and d2..d4
-    if isinstance(v, tuple):
-        (u1e0, u1em, u1e1, u12, u13, u14, u2e0, u2em, u2e1, u22, u23, u24,
-         u3e0, u3em, u3e1, u32, u33, u34, u4e0, u4em, u4e1, u42, u43, u44,
-         f1e0, f1em, f1e1, f12, f13, f14, f1d2, f1d3, f1d4,
-         f2e0, f2em, f2e1, f22, f23, f24, f2d3, f2d4,
-         f3e0, f3em, f3e1, f32, f33, f34, f3d4) = m[1]
-        v0, vm, v1 = v
-        e0 = v0 - x11
-        em = vm - x11
-        e1 = v1 - x11
-        y11 = x11 + (u1e0 * e0 + u1em * em + u1e1 * e1 + u12 * x21 + u13 * x31 + u14 * x41)
-        y21 = x21 + (u2e0 * e0 + u2em * em + u2e1 * e1 + u22 * x21 + u23 * x31 + u24 * x41)
-        y31 = x31 + (u3e0 * e0 + u3em * em + u3e1 * e1 + u32 * x21 + u33 * x31 + u34 * x41)
-        y41 = x41 + (u4e0 * e0 + u4em * em + u4e1 * e1 + u42 * x21 + u43 * x31 + u44 * x41)
-        f1 = (f1e0 * e0 + f1em * em + f1e1 * e1 + f12 * x21 + f13 * x31 + f14 * x41
-              + f1d2 * d2 + f1d3 * d3 + f1d4 * d4)
-        f2 = (f2e0 * e0 + f2em * em + f2e1 * e1 + f22 * x21 + f23 * x31 + f24 * x41
-              + f2d3 * d3 + f2d4 * d4)
-        f3 = (f3e0 * e0 + f3em * em + f3e1 * e1 + f32 * x21 + f33 * x31 + f34 * x41
-              + f3d4 * d4)
-    else:
-        (u1e, u12, u13, u14, u2e, u22, u23, u24, u3e, u32, u33, u34,
-         u4e, u42, u43, u44, f1e, f12, f13, f14, f1d2, f1d3, f1d4,
-         f2e, f22, f23, f24, f2d3, f2d4, f3e, f32, f33, f34, f3d4) = m[0]
-        e = v - x11
-        y11 = x11 + (u1e * e + u12 * x21 + u13 * x31 + u14 * x41)
-        y21 = x21 + (u2e * e + u22 * x21 + u23 * x31 + u24 * x41)
-        y31 = x31 + (u3e * e + u32 * x21 + u33 * x31 + u34 * x41)
-        y41 = x41 + (u4e * e + u42 * x21 + u43 * x31 + u44 * x41)
-        f1 = f1e * e + f12 * x21 + f13 * x31 + f14 * x41 + f1d2 * d2 + f1d3 * d3 + f1d4 * d4
-        f2 = f2e * e + f22 * x21 + f23 * x31 + f24 * x41 + f2d3 * d3 + f2d4 * d4
-        f3 = f3e * e + f32 * x21 + f33 * x31 + f34 * x41 + f3d4 * d4
+    # error (e), x21 (2), x31 (3), x41 (4) and d2..d4
+    (u1e, u12, u13, u14, u2e, u22, u23, u24, u3e, u32, u33, u34,
+     u4e, u42, u43, u44, f1e, f12, f13, f14, f1d2, f1d3, f1d4,
+     f2e, f22, f23, f24, f2d3, f2d4, f3e, f32, f33, f34, f3d4) = m
+    e = v - x11
+    y11 = x11 + (u1e * e + u12 * x21 + u13 * x31 + u14 * x41)
+    y21 = x21 + (u2e * e + u22 * x21 + u23 * x31 + u24 * x41)
+    y31 = x31 + (u3e * e + u32 * x21 + u33 * x31 + u34 * x41)
+    y41 = x41 + (u4e * e + u42 * x21 + u43 * x31 + u44 * x41)
+    f1 = f1e * e + f12 * x21 + f13 * x31 + f14 * x41 + f1d2 * d2 + f1d3 * d3 + f1d4 * d4
+    f2 = f2e * e + f22 * x21 + f23 * x31 + f24 * x41 + f2d3 * d3 + f2d4 * d4
+    f3 = f3e * e + f32 * x21 + f33 * x31 + f34 * x41 + f3d4 * d4
     return (y11, y21, y31, y41,
             y11 + ((x12 - x11) + f1), y21 + (d2 + f2), y31 + (d3 + f3), y41 + d4)

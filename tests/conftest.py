@@ -27,6 +27,44 @@ def state_derivative(x, dp, dyaw, row, sref, lref, inv_i, thrust, mdot, rho):
     return (vx, vy, vz, ax, ay, az, q_rate, r_rate, q_dot, r_dot, -mdot)
 
 
+def rhs8(x, v, coeffs):
+    """Time derivatives of the eight observer states for input sample
+    ``v``: the oracle that :func:`rk4_from_rhs8` composes RK4 from.
+
+    ``x`` is (x11, x21, x31, x41, x12, x22, x32, x42); ``coeffs`` is the
+    tuple from ``ObserverConfig.coefficients``.
+    """
+    x11, x21, x31, x41, x12, x22, x32, x42 = x
+    b1, b2, b3, b4, g1, g2, g3, g4 = coeffs
+    e = v - x11
+    return (
+        x21 + b1 * e,
+        x31 + b2 * e,
+        x41 + b3 * e,
+        b4 * e,
+        x22 + g1 * e,
+        x32 + g2 * e,
+        x42 + g3 * e,
+        g4 * e,
+    )
+
+
+def rk4_from_rhs8(x, v, dt, coeffs):
+    """Classical RK4 composed from :func:`rhs8`: the observer reference.
+    ``v`` is a sample held over the step, or a (start, midpoint, end)
+    triple of stage samples, which makes the step fourth-order accurate
+    in the input as well."""
+    v0, vm, v1 = v if isinstance(v, tuple) else (v, v, v)
+    h2 = dt * 0.5
+    k1 = rhs8(x, v0, coeffs)
+    k2 = rhs8(tuple(a + h2 * b for a, b in zip(x, k1)), vm, coeffs)
+    k3 = rhs8(tuple(a + h2 * b for a, b in zip(x, k2)), vm, coeffs)
+    k4 = rhs8(tuple(a + dt * b for a, b in zip(x, k3)), v1, coeffs)
+    h6 = dt / 6.0
+    return tuple(a + h6 * (p + 2.0 * (q + r) + s)
+                 for a, p, q, r, s in zip(x, k1, k2, k3, k4))
+
+
 @pytest.fixture(scope="session")
 def default_sweep():
     """The 400-run sweep of the config schema's defaults on all cores,

@@ -143,11 +143,12 @@ class TestValidate:
 
     @pytest.mark.parametrize("command", ["run", "demo"])
     def test_target_at_launch_site_exits_2(self, capsys, tmp_path, command):
-        # zero initial range: no step could be recorded
+        # zero initial range, exactly or once squared: no step could be recorded
         out = ["--out", str(tmp_path)] if command == "run" else []
-        assert run_cli(command, *out, "--set", "target.position=[0,0,0]") == 2
-        assert "config error: target.position" in capsys.readouterr().err
-        assert not (tmp_path / "engagement.csv").exists()
+        for position in ("[0,0,0]", "[1e-200,0,0]"):
+            assert run_cli(command, *out, "--set", "target.position=" + position) == 2
+            assert "config error: target.position" in capsys.readouterr().err
+            assert not (tmp_path / "engagement.csv").exists()
 
     @pytest.mark.parametrize("command, overrides, key", [
         ("run", ["observer.epsilon=1e200"], "observer.epsilon"),
@@ -315,6 +316,18 @@ class TestRun:
         captured = capsys.readouterr()
         assert "divergence" in captured.err
         doc = json.loads((tmp_path / "metrics.json").read_text())
+        assert doc["termination_reason"] == "vehicle_divergence"
+
+    def test_tiny_launch_speed_exits_3(self, capsys, tmp_path):
+        # the launch speed squared underflows to 0, so the airframe step
+        # divides by zero on the first step
+        code = run_cli("run", "--out", str(tmp_path),
+                       "--set", "engagement.launch_speed=1e-170")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "vehicle_divergence: " in err
+        assert "Traceback" not in err
+        doc = strict_json(tmp_path / "metrics.json")
         assert doc["termination_reason"] == "vehicle_divergence"
 
     def test_altitude_ceiling_exits_3(self, capsys, tmp_path):

@@ -1,9 +1,8 @@
 import math
-import struct
 
 import numpy as np
 import pytest
-from conftest import schema_config
+from conftest import rhs8, rk4_from_rhs8, schema_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,28 +17,6 @@ def make_config(**kw):
     """The schema's observer config with the binomial gains; ``kw``
     replaces any field."""
     return schema_config("observer", **{"gains": GAINS, **kw})
-
-
-def rhs8(x, v, coeffs):
-    """Time derivatives of the eight states for input sample ``v``: the
-    parity oracle that :func:`rk4_from_rhs8` composes RK4 from.
-
-    ``x`` is (x11, x21, x31, x41, x12, x22, x32, x42); ``coeffs`` is the
-    tuple from :meth:`ObserverConfig.coefficients`.
-    """
-    x11, x21, x31, x41, x12, x22, x32, x42 = x
-    b1, b2, b3, b4, g1, g2, g3, g4 = coeffs
-    e = v - x11
-    return (
-        x21 + b1 * e,
-        x31 + b2 * e,
-        x41 + b3 * e,
-        b4 * e,
-        x22 + g1 * e,
-        x32 + g2 * e,
-        x42 + g3 * e,
-        g4 * e,
-    )
 
 
 class TestValidateGains:
@@ -118,22 +95,21 @@ def step_map(cfg, dt):
     return ob.step_map(dt, cfg.coefficients())
 
 
-def step(x, v, t, dt, m):
-    """One observer step from time ``t`` through the step map ``m`` of
-    ``dt``; a callable ``v(t)`` is sampled at the RK4 stage times, which
-    removes the hold-induced tracking bias, and a number is held over the
-    step (zero-order hold)."""
-    if callable(v):
-        v = (v(t), v(t + dt * 0.5), v(t + dt))
-    return ob.rk4_step8(x, v, m)
-
-
-def run_observer(cfg, signal, duration, dt):
-    """(state, t) after ``duration`` seconds on ``signal(t)`` from its seed."""
+def run_observer(cfg, signal, duration, dt, staged=False):
+    """(state, t) after ``duration`` seconds on ``signal(t)`` from its
+    seed.  The shipped kernel steps on each step's start sample, held
+    over the step; with ``staged``, the RK4 reference steps instead, on
+    ``signal`` sampled at the stage times, which removes the hold's
+    tracking bias."""
     m = step_map(cfg, dt)
+    coeffs = cfg.coefficients()
     x, t = seed(signal(0.0)), 0.0
     for _ in range(int(round(duration / dt))):
-        x = step(x, signal, t, dt, m)
+        if staged:
+            x = rk4_from_rhs8(x, (signal(t), signal(t + dt * 0.5), signal(t + dt)),
+                              dt, coeffs)
+        else:
+            x = ob.rk4_step8(x, signal(t), m)
         t = t + dt
     return x, t
 
@@ -145,14 +121,7 @@ class TestReset:
         m = step_map(make_config(delta=0.2), 1e-3)
         for v0 in (0.0, 0.3, -2.5):
             x = seed(v0)
-            assert step(x, v0, 0.0, 1e-3, m) == x
-
-    def test_seed_at_rest_under_stage_samples(self):
-        # a constant input sampled at the stage times leaves it at rest too
-        m = step_map(make_config(delta=0.2), 1e-3)
-        for v0 in (0.0, 0.3, -2.5, 1e-300, 7e5):
-            x = seed(v0)
-            assert _bits(step(x, (v0, v0, v0), 0.0, 1e-3, m)) == _bits(x)
+            assert ob.rk4_step8(x, v0, m) == x
 
     def test_seed_value_placed_in_both_steps(self):
         cfg = cf.resolve()
@@ -167,7 +136,7 @@ class TestReset:
 
 class TestObserverStep:
     def test_equilibrium(self):
-        assert step((0.0,) * 8, 0.0, 0.0, 1e-3, step_map(make_config(), 1e-3)) == (0.0,) * 8
+        assert ob.rk4_step8((0.0,) * 8, 0.0, step_map(make_config(), 1e-3)) == (0.0,) * 8
 
     def test_divergence_names_entry(self, monkeypatch):
         # a non-finite observer state ends the run as observer_divergence
@@ -189,17 +158,16 @@ class TestObserverStep:
         assert len(record) == 5
 
     def test_nonfinite_map_diverges(self, monkeypatch):
-        # any non-finite entry of the held-input map the loop steps with
-        # ends the run as observer_divergence within two steps
-        real = ob.step_map
+        # any non-finite entry of the map the loop steps with ends the
+        # run as observer_divergence within two steps
         cfg = cf.resolve()
         cfg["engagement"]["max_time"] = 0.05
         eng = en.EngagementConfig.from_setup(cf.build_setup(cfg))
-        held, staged = real(eng.dt, eng.observer.coefficients())
-        for i in range(len(held)):
+        m = ob.step_map(eng.dt, eng.observer.coefficients())
+        for i in range(len(m)):
             for bad in (math.inf, math.nan):
-                held_bad = held[:i] + (bad,) + held[i + 1:]
-                monkeypatch.setattr(ob, "step_map", lambda dt, c, m=(held_bad, staged): m)
+                monkeypatch.setattr(ob, "step_map",
+                                    lambda dt, c, m=m[:i] + (bad,) + m[i + 1:]: m)
                 record = en.run_engagement(eng)
                 assert record.termination_reason == "observer_divergence", (i, bad)
                 assert len(record) <= 2, (i, bad)
@@ -207,7 +175,7 @@ class TestObserverStep:
     def test_cubic_tracking(self):
         # zero steady-state error for inputs with vanishing 4th derivative
         cfg = make_config(epsilon=0.05, delta=0.0)
-        x, t = run_observer(cfg, lambda t: t ** 3, 2.0, 1e-3)
+        x, t = run_observer(cfg, lambda t: t ** 3, 2.0, 1e-3, staged=True)
         expected = (t ** 3, 3 * t ** 2, 6 * t, 6.0)
         for got, want in zip(x[:4], expected):
             assert got == pytest.approx(want, rel=1e-3)
@@ -221,7 +189,7 @@ class TestObserverStep:
         n_settle = int(3.0 / dt)
         err_pred = err_raw = 0.0
         for i in range(int(6.0 / dt)):
-            x = step(x, math.sin, t, dt, m)
+            x = ob.rk4_step8(x, math.sin(t), m)
             t = t + dt
             if i >= n_settle:
                 future = math.sin(t + delta)
@@ -240,7 +208,7 @@ class TestPrediction:
 
     def test_converged_cubic_future_value(self):
         cfg = make_config(epsilon=0.05, delta=0.1)
-        x, _ = run_observer(cfg, lambda t: t ** 3, 2.0, 1e-3)
+        x, _ = run_observer(cfg, lambda t: t ** 3, 2.0, 1e-3, staged=True)
         assert x[4] == pytest.approx(2.1 ** 3, rel=1e-4)
 
     def test_constant_signal(self):
@@ -257,7 +225,7 @@ class TestInvariants:
         rng = np.random.default_rng(7)
         x = seed(0.5)
         for v in rng.normal(size=500):
-            x = step(x, float(v), 0.0, 1e-3, m)
+            x = ob.rk4_step8(x, float(v), m)
             assert x[:4] == x[4:]
 
     def test_polynomial_exactness(self):
@@ -269,7 +237,7 @@ class TestInvariants:
         def v(t):
             return 2 * t ** 3 - t ** 2 + 5
 
-        x, t = run_observer(cfg, v, 2.0, dt)
+        x, t = run_observer(cfg, v, 2.0, dt, staged=True)
         assert x[0] == pytest.approx(v(t), rel=1e-6)
         assert x[4] == pytest.approx(v(t + 0.2), rel=1e-5)
         # derivative states carry the residual RK4 propagator error at
@@ -290,7 +258,7 @@ class TestInvariants:
         n_settle = int(3.0 / dt)
         n = int(6.0 / dt)
         for i in range(n):
-            x = step(x, lambda t: math.sin(omega * t), t, dt, m)
+            x = ob.rk4_step8(x, math.sin(omega * t), m)
             t = t + dt
             if i >= n_settle:
                 future = math.sin(omega * (t + delta))
@@ -306,7 +274,7 @@ class TestInvariants:
             x, t = seed(math.sin(0.0)), 0.0
             worst = 0.0
             for _ in range(40 * 10):  # 40*eps seconds at dt=eps/10
-                x = step(x, math.sin, t, dt, m)
+                x = ob.rk4_step8(x, math.sin(t), m)
                 t = t + dt
                 worst = max(worst, abs(x[4]))
             assert math.isfinite(worst)
@@ -326,39 +294,20 @@ class TestInvariants:
             x = seed(inputs[0])
             out = []
             for v in inputs:
-                x = step(x, v, 0.0, 1e-3, m)
+                x = ob.rk4_step8(x, v, m)
                 out.append(x)
             return out
 
         assert run() == run()
 
 
-def _bits(values) -> bytes:
-    return struct.pack("%dd" % len(values), *values)
-
-
-def rk4_from_rhs8(x, v, dt, coeffs):
-    """Classical RK4 composed from rhs8: the reference for rk4_step8."""
-    v0, vm, v1 = v if isinstance(v, tuple) else (v, v, v)
-    h2 = dt * 0.5
-    k1 = rhs8(x, v0, coeffs)
-    k2 = rhs8(tuple(a + h2 * b for a, b in zip(x, k1)), vm, coeffs)
-    k3 = rhs8(tuple(a + h2 * b for a, b in zip(x, k2)), vm, coeffs)
-    k4 = rhs8(tuple(a + dt * b for a, b in zip(x, k3)), v1, coeffs)
-    h6 = dt / 6.0
-    return tuple(a + h6 * (p + 2.0 * (q + r) + s)
-                 for a, p, q, r, s in zip(x, k1, k2, k3, k4))
-
-
 class TestRk4StepParity:
     # The map rounds differently from the written-out stages; the bound
     # is in ulp of the step's scale, max(|x|, |v|, |result|), and the
-    # largest error over these cases is 7.5 ulp (stage samples) and
-    # 2.0 ulp (held sample).
+    # largest error over these cases is 2.0 ulp.
     ULPS = 16
 
-    @pytest.mark.parametrize("stage_samples", [False, True])
-    def test_agrees_with_rhs8_composition(self, stage_samples):
+    def test_agrees_with_rhs8_composition(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             x = tuple(float(v) for v in rng.normal(size=8) * 10.0 ** rng.integers(-3, 4, 8))
@@ -366,12 +315,9 @@ class TestRk4StepParity:
                               delta=float(rng.uniform(0.0, 0.4)))
             coeffs = cfg.coefficients()
             dt = cfg.epsilon / float(rng.uniform(4.0, 40.0))
-            if stage_samples:
-                v = tuple(float(s) for s in rng.normal(size=3))
-            else:
-                v = float(rng.normal())
+            v = float(rng.normal())
             got = ob.rk4_step8(x, v, ob.step_map(dt, coeffs))
             want = rk4_from_rhs8(x, v, dt, coeffs)
-            scale = max(map(abs, (*x, *np.atleast_1d(v), *want)))
+            scale = max(map(abs, (*x, v, *want)))
             err = max(abs(a - b) for a, b in zip(got, want))
             assert err <= self.ULPS * scale * 2.0 ** -52, (x, v, dt, coeffs)
