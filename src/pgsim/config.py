@@ -170,7 +170,7 @@ def _num(cfg, key, problems, cond=lambda v: True, msg=""):
 def _finite_injection_gains(ks, eps: float, delta: float) -> bool:
     """Whether the observer's injection gains (~ delta**3 / eps**4) are finite."""
     try:
-        coeffs = ob.ObserverConfig(ob.ObserverGains(*ks), eps, delta).coefficients()
+        coeffs = ob.ObserverConfig(*ks, eps, delta).coefficients()
     except (OverflowError, ZeroDivisionError):
         return False
     return all(math.isfinite(c) for c in coeffs)
@@ -217,14 +217,22 @@ def validate(cfg: dict) -> list:
     t = cfg["target"]
     if t["kind"] not in ("level", "weaving"):
         problems.append("target.kind must be 'level' or 'weaving'")
+    pos = None
     if not (isinstance(t["position"], (list, tuple)) and len(t["position"]) == 3
             and all(_finite(v) for v in t["position"])):
         problems.append("target.position must be a list of 3 finite numbers")
-    elif sum(v * v for v in t["position"]) <= 0:
-        # the seeker divides by the squared range, which underflows to 0 near the origin
-        problems.append("target.position must not be the launch site [0, 0, 0]: "
-                        "its squared range is 0")
-    _num(cfg, "target.speed", problems, lambda v: v > 0, "must be > 0")
+    else:
+        pos = tuple(float(v) for v in t["position"])
+        # the loop's products at launch: the seeker divides by the squared
+        # range, which underflows to 0 near the origin and overflows far off
+        if not 0.0 < sum(v * v for v in pos) < math.inf:
+            problems.append("target.position %r must be off the launch site [0, 0, 0] "
+                            "with a finite squared range" % (t["position"],))
+    speed = _num(cfg, "target.speed", problems, lambda v: v > 0, "must be > 0")
+    if pos and speed and not all(map(math.isfinite, tg.ground_velocity(
+            tg.TargetConfig(t["kind"], pos, speed, 0.0, 1.0, 0.0)))):
+        problems.append("target.speed=%r gives the target a ground velocity that "
+                        "overflows" % speed)
     amp = _num(cfg, "target.weave_amplitude", problems, lambda v: v >= 0, "must be >= 0")
     freq = _num(cfg, "target.weave_frequency", problems, lambda v: v > 0, "must be > 0")
     # checked whatever target.kind says: the sweep flies weaving targets
@@ -298,10 +306,7 @@ def build_setup(cfg: dict):
     o = cfg["observer"]
     delta = lag if o["delta"] == "auto" else float(o["delta"])
     obs_cfg = ob.ObserverConfig(
-        gains=ob.ObserverGains(float(o["k1"]), float(o["k2"]),
-                               float(o["k3"]), float(o["k4"])),
-        epsilon=float(o["epsilon"]), delta=delta,
-    )
+        *(float(o[k]) for k in ("k1", "k2", "k3", "k4", "epsilon")), delta=delta)
     frame = af.load_airframe(None if cfg["airframe"]["dataset"] == "builtin"
                              else cfg["airframe"]["dataset"])
     ap = cfg["autopilot"]

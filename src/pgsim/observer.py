@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "ObserverGains",
     "ObserverConfig",
     "validate_gains",
     "step_map",
@@ -31,29 +30,15 @@ def validate_gains(k1: float, k2: float, k3: float, k4: float) -> bool:
 
 
 @dataclass(frozen=True)
-class ObserverGains:
-    """Tuning gains of the error-injection chain.
-
-    The quartic s^4 + k1 s^3 + k2 s^2 + k3 s + k4 must be Hurwitz;
-    construction fails otherwise.
-    """
+class ObserverConfig:
+    """Gains of the error-injection chain, whose quartic
+    s^4 + k1 s^3 + k2 s^2 + k3 s + k4 must be Hurwitz (see
+    :func:`validate_gains`), with the bandwidth and the horizon."""
 
     k1: float
     k2: float
     k3: float
     k4: float
-
-    def __post_init__(self):
-        if not validate_gains(self.k1, self.k2, self.k3, self.k4):
-            raise ValueError(
-                "observer gains (%g, %g, %g, %g) fail the Hurwitz stability "
-                "conditions" % (self.k1, self.k2, self.k3, self.k4)
-            )
-
-
-@dataclass(frozen=True)
-class ObserverConfig:
-    gains: ObserverGains
     epsilon: float        # bandwidth parameter; injection gains scale as k_i / eps^i
     delta: float          # prediction horizon, seconds
 
@@ -64,13 +49,12 @@ class ObserverConfig:
         Taylor-weighted g_i over the horizon, which collapse to b_i when
         the horizon is 0.
         """
-        k = self.gains
         e = self.epsilon
         d = self.delta
-        b1 = k.k1 / e
-        b2 = k.k2 / e ** 2
-        b3 = k.k3 / e ** 3
-        b4 = k.k4 / e ** 4
+        b1 = self.k1 / e
+        b2 = self.k2 / e ** 2
+        b3 = self.k3 / e ** 3
+        b4 = self.k4 / e ** 4
         return (b1, b2, b3, b4,
                 b4 * d ** 3 / 6.0 + b3 * d ** 2 / 2.0 + b2 * d + b1,
                 b4 * d ** 2 / 2.0 + b3 * d + b2,

@@ -143,9 +143,10 @@ class TestValidate:
 
     @pytest.mark.parametrize("command", ["run", "demo"])
     def test_target_at_launch_site_exits_2(self, capsys, tmp_path, command):
-        # zero initial range, exactly or once squared: no step could be recorded
+        # zero initial range, exactly or once squared, or a squared range that
+        # overflows: no step could be recorded
         out = ["--out", str(tmp_path)] if command == "run" else []
-        for position in ("[0,0,0]", "[1e-200,0,0]"):
+        for position in ("[0,0,0]", "[1e-200,0,0]", "[1e200,0,0]"):
             assert run_cli(command, *out, "--set", "target.position=" + position) == 2
             assert "config error: target.position" in capsys.readouterr().err
             assert not (tmp_path / "engagement.csv").exists()
@@ -166,12 +167,17 @@ class TestValidate:
         # the sweep sets the horizon and the phase per run
         ("sweep", ["observer.delta=0.1"], "observer.delta"),
         ("sweep", ["target.phase=1.0"], "target.phase"),
+        # the ground velocity -speed * x0 / rh overflows
+        ("run", ["target.speed=1e308"], "target.speed"),
+        ("sweep", ["sweep.samples_per_delay=1", "sweep.delays=[0.1]", "target.speed=1e308"],
+         "target.speed"),
         # every pole at -1000: dt/epsilon * |pole| = 20, beyond RK4's damping
         ("validate", ["observer.k1=4000", "observer.k2=6000000", "observer.k3=4000000000",
                       "observer.k4=1000000000000"], "observer.epsilon"),
     ], ids=["epsilon-gains", "delta-gains", "lag-gains", "sweep-delay-gains",
             "step-count", "step-count-cap", "weave-height", "sweep-weave-height", "int-beyond-float",
-            "repeated-sources", "sweep-delta", "sweep-phase", "stiff-gains"])
+            "repeated-sources", "sweep-delta", "sweep-phase", "speed-velocity",
+            "sweep-speed-velocity", "stiff-gains"])
     def test_overflowing_or_repeated_input_exits_2(self, capsys, tmp_path, command,
                                                    overrides, key):
         out = [] if command == "validate" else ["--out", str(tmp_path)]

@@ -61,9 +61,12 @@ class TestValidate:
         assert len(problems) == 3
 
     def test_hurwitz_gate(self):
-        cfg = cf.resolve()
-        cfg["observer"]["k4"] = -1.0
-        assert any("Hurwitz" in p for p in cf.validate(cfg))
+        # unit gains fail only the last Routh-Hurwitz condition:
+        # (k1 k2 - k3) k3 - k1^2 k4 = -1
+        for gains in ({"k4": -1.0}, {"k1": 1.0, "k2": 1.0, "k3": 1.0, "k4": 1.0}):
+            cfg = cf.resolve()
+            cfg["observer"].update(gains)
+            assert any("Hurwitz" in p for p in cf.validate(cfg))
 
     def test_dt_epsilon_cross_check(self):
         cfg = cf.resolve()
@@ -199,5 +202,5 @@ class TestBuildSetup:
     def test_typed_observer_config(self):
         obs = cf.build_setup(cf.resolve())["observer"]
         assert isinstance(obs, ob.ObserverConfig)
-        assert obs.gains.k1 == 4.0
+        assert (obs.k1, obs.k2, obs.k3, obs.k4) == (4.0, 6.0, 4.0, 1.0)
         assert obs.epsilon == 0.05

@@ -10,13 +10,13 @@ from pgsim import config as cf
 from pgsim import engagement as en
 from pgsim import observer as ob
 
-GAINS = ob.ObserverGains(4.0, 6.0, 4.0, 1.0)  # (s+1)^4, roots all at -1
+GAINS = dict(k1=4.0, k2=6.0, k3=4.0, k4=1.0)  # (s+1)^4, roots all at -1
 
 
 def make_config(**kw):
     """The schema's observer config with the binomial gains; ``kw``
     replaces any field."""
-    return schema_config("observer", **{"gains": GAINS, **kw})
+    return schema_config("observer", **{**GAINS, **kw})
 
 
 class TestValidateGains:
@@ -42,10 +42,6 @@ class TestValidateGains:
         if not marginal:
             assert ob.validate_gains(*ks) == stable
 
-    def test_unstable_gains_unconstructible(self):
-        with pytest.raises(ValueError):
-            ob.ObserverGains(1, 1, 1, 1)
-
 
 class TestInjectionGains:
     def test_zero_horizon_collapses_to_step_one_gains(self):
@@ -65,7 +61,7 @@ class TestInjectionGains:
         assert g[3] == pytest.approx(10000.0, rel=1e-12)
 
     def test_unit_epsilon_and_horizon(self):
-        cfg = make_config(gains=ob.ObserverGains(2, 3, 2, 1), epsilon=1.0, delta=1.0)
+        cfg = make_config(k1=2, k2=3, k3=2, k4=1, epsilon=1.0, delta=1.0)
         g = cfg.coefficients()[4:]
         assert g == pytest.approx((1 / 6 + 1 + 3 + 2, 0.5 + 2 + 3, 1 + 2, 1))
 
