@@ -226,8 +226,8 @@ def validate(cfg: dict) -> list:
         # the loop's products at launch: the seeker divides by the squared
         # range, which underflows to 0 near the origin and overflows far off
         if not 0.0 < sum(v * v for v in pos) < math.inf:
-            problems.append("target.position %r must be off the launch site [0, 0, 0] "
-                            "with a finite squared range" % (t["position"],))
+            problems.append("target.position %r must be off the launch site [0, 0, 0]: "
+                            "its squared range must be > 0 and finite" % (t["position"],))
     speed = _num(cfg, "target.speed", problems, lambda v: v > 0, "must be > 0")
     if pos and speed and not all(map(math.isfinite, tg.ground_velocity(
             tg.TargetConfig(t["kind"], pos, speed, 0.0, 1.0, 0.0)))):
