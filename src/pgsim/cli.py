@@ -1,8 +1,7 @@
 """Command-line entry point.
 
 Subcommands: ``run`` (one engagement), ``sweep`` (Monte-Carlo delay
-sweep), ``validate`` (config check only), ``demo`` (zero-delay /
-delayed / corrected comparison table).
+sweep), ``validate`` (config check only).
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("run", "simulate one engagement and export CSV + metrics JSON"),
         ("sweep", "run the Monte-Carlo delay sweep"),
         ("validate", "validate the configuration and print the resolved form"),
-        ("demo", "compare zero-delay, delayed and corrected runs"),
     ):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", type=Path, default=None,
@@ -61,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="dotted-key override, repeatable")
         p.add_argument("--seed", type=int, default=None,
-                       help="master seed (overrides PGS_SEED and the config)")
+                       help="master seed (overrides the config)")
         if name in ("run", "sweep"):
             p.add_argument("--out", type=Path, default=Path("."),
                            help="output directory")
@@ -82,12 +80,6 @@ def _resolve(args) -> dict:
         if not isinstance(file_cfg, dict):
             raise cf.ConfigError(["%s must hold a JSON object" % args.config])
     cfg = cf.resolve(file_cfg, _parse_set(args.set))
-    env_seed = os.environ.get("PGS_SEED")
-    if env_seed is not None:
-        try:
-            cfg["seed"] = int(env_seed)
-        except ValueError:
-            raise cf.ConfigError(["PGS_SEED must be an integer, got %r" % env_seed]) from None
     if args.seed is not None:
         cfg["seed"] = args.seed
     problems = cf.validate(cfg)
@@ -116,9 +108,7 @@ def cmd_run(args) -> int:
         "source_switch_time": record.source_switch_time,
         "diagnostic": record.diagnostic,
     }
-    with open(args.out / "metrics.json", "w") as fh:
-        json.dump(mc.finite_or_null(doc), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    mc.write_json(doc, args.out / "metrics.json")
     print("termination=%s miss=%.6g m at t=%.6g s"
           % (record.termination_reason, record.miss_distance, record.miss_time))
     if record.termination_reason in en.FAILURES:
@@ -162,33 +152,10 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_demo(args) -> int:
-    cfg = _resolve(args)
-    lag = float(cfg["seeker"]["lag_time_constant"]) or 0.2
-    scenarios = (
-        ("zero delay", 0.0, "true"),
-        ("uncorrected", lag, "delayed"),
-        ("corrected", lag, "predicted"),
-    )
-    print("%-12s %12s %12s" % ("source", "LOS RMSE", "miss [m]"))
-    for label, scen_lag, source in scenarios:
-        scen = json.loads(json.dumps(cfg))
-        scen["seeker"]["lag_time_constant"] = scen_lag
-        scen["guidance"]["source"] = source
-        eng = _engagement_config(scen)
-        record = en.run_engagement(eng)
-        metrics = en.compute_metrics(record, eng)
-        rmse = (metrics.rmse_predicted if scen["guidance"]["source"] == "predicted"
-                else metrics.rmse_delayed)
-        print("%-12s %12.5g %12.5g" % (label, rmse, record.miss_distance))
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = {"run": cmd_run, "sweep": cmd_sweep,
-               "validate": cmd_validate, "demo": cmd_demo}[args.command]
+    handler = {"run": cmd_run, "sweep": cmd_sweep, "validate": cmd_validate}[args.command]
     try:
         return handler(args)
     except cf.ConfigError as exc:

@@ -223,22 +223,14 @@ def validate(cfg: dict) -> list:
         problems.append("target.position must be a list of 3 finite numbers")
     else:
         pos = tuple(float(v) for v in t["position"])
-        # the loop's products at launch: the seeker divides by the squared
-        # range, which underflows to 0 near the origin and overflows far off
-        if not 0.0 < sum(v * v for v in pos) < math.inf:
+        # the seeker divides by the squared range, which underflows to 0
+        # near the launch site
+        if sum(v * v for v in pos) == 0.0:
             problems.append("target.position %r must be off the launch site [0, 0, 0]: "
-                            "its squared range must be > 0 and finite" % (t["position"],))
+                            "its squared range must be > 0" % (t["position"],))
     speed = _num(cfg, "target.speed", problems, lambda v: v > 0, "must be > 0")
-    if pos and speed and not all(map(math.isfinite, tg.ground_velocity(
-            tg.TargetConfig(t["kind"], pos, speed, 0.0, 1.0, 0.0)))):
-        problems.append("target.speed=%r gives the target a ground velocity that "
-                        "overflows" % speed)
     amp = _num(cfg, "target.weave_amplitude", problems, lambda v: v >= 0, "must be >= 0")
     freq = _num(cfg, "target.weave_frequency", problems, lambda v: v > 0, "must be > 0")
-    # checked whatever target.kind says: the sweep flies weaving targets
-    if amp is not None and freq is not None and not math.isfinite(amp / freq):
-        problems.append("invalid value for target.weave_frequency: %r (target.weave_"
-                        "amplitude / target.weave_frequency overflows)" % freq)
     if t["phase"] != "auto":
         _num(cfg, "target.phase", problems)
     dt = _num(cfg, "engagement.dt", problems, lambda v: v > 0, "must be > 0")
@@ -246,6 +238,19 @@ def validate(cfg: dict) -> list:
     if dt is not None and max_time is not None and not max_time / dt <= MAX_STEPS:
         problems.append("invalid value for engagement.dt: %r (the step count "
                         "engagement.max_time / engagement.dt exceeds %d)" % (dt, MAX_STEPS))
+    if pos and None not in (speed, amp, freq):
+        # the target's farthest reach per axis within max_time, from the
+        # loop's products; the weave (checked whatever target.kind says:
+        # the sweep flies weaving targets) spans 2 * amp / freq
+        reach_t = max_time or 0.0  # an infinite velocity then reads nan
+        vx, vy = tg.ground_velocity(tg.TargetConfig(t["kind"], pos, speed, 0.0, 1.0, 0.0))
+        reach = (abs(pos[0]) + abs(vx) * reach_t, abs(pos[1]) + abs(vy) * reach_t,
+                 abs(pos[2]) + 2.0 * amp / freq)
+        if not math.isfinite(sum(r * r for r in reach)):
+            problems.append("target.position %r, target.speed, target.weave_amplitude, "
+                            "target.weave_frequency and engagement.max_time take the target "
+                            "beyond the float range: its squared range overflows in flight"
+                            % (t["position"],))
     _num(cfg, "engagement.launch_speed", problems, lambda v: v > 0, "must be > 0")
     _num(cfg, "engagement.launch_elevation_deg", problems)
     if dt is not None and eps is not None and dt > eps / 4.0:

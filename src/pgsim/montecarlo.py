@@ -178,6 +178,12 @@ def write_summary_json(summary: SweepSummary, path) -> None:
             for (d, s), stats in sorted(summary.groups.items())
         ],
     }
+    write_json(doc, path)
+
+
+def write_json(doc, path) -> None:
+    """Write a JSON document as strict JSON (NaN and infinities become
+    ``null``), indented, with a trailing newline."""
     with open(path, "w") as fh:
         json.dump(finite_or_null(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")

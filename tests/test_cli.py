@@ -141,13 +141,13 @@ class TestValidate:
         assert run_cli("validate", "--set", "sweep.samples_per_delay=true") == 2
         assert "sweep.samples_per_delay" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "demo"])
+    @pytest.mark.parametrize("command", ["run"])
     def test_target_at_launch_site_exits_2(self, capsys, tmp_path, command):
         # zero initial range, exactly or once squared, or a squared range that
         # overflows: no step could be recorded
-        out = ["--out", str(tmp_path)] if command == "run" else []
         for position in ("[0,0,0]", "[1e-200,0,0]", "[1e200,0,0]"):
-            assert run_cli(command, *out, "--set", "target.position=" + position) == 2
+            assert run_cli(command, "--out", str(tmp_path),
+                           "--set", "target.position=" + position) == 2
             assert "config error: target.position" in capsys.readouterr().err
             assert not (tmp_path / "engagement.csv").exists()
 
@@ -171,13 +171,15 @@ class TestValidate:
         ("run", ["target.speed=1e308"], "target.speed"),
         ("sweep", ["sweep.samples_per_delay=1", "sweep.delays=[0.1]", "target.speed=1e308"],
          "target.speed"),
+        # the start is in range, but the target leaves it within max_time
+        ("run", ["target.speed=1e300", "engagement.max_time=0.5"], "target.position"),
         # every pole at -1000: dt/epsilon * |pole| = 20, beyond RK4's damping
         ("validate", ["observer.k1=4000", "observer.k2=6000000", "observer.k3=4000000000",
                       "observer.k4=1000000000000"], "observer.epsilon"),
     ], ids=["epsilon-gains", "delta-gains", "lag-gains", "sweep-delay-gains",
             "step-count", "step-count-cap", "weave-height", "sweep-weave-height", "int-beyond-float",
             "repeated-sources", "sweep-delta", "sweep-phase", "speed-velocity",
-            "sweep-speed-velocity", "stiff-gains"])
+            "sweep-speed-velocity", "target-path", "stiff-gains"])
     def test_overflowing_or_repeated_input_exits_2(self, capsys, tmp_path, command,
                                                    overrides, key):
         out = [] if command == "validate" else ["--out", str(tmp_path)]
@@ -197,7 +199,7 @@ class TestInputFiles:
         assert run_cli("validate", "--config", str(tmp_path)) == 2
         assert "error: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["validate", "run", "sweep", "demo"])
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
     def test_dataset_directory_exits_2(self, capsys, tmp_path, command):
         out = ["--out", str(tmp_path)] if command in ("run", "sweep") else []
         assert run_cli(command, *out, "--set", "airframe.dataset=%s" % tmp_path) == 2
@@ -238,9 +240,7 @@ class TestOptions:
         ["run", "--jobs", "2"],
         ["validate", "--out", "X"],
         ["validate", "--jobs", "2"],
-        ["demo", "--out", "X"],
-        ["demo", "--jobs", "2"],
-    ], ids=["run-jobs", "validate-out", "validate-jobs", "demo-out", "demo-jobs"])
+    ], ids=["run-jobs", "validate-out", "validate-jobs"])
     def test_unread_option_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
@@ -253,41 +253,19 @@ class TestOptions:
         assert run_cli("run", "--out", str(tmp_path), "--seed", "7", *FAST) == 0
         assert strict_json(tmp_path / "metrics.json")["config"]["seed"] == 7
 
-    def test_demo_takes_seed(self, capsys):
-        assert run_cli("demo", "--seed", "7", *FAST) == 0
-
 
 class TestSeedPrecedence:
-    def test_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("PGS_SEED", "777")
-        assert run_cli("validate") == 0
-        assert json.loads(capsys.readouterr().out)["seed"] == 777
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PGS_SEED", "777")
-        assert run_cli("validate", "--seed", "888") == 0
-        assert json.loads(capsys.readouterr().out)["seed"] == 888
-
-    def test_non_integer_env_seed_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("PGS_SEED", "abc")
-        assert run_cli("validate") == 2
-        assert "config error: PGS_SEED" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
-    @pytest.mark.parametrize("via", ["flag", "env"])
-    def test_negative_seed_exits_2(self, capsys, monkeypatch, tmp_path, command, via):
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_seed_exits_2(self, capsys, tmp_path, command, via):
         # numpy's SeedSequence takes no negative entropy
-        monkeypatch.delenv("PGS_SEED", raising=False)
-        argv = ["--seed", "-1"] if via == "flag" else []
-        if via == "env":
-            monkeypatch.setenv("PGS_SEED", "-1")
+        argv = ["--seed", "-1"] if via == "flag" else ["--set", "seed=-1"]
         out = ["--out", str(tmp_path)] if command != "validate" else []
         assert run_cli(command, *out, *argv) == 2
         assert "config error: seed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_config_without_env(self, capsys, monkeypatch):
-        monkeypatch.delenv("PGS_SEED", raising=False)
+    def test_config_without_env(self, capsys):
         assert run_cli("validate", "--set", "seed=31") == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 31
 
@@ -407,13 +385,3 @@ class TestSweep:
                            *self.SMALL) == 0
         assert (a / "sweep_runs.csv").read_bytes() == \
             (b / "sweep_runs.csv").read_bytes()
-
-
-class TestDemo:
-    def test_three_row_table(self, capsys):
-        assert run_cli("demo", *FAST) == 0
-        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
-        assert len(lines) == 4
-        assert lines[0].startswith("source")
-        labels = [ln.split()[0] for ln in lines[1:]]
-        assert labels == ["zero", "uncorrected", "corrected"]

@@ -54,8 +54,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_output_bytes(case, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("PGS_SEED", raising=False)
+def test_output_bytes(case, tmp_path, capsys):
     argv, hashes = CASES[case]
     assert cli.main([argv[0], "--out", str(tmp_path), *argv[1:]]) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
