@@ -11,6 +11,7 @@ import dataclasses
 import json
 import os
 import sys
+import threading
 from pathlib import Path
 
 from . import config as cf
@@ -92,13 +93,34 @@ def _engagement_config(cfg: dict) -> en.EngagementConfig:
     return en.EngagementConfig.from_setup(cf.build_setup(cfg))
 
 
+def _fly_writing_csv(eng: en.EngagementConfig, path: Path) -> en.EngagementRecord:
+    """Fly ``eng`` and write its series to ``path``, which is opened
+    before the flight and removed if the flight raises.
+
+    A forked writer formats the rows while the loop flies
+    (:class:`pgsim.engagement.CsvStream`).  Where there is no fork, or
+    another thread runs, which makes a fork unsafe, the record is
+    written in-process after the flight.
+    """
+    with open(path, "w") as fh:
+        try:
+            if hasattr(os, "fork") and threading.active_count() == 1:
+                with en.CsvStream(fh) as stream:
+                    return en.run_engagement(eng, on_rows=stream.write)
+            record = en.run_engagement(eng)
+        except BaseException:
+            os.unlink(path)
+            raise
+    record.write_csv(path)
+    return record
+
+
 def cmd_run(args) -> int:
     cfg = _resolve(args)
     eng = _engagement_config(cfg)
-    record = en.run_engagement(eng)
-    metrics = en.compute_metrics(record, eng)
     args.out.mkdir(parents=True, exist_ok=True)
-    record.write_csv(args.out / "engagement.csv")
+    record = _fly_writing_csv(eng, args.out / "engagement.csv")
+    metrics = en.compute_metrics(record, eng)
     doc = {
         "config": cfg,
         "metrics": dataclasses.asdict(metrics),
@@ -134,8 +156,8 @@ def cmd_sweep(args) -> int:
         sources=tuple(sw["sources"]),
         base=base,
     )
-    summary = mc.run_sweep(sweep, jobs=args.jobs)
     args.out.mkdir(parents=True, exist_ok=True)
+    summary = mc.run_sweep(sweep, jobs=args.jobs)
     mc.write_runs_csv(summary, args.out / "sweep_runs.csv")
     summary.config_echo["resolved_config"] = cfg
     mc.write_summary_json(summary, args.out / "sweep_summary.json")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from . import targets as tg
 __all__ = [
     "EngagementConfig",
     "EngagementRecord",
+    "CsvStream",
     "WarmupState",
     "MetricsReport",
     "run_engagement",
@@ -45,6 +47,10 @@ _ROW = struct.Struct("%dd" % (len(CSV_COLUMNS) + 6))
 _NO_ROWS = np.empty((0, len(CSV_COLUMNS) + 6))
 # rows per block that write_csv converts to Python floats at a time
 CSV_BLOCK_ROWS = 1024
+# rows per call of run_engagement's on_rows: 256 packed rows are 48 KiB,
+# within the 64 KiB a Linux pipe holds by default, so a CsvStream writer
+# that keeps up never blocks the loop
+STREAM_CHUNK_ROWS = 256
 
 # a failed run: its miss is no data point
 FAILURES = ("observer_divergence", "vehicle_divergence", "altitude_ceiling")
@@ -135,11 +141,82 @@ class EngagementRecord:
         time so that no Python copy of the whole table is ever held."""
         cols = [self.series[c] for c in CSV_COLUMNS]
         with open(path, "w") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for i in range(0, len(self), CSV_BLOCK_ROWS):
-                block = np.array([c[i:i + CSV_BLOCK_ROWS] for c in cols], dtype=float).T
-                for row in block.tolist():
-                    fh.write(",".join(map(repr, row)) + "\n")
+            _write_table(fh, (np.array([c[i:i + CSV_BLOCK_ROWS] for c in cols], dtype=float).T
+                              for i in range(0, len(self), CSV_BLOCK_ROWS)))
+
+
+def _write_table(fh, blocks) -> None:
+    """Write the CSV header, then the rows of each block in ``blocks``:
+    float arrays whose first columns are :data:`CSV_COLUMNS`.  Values
+    are written with ``repr``, which reloads bit for bit."""
+    fh.write(",".join(CSV_COLUMNS) + "\n")
+    for block in blocks:
+        for row in block[:, :len(CSV_COLUMNS)].tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def _packed_blocks(fd):
+    """The packed rows read from ``fd`` until end of file, as one block
+    per read; a row split across reads goes with the later one."""
+    pending = b""
+    while data := os.read(fd, 1 << 16):
+        pending += data
+        whole = len(pending) - len(pending) % _ROW.size
+        yield np.frombuffer(pending, count=whole // 8).reshape(-1, len(CSV_COLUMNS) + 6)
+        pending = pending[whole:]
+
+
+class CsvStream:
+    """The CSV of packed rows, written by a forked process as they come.
+
+    ``CsvStream(fh)`` forks a writer that writes the rows passed to
+    :meth:`write` into the open text file ``fh``, with the formatter of
+    :meth:`EngagementRecord.write_csv`, so the file gets the same bytes.
+    ``write`` is the ``on_rows`` of :func:`run_engagement`.  Leaving the
+    ``with`` block closes the pipe and reaps the writer on every path;
+    when no exception is pending, a writer that fails or exits early
+    raises ``OSError`` naming the file, as does a ``BrokenPipeError``
+    from ``write``.  Fork only from a process that runs no other thread.
+    """
+
+    def __init__(self, fh):
+        self.name = fh.name
+        fh.flush()  # the writer must not write what the caller buffered
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:  # the writer leaves only through os._exit
+            code = 1
+            try:
+                os.close(write_fd)
+                _write_table(fh, _packed_blocks(read_fd))
+                fh.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(read_fd)
+        self.pid = pid
+        self._pipe = open(write_fd, "wb")
+        self.write = self._pipe.write
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        broken = False
+        try:
+            self._pipe.close()
+        except BrokenPipeError:
+            broken = True
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        failed = code != 0 or broken if kind is None else issubclass(kind, BrokenPipeError)
+        if failed:
+            raise OSError("the writer of %s exited with status %d" % (self.name, code)) from exc
+        return False
 
 
 @dataclass(frozen=True)
@@ -153,8 +230,8 @@ class MetricsReport:
     integrated_abs_deflection: float
 
 
-def run_engagement(config: EngagementConfig,
-                   resume: WarmupState | None = None) -> EngagementRecord:
+def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
+                   on_rows=None) -> EngagementRecord:
     """Simulate one engagement to termination.
 
     Never raises for in-flight failures: they terminate the record with
@@ -168,6 +245,12 @@ def run_engagement(config: EngagementConfig,
     from that state's step with a copy of its prefix rows; the record is
     the one an independent run gives, bit for bit.  Without it, the
     run resumes from the launch state.
+
+    Given ``on_rows``, the loop hands it a copy of the rows packed since
+    its last call, as a bytearray of ``len(CSV_COLUMNS) + 6`` doubles per
+    row: every :data:`STREAM_CHUNK_ROWS` rows, and once more after the
+    loop, before the record is built.  The first call starts from row 0,
+    so a resumed run's prefix rows come too.
     """
     dt = config.dt
     n_max = int(round(config.max_time / dt))
@@ -203,6 +286,14 @@ def run_engagement(config: EngagementConfig,
     pack = _ROW.pack
     termination = "timeout"
     diagnostic = ""
+    chunk = STREAM_CHUNK_ROWS * _ROW.size
+    sent = 0  # bytes of rows handed to on_rows
+    flush_at = -1  # the step whose row fills the next chunk; -1: never
+    if on_rows is not None:
+        while len(rows) - sent >= chunk:  # a resumed run's prefix
+            on_rows(rows[sent:sent + chunk])
+            sent += chunk
+        flush_at = sent // _ROW.size + STREAM_CHUNK_ROWS - 1
 
     for n in range(start, n_max + 1):
         t = n * dt
@@ -246,6 +337,10 @@ def run_engagement(config: EngagementConfig,
                      predicted[0], predicted[1], acc_p, acc_y, defl_p, defl_y,
                      mx, my, mz, tx, ty, tz, rng,
                      mvx, mvy, mvz, tvx, tvy, tvz)
+        if n == flush_at:
+            on_rows(rows[sent:])
+            sent = len(rows)
+            flush_at += STREAM_CHUNK_ROWS
 
         # termination checks on the recorded sample
         if rng > range_min:
@@ -280,6 +375,8 @@ def run_engagement(config: EngagementConfig,
             diagnostic = "integration failed at t=%g: %s" % (t, exc)
             break
 
+    if on_rows is not None:
+        on_rows(rows[sent:])
     # a zero-copy view: the series and both velocities are its columns
     data = np.frombuffer(rows, dtype=float).reshape(-1, len(CSV_COLUMNS) + 6)
     # guidance took the prediction only if the handoff step was recorded

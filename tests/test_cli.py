@@ -1,10 +1,14 @@
 import json
+import os
+import threading
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from pgsim import cli
+from pgsim import engagement as en
+from pgsim import guidance as gd
 
 FAST = ["--set", "engagement.max_time=0.5"]
 
@@ -327,6 +331,133 @@ class TestRun:
         doc = strict_json(tmp_path / "metrics.json")
         assert doc["termination_reason"] == "altitude_ceiling"
         assert "ceiling" in doc["diagnostic"]
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """The pids of the processes that os.fork starts during the test;
+    afterwards, none of them is left unreaped."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture
+def flown(monkeypatch):
+    """The records that the command line's run_engagement returns."""
+    records = []
+    real_run = en.run_engagement
+
+    def run(*args, **kwargs):
+        records.append(real_run(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(en, "run_engagement", run)
+    return records
+
+
+def assert_csv_is_records(out, record):
+    ref = out / "ref" / "engagement.csv"
+    ref.parent.mkdir()
+    record.write_csv(ref)
+    assert (out / "engagement.csv").read_bytes() == ref.read_bytes()
+
+
+class TestRunWriter:
+    """``run`` writes engagement.csv from a forked writer, which never
+    outlives it."""
+
+    def test_streamed_csv_is_record_csv(self, capsys, tmp_path, writers, flown):
+        assert run_cli("run", "--out", str(tmp_path), *FAST) == 0
+        assert len(writers) == 1
+        assert_csv_is_records(tmp_path, flown[0])
+
+    def test_divergence_exits_3_with_record_csv(self, capsys, tmp_path, writers, flown):
+        p = tmp_path / "unstable.txt"
+        p.write_text(UNSTABLE_AIRFRAME)
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--set", "airframe.dataset=%s" % p,
+                       "--set", "guidance.source=predicted",
+                       "--set", "seeker.lag_time_constant=0.2") == 3
+        assert flown[0].termination_reason == "vehicle_divergence"
+        assert len(writers) == 1
+        assert_csv_is_records(out, flown[0])
+
+    def test_writer_failure_exits_2(self, capsys, tmp_path, writers, monkeypatch):
+        def fail(fh, blocks):
+            raise RuntimeError("formatter failed")
+
+        # the forked writer inherits the patch
+        monkeypatch.setattr(en, "_write_table", fail)
+        assert run_cli("run", "--out", str(tmp_path), *FAST) == 2
+        assert len(writers) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "engagement.csv" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_run_removes_csv(self, tmp_path, writers, monkeypatch):
+        real_pn = gd.pn_command
+        calls = []
+
+        def pn_command(*args):
+            calls.append(1)
+            if len(calls) > 300:
+                raise KeyboardInterrupt
+            return real_pn(*args)
+
+        monkeypatch.setattr(gd, "pn_command", pn_command)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("run", "--out", str(tmp_path), *FAST)
+        assert len(writers) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("why", ["thread", "no-fork"])
+    def test_writes_in_process_without_safe_fork(self, capsys, tmp_path, monkeypatch,
+                                                  flown, why):
+        def fork():
+            pytest.fail("forked")
+
+        stop = threading.Event()
+        helper = threading.Thread(target=stop.wait)
+        if why == "thread":
+            monkeypatch.setattr(os, "fork", fork)
+            helper.start()
+        else:
+            monkeypatch.delattr(os, "fork")
+        try:
+            assert run_cli("run", "--out", str(tmp_path), *FAST) == 0
+        finally:
+            stop.set()
+            if why == "thread":
+                helper.join(timeout=10)
+        assert not helper.is_alive()
+        assert_csv_is_records(tmp_path, flown[0])
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_is_a_file_exits_2_before_flying(self, capsys, tmp_path, monkeypatch,
+                                                 command):
+        def fly(*args, **kwargs):
+            pytest.fail("flew with an unusable --out")
+
+        monkeypatch.setattr(en, "run_engagement", fly)
+        monkeypatch.setattr(cli.mc, "run_sweep", fly)
+        out = tmp_path / "file"
+        out.write_text("")
+        assert run_cli(command, "--out", str(out), *FAST) == 2
+        assert "error: " in capsys.readouterr().err
+        assert out.read_text() == ""
 
 
 class TestStrictJson:

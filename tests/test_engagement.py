@@ -42,6 +42,39 @@ def predicted_run():
     return en.run_engagement(cfg), cfg
 
 
+def packed_rows(record) -> bytes:
+    """The record's rows as the loop packs them: the CSV columns, then
+    missile and target velocity."""
+    return np.column_stack([record.series[c] for c in en.CSV_COLUMNS]
+                           + [record.missile_velocity, record.target_velocity]).tobytes()
+
+
+def write_streamed(record, path) -> None:
+    """Write ``record`` through a CsvStream fed on_rows-sized chunks."""
+    rows = packed_rows(record)
+    chunk = en.STREAM_CHUNK_ROWS * (len(en.CSV_COLUMNS) + 6) * 8
+    with open(path, "w") as fh, en.CsvStream(fh) as stream:
+        for i in range(0, len(rows), chunk):
+            stream.write(rows[i:i + chunk])
+
+
+def rows_handed_off(config, resume=None):
+    """(record, chunks): the run, and the rows it passed to on_rows."""
+    chunks = []
+    record = en.run_engagement(config, resume, on_rows=chunks.append)
+    return record, chunks
+
+
+def assert_chunks_join_to_record(chunks, record):
+    """Every chunk but the last holds STREAM_CHUNK_ROWS rows, within a
+    64 KiB pipe, and the chunks join to the record's rows bit for bit."""
+    chunk = en.STREAM_CHUNK_ROWS * (len(en.CSV_COLUMNS) + 6) * 8
+    assert chunk <= 64 * 1024
+    assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+    assert len(chunks[-1]) < chunk + 1
+    assert b"".join(chunks) == packed_rows(record)
+
+
 def synthetic_record(ts, missile_pos, missile_vel, target_pos, target_vel):
     """Record with real kinematic columns and zeroed signal columns."""
     n = len(ts)
@@ -456,6 +489,14 @@ class TestWarmupResume:
         assert resumed.termination_reason == ("timeout" if warmup >= max_time
                                               else "closest_approach")
 
+    def test_resumed_rows_handed_off_from_row_zero(self, runs):
+        _, first_record = runs(2.0, 60.0, "delayed")
+        cfg, independent = runs(2.0, 60.0, "predicted")
+        # 2000 prefix rows: 7 whole chunks before the loop, 208 rows after
+        resumed, chunks = rows_handed_off(cfg, first_record.warmup.detached())
+        assert_same_record(resumed, independent)
+        assert_chunks_join_to_record(chunks, resumed)
+
     def test_state_shares_the_record_rows(self, runs):
         _, record = runs(2.0, 60.0, "delayed")
         prefix = record.warmup.prefix
@@ -540,6 +581,14 @@ class TestMetricsAndCsv:
         assert np.array_equal(data[:, 0], record.series["t"])
         assert np.array_equal(data[:, -1], record.series["range"])
 
+    @pytest.mark.parametrize("max_time", [0.001, 0.254, 0.255, 0.256, 2.0])
+    def test_rows_handed_off_join_to_record(self, max_time):
+        cfg = build({"engagement.max_time": max_time})
+        record, chunks = rows_handed_off(cfg)
+        assert len(record) == round(max_time / cfg.dt) + 1
+        assert_same_record(record, en.run_engagement(cfg))
+        assert_chunks_join_to_record(chunks, record)
+
     def test_short_run_rmse_is_nan(self):
         cfg = build({"engagement.max_time": 0.05})
         record = en.run_engagement(cfg)
@@ -549,8 +598,13 @@ class TestMetricsAndCsv:
         assert math.isfinite(m.miss_distance)
 
 
-    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
-    def test_csv_blocks_round_trip_bits(self, n, tmp_path):
+    # both sides of write_csv's block boundaries and of the stream's chunks,
+    # through write_csv (ids "n") and through the stream (ids "stream-n")
+    @pytest.mark.parametrize("write, n", [
+        pytest.param(write, n, id=prefix + str(n))
+        for write, prefix in [(en.EngagementRecord.write_csv, ""), (write_streamed, "stream-")]
+        for n in [0, 1, 255, 256, 257, 1023, 1024, 1025, 2049]])
+    def test_csv_blocks_round_trip_bits(self, write, n, tmp_path):
         # rows on both sides of the write block boundaries reload bit for bit
         rng = np.random.default_rng(n)
         series = {}
@@ -564,7 +618,7 @@ class TestMetricsAndCsv:
             miss_time=math.nan, termination_reason="timeout",
             source_switch_time=None)
         path = tmp_path / "run.csv"
-        rec.write_csv(path)
+        write(rec, path)
         lines = path.read_text().splitlines()
         assert tuple(lines[0].split(",")) == en.CSV_COLUMNS
         assert len(lines) == n + 1
