@@ -97,14 +97,17 @@ def _fly_writing_csv(eng: en.EngagementConfig, path: Path) -> en.EngagementRecor
     """Fly ``eng`` and write its series to ``path``, which is opened
     before the flight and removed if the flight raises.
 
-    A forked writer formats the rows while the loop flies
-    (:class:`pgsim.engagement.CsvStream`).  Where there is no fork, or
-    another thread runs, which makes a fork unsafe, the record is
-    written in-process after the flight.
+    A forked writer formats the rows on another CPU while the loop
+    flies (:class:`pgsim.engagement.CsvStream`).  Where there is no
+    fork, or another thread runs, which makes a fork unsafe, or the
+    process may use only one CPU, where the writer slows the loop down,
+    the record is written in-process after the flight.
     """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     with open(path, "w") as fh:
         try:
-            if hasattr(os, "fork") and threading.active_count() == 1:
+            if hasattr(os, "fork") and threading.active_count() == 1 and cpus > 1:
                 with en.CsvStream(fh) as stream:
                     return en.run_engagement(eng, on_rows=stream.write)
             record = en.run_engagement(eng)

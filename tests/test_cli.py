@@ -423,7 +423,7 @@ class TestRunWriter:
         assert len(writers) == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("why", ["thread", "no-fork"])
+    @pytest.mark.parametrize("why", ["thread", "no-fork", "one-cpu"])
     def test_writes_in_process_without_safe_fork(self, capsys, tmp_path, monkeypatch,
                                                   flown, why):
         def fork():
@@ -431,11 +431,15 @@ class TestRunWriter:
 
         stop = threading.Event()
         helper = threading.Thread(target=stop.wait)
-        if why == "thread":
-            monkeypatch.setattr(os, "fork", fork)
-            helper.start()
-        else:
+        if why == "no-fork":
             monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", fork)
+        if why == "thread":
+            helper.start()
+        if why == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
         try:
             assert run_cli("run", "--out", str(tmp_path), *FAST) == 0
         finally:
