@@ -98,10 +98,10 @@ def _fly_writing_csv(eng: en.EngagementConfig, path: Path) -> en.EngagementRecor
     before the flight and removed if the flight raises.
 
     A forked writer formats the rows on another CPU while the loop
-    flies (:class:`pgsim.engagement.CsvStream`).  Where there is no
-    fork, or another thread runs, which makes a fork unsafe, or the
-    process may use only one CPU, where the writer slows the loop down,
-    the record is written in-process after the flight.
+    flies (:class:`pgsim.engagement.CsvStream`).  The record is written
+    in-process after the flight instead where there is no fork, where
+    another thread runs (a fork would be unsafe), or where the process
+    may use only one CPU (the writer would compete with the loop).
     """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)

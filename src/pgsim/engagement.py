@@ -212,7 +212,8 @@ class CsvStream:
             self._pipe.close()
         except BrokenPipeError:
             broken = True
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         failed = code != 0 or broken if kind is None else issubclass(kind, BrokenPipeError)
         if failed:
             raise OSError("the writer of %s exited with status %d" % (self.name, code)) from exc

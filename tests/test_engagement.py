@@ -42,6 +42,10 @@ def predicted_run():
     return en.run_engagement(cfg), cfg
 
 
+# bytes of one full on_rows chunk
+CHUNK_BYTES = en.STREAM_CHUNK_ROWS * (len(en.CSV_COLUMNS) + 6) * 8
+
+
 def packed_rows(record) -> bytes:
     """The record's rows as the loop packs them: the CSV columns, then
     missile and target velocity."""
@@ -52,10 +56,9 @@ def packed_rows(record) -> bytes:
 def write_streamed(record, path) -> None:
     """Write ``record`` through a CsvStream fed on_rows-sized chunks."""
     rows = packed_rows(record)
-    chunk = en.STREAM_CHUNK_ROWS * (len(en.CSV_COLUMNS) + 6) * 8
     with open(path, "w") as fh, en.CsvStream(fh) as stream:
-        for i in range(0, len(rows), chunk):
-            stream.write(rows[i:i + chunk])
+        for i in range(0, len(rows), CHUNK_BYTES):
+            stream.write(rows[i:i + CHUNK_BYTES])
 
 
 def rows_handed_off(config, resume=None):
@@ -68,10 +71,9 @@ def rows_handed_off(config, resume=None):
 def assert_chunks_join_to_record(chunks, record):
     """Every chunk but the last holds STREAM_CHUNK_ROWS rows, within a
     64 KiB pipe, and the chunks join to the record's rows bit for bit."""
-    chunk = en.STREAM_CHUNK_ROWS * (len(en.CSV_COLUMNS) + 6) * 8
-    assert chunk <= 64 * 1024
-    assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
-    assert len(chunks[-1]) < chunk + 1
+    assert CHUNK_BYTES <= 64 * 1024
+    assert [len(c) for c in chunks[:-1]] == [CHUNK_BYTES] * (len(chunks) - 1)
+    assert len(chunks[-1]) <= CHUNK_BYTES
     assert b"".join(chunks) == packed_rows(record)
 
 
