@@ -43,6 +43,13 @@ def _worker_count(text: str) -> int:
     return value
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgsim",
@@ -65,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", type=Path, default=Path("."),
                            help="output directory")
         if name == "sweep":
-            p.add_argument("--jobs", type=_worker_count, default=os.cpu_count() or 1,
+            p.add_argument("--jobs", type=_worker_count, default=_usable_cpus(),
                            help="worker processes (at least 1)")
     return parser
 
@@ -103,11 +110,9 @@ def _fly_writing_csv(eng: en.EngagementConfig, path: Path) -> en.EngagementRecor
     another thread runs (a fork would be unsafe), or where the process
     may use only one CPU (the writer would compete with the loop).
     """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
     with open(path, "w") as fh:
         try:
-            if hasattr(os, "fork") and threading.active_count() == 1 and cpus > 1:
+            if hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() > 1:
                 with en.CsvStream(fh) as stream:
                     return en.run_engagement(eng, on_rows=stream.write)
             record = en.run_engagement(eng)

@@ -45,11 +45,10 @@ CSV_COLUMNS = (
 _ROW = struct.Struct("%dd" % (len(CSV_COLUMNS) + 6))
 # the prefix at launch, and of a handoff state until its record attaches one
 _NO_ROWS = np.empty((0, len(CSV_COLUMNS) + 6))
-# rows per block that write_csv converts to Python floats at a time
-CSV_BLOCK_ROWS = 1024
-# rows per call of run_engagement's on_rows: 256 packed rows are 48 KiB,
-# within the 64 KiB a Linux pipe holds by default, so a CsvStream writer
-# that keeps up never blocks the loop
+# rows per block that the CSV formatter converts to Python floats at a
+# time, and per write into and read from a CsvStream's pipe: 256 packed
+# rows are 48 KiB, within the 64 KiB a Linux pipe holds by default, so a
+# writer that keeps up never blocks the loop
 STREAM_CHUNK_ROWS = 256
 
 # a failed run: its miss is no data point
@@ -137,12 +136,12 @@ class EngagementRecord:
         return len(self.series["t"])
 
     def write_csv(self, path) -> None:
-        """Write the series, converting :data:`CSV_BLOCK_ROWS` rows at a
-        time so that no Python copy of the whole table is ever held."""
+        """Write the series, converting :data:`STREAM_CHUNK_ROWS` rows at
+        a time so that no Python copy of the whole table is ever held."""
         cols = [self.series[c] for c in CSV_COLUMNS]
         with open(path, "w") as fh:
-            _write_table(fh, (np.array([c[i:i + CSV_BLOCK_ROWS] for c in cols], dtype=float).T
-                              for i in range(0, len(self), CSV_BLOCK_ROWS)))
+            _write_table(fh, (np.array([c[i:i + STREAM_CHUNK_ROWS] for c in cols], dtype=float).T
+                              for i in range(0, len(self), STREAM_CHUNK_ROWS)))
 
 
 def _write_table(fh, blocks) -> None:
@@ -155,15 +154,13 @@ def _write_table(fh, blocks) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
-def _packed_blocks(fd):
-    """The packed rows read from ``fd`` until end of file, as one block
-    per read; a row split across reads goes with the later one."""
-    pending = b""
-    while data := os.read(fd, 1 << 16):
-        pending += data
-        whole = len(pending) - len(pending) % _ROW.size
-        yield np.frombuffer(pending, count=whole // 8).reshape(-1, len(CSV_COLUMNS) + 6)
-        pending = pending[whole:]
+def _packed_blocks(pipe):
+    """The packed rows read from the binary file ``pipe`` until end of
+    file, :data:`STREAM_CHUNK_ROWS` rows per block; a buffered read
+    returns whole blocks until the last, so a stream that ends mid-row
+    raises ``ValueError``."""
+    while data := pipe.read(STREAM_CHUNK_ROWS * _ROW.size):
+        yield np.frombuffer(data).reshape(-1, len(CSV_COLUMNS) + 6)
 
 
 class CsvStream:
@@ -193,14 +190,16 @@ class CsvStream:
             code = 1
             try:
                 os.close(write_fd)
-                _write_table(fh, _packed_blocks(read_fd))
+                with open(read_fd, "rb") as pipe:
+                    _write_table(fh, _packed_blocks(pipe))
                 fh.flush()
                 code = 0
             finally:
                 os._exit(code)
         os.close(read_fd)
         self.pid = pid
-        self._pipe = open(write_fd, "wb")
+        # the buffer gives the pipe whole blocks of STREAM_CHUNK_ROWS rows
+        self._pipe = open(write_fd, "wb", buffering=STREAM_CHUNK_ROWS * _ROW.size)
         self.write = self._pipe.write
 
     def __enter__(self):
@@ -247,11 +246,9 @@ def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
     the one an independent run gives, bit for bit.  Without it, the
     run resumes from the launch state.
 
-    Given ``on_rows``, the loop hands it a copy of the rows packed since
-    its last call, as a bytearray of ``len(CSV_COLUMNS) + 6`` doubles per
-    row: every :data:`STREAM_CHUNK_ROWS` rows, and once more after the
-    loop, before the record is built.  The first call starts from row 0,
-    so a resumed run's prefix rows come too.
+    Given ``on_rows``, the loop hands it each row as it packs it, as
+    bytes of ``len(CSV_COLUMNS) + 6`` doubles.  A resumed run's prefix
+    rows come first, in one call.
     """
     dt = config.dt
     n_max = int(round(config.max_time / dt))
@@ -287,14 +284,8 @@ def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
     pack = _ROW.pack
     termination = "timeout"
     diagnostic = ""
-    chunk = STREAM_CHUNK_ROWS * _ROW.size
-    sent = 0  # bytes of rows handed to on_rows
-    flush_at = -1  # the step whose row fills the next chunk; -1: never
-    if on_rows is not None:
-        while len(rows) - sent >= chunk:  # a resumed run's prefix
-            on_rows(rows[sent:sent + chunk])
-            sent += chunk
-        flush_at = sent // _ROW.size + STREAM_CHUNK_ROWS - 1
+    if on_rows is not None and start:
+        on_rows(bytes(rows))
 
     for n in range(start, n_max + 1):
         t = n * dt
@@ -334,14 +325,13 @@ def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
         defl_p = gd.autopilot_step(acc_p, defl_p, gain, lim, act_a, act_b)
         defl_y = gd.autopilot_step(acc_y, defl_y, gain, lim, act_a, act_b)
 
-        rows += pack(t, true_rate[0], true_rate[1], delayed[0], delayed[1],
-                     predicted[0], predicted[1], acc_p, acc_y, defl_p, defl_y,
-                     mx, my, mz, tx, ty, tz, rng,
-                     mvx, mvy, mvz, tvx, tvy, tvz)
-        if n == flush_at:
-            on_rows(rows[sent:])
-            sent = len(rows)
-            flush_at += STREAM_CHUNK_ROWS
+        row = pack(t, true_rate[0], true_rate[1], delayed[0], delayed[1],
+                   predicted[0], predicted[1], acc_p, acc_y, defl_p, defl_y,
+                   mx, my, mz, tx, ty, tz, rng,
+                   mvx, mvy, mvz, tvx, tvy, tvz)
+        rows += row
+        if on_rows is not None:
+            on_rows(row)
 
         # termination checks on the recorded sample
         if rng > range_min:
@@ -376,8 +366,6 @@ def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
             diagnostic = "integration failed at t=%g: %s" % (t, exc)
             break
 
-    if on_rows is not None:
-        on_rows(rows[sent:])
     # a zero-copy view: the series and both velocities are its columns
     data = np.frombuffer(rows, dtype=float).reshape(-1, len(CSV_COLUMNS) + 6)
     # guidance took the prediction only if the handoff step was recorded

@@ -253,6 +253,12 @@ class TestOptions:
         assert err.startswith("usage: pgsim")
         assert "error: unrecognized arguments: %s" % " ".join(argv[1:]) in err
 
+    def test_jobs_default_to_usable_cpus(self, monkeypatch):
+        # pinned to one CPU, a sweep starts one worker on a many-core host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert cli.build_parser().parse_args(["sweep"]).jobs == 1
+
     def test_run_out_and_seed(self, capsys, tmp_path):
         assert run_cli("run", "--out", str(tmp_path), "--seed", "7", *FAST) == 0
         assert strict_json(tmp_path / "metrics.json")["config"]["seed"] == 7

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import random
 import struct
 import tracemalloc
@@ -42,8 +43,8 @@ def predicted_run():
     return en.run_engagement(cfg), cfg
 
 
-# bytes of one full on_rows chunk
-CHUNK_BYTES = en.STREAM_CHUNK_ROWS * (len(en.CSV_COLUMNS) + 6) * 8
+# bytes of one packed row
+ROW_BYTES = (len(en.CSV_COLUMNS) + 6) * 8
 
 
 def packed_rows(record) -> bytes:
@@ -53,12 +54,14 @@ def packed_rows(record) -> bytes:
                            + [record.missile_velocity, record.target_velocity]).tobytes()
 
 
-def write_streamed(record, path) -> None:
-    """Write ``record`` through a CsvStream fed on_rows-sized chunks."""
+def write_streamed(record, path, piece=ROW_BYTES) -> None:
+    """Write ``record`` through a CsvStream fed its packed rows in pieces
+    of ``piece`` bytes, by default one row at a time as the loop hands
+    them off."""
     rows = packed_rows(record)
     with open(path, "w") as fh, en.CsvStream(fh) as stream:
-        for i in range(0, len(rows), CHUNK_BYTES):
-            stream.write(rows[i:i + CHUNK_BYTES])
+        for i in range(0, len(rows), piece):
+            stream.write(rows[i:i + piece])
 
 
 def rows_handed_off(config, resume=None):
@@ -69,11 +72,9 @@ def rows_handed_off(config, resume=None):
 
 
 def assert_chunks_join_to_record(chunks, record):
-    """Every chunk but the last holds STREAM_CHUNK_ROWS rows, within a
-    64 KiB pipe, and the chunks join to the record's rows bit for bit."""
-    assert CHUNK_BYTES <= 64 * 1024
-    assert [len(c) for c in chunks[:-1]] == [CHUNK_BYTES] * (len(chunks) - 1)
-    assert len(chunks[-1]) <= CHUNK_BYTES
+    """The chunks join to the record's rows bit for bit, and a stream's
+    block of rows fits in a 64 KiB pipe."""
+    assert en.STREAM_CHUNK_ROWS * ROW_BYTES <= 64 * 1024
     assert b"".join(chunks) == packed_rows(record)
 
 
@@ -494,9 +495,11 @@ class TestWarmupResume:
     def test_resumed_rows_handed_off_from_row_zero(self, runs):
         _, first_record = runs(2.0, 60.0, "delayed")
         cfg, independent = runs(2.0, 60.0, "predicted")
-        # 2000 prefix rows: 7 whole chunks before the loop, 208 rows after
+        # the 2000 prefix rows in one call before the loop, then one row a call
         resumed, chunks = rows_handed_off(cfg, first_record.warmup.detached())
         assert_same_record(resumed, independent)
+        assert first_record.warmup.step == 2000
+        assert [len(c) for c in chunks] == [2000 * ROW_BYTES] + [ROW_BYTES] * (len(resumed) - 2000)
         assert_chunks_join_to_record(chunks, resumed)
 
     def test_state_shares_the_record_rows(self, runs):
@@ -589,7 +592,27 @@ class TestMetricsAndCsv:
         record, chunks = rows_handed_off(cfg)
         assert len(record) == round(max_time / cfg.dt) + 1
         assert_same_record(record, en.run_engagement(cfg))
+        assert [len(c) for c in chunks] == [ROW_BYTES] * len(record)
         assert_chunks_join_to_record(chunks, record)
+
+    @pytest.mark.parametrize("piece", [1, ROW_BYTES - 1, 70_000],
+                             ids=["byte", "row-less-one-byte", "over-a-pipe"])
+    def test_stream_joins_rows_split_across_writes(self, piece, tmp_path):
+        record = en.run_engagement(build({"engagement.max_time": 2.0}))
+        record.write_csv(tmp_path / "want.csv")
+        write_streamed(record, tmp_path / "got.csv", piece)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("extra", [100, 200])
+    def test_stream_ending_mid_row_fails(self, extra, tmp_path):
+        path = tmp_path / "run.csv"
+        with open(path, "w") as fh:
+            stream = en.CsvStream(fh)
+            with pytest.raises(OSError, match="run.csv"), stream:
+                stream.write(np.arange(3 * ROW_BYTES // 8, dtype=float).tobytes())
+                stream.write(bytes(extra))
+        with pytest.raises(ChildProcessError):  # the writer was reaped
+            os.waitpid(stream.pid, 0)
 
     def test_short_run_rmse_is_nan(self):
         cfg = build({"engagement.max_time": 0.05})
