@@ -296,6 +296,8 @@ def _parse_dataset(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
+            if current in sections:
+                raise ValueError("airframe dataset repeats section [%s]" % current)
             sections[current] = {"kv": {}, "rows": []}
             continue
         if current is None:
@@ -329,6 +331,10 @@ def load_airframe(path: str | None = None) -> Airframe:
 
     aero_rows = sec["aero"]["rows"]
     thrust_rows = sec["thrust"]["rows"]
+    for r in thrust_rows:
+        if len(r) != 2:
+            raise ValueError("thrust row at t=%g holds %d numbers, expected 2 (time, thrust)"
+                             % (r[0], len(r)))
     table = AeroTable(
         mach_breakpoints=[r[0] for r in aero_rows],
         rows=[r[1:] for r in aero_rows],

@@ -90,19 +90,12 @@ def _resolve(args) -> dict:
     cfg = cf.resolve(file_cfg, _parse_set(args.set))
     if args.seed is not None:
         cfg["seed"] = args.seed
-    problems = cf.validate(cfg)
-    if problems:
-        raise cf.ConfigError(problems)
     return cfg
-
-
-def _engagement_config(cfg: dict) -> en.EngagementConfig:
-    return en.EngagementConfig.from_setup(cf.build_setup(cfg))
 
 
 def _fly_writing_csv(eng: en.EngagementConfig, path: Path) -> en.EngagementRecord:
     """Fly ``eng`` and write its series to ``path``, which is opened
-    before the flight and removed if the flight raises.
+    before the flight and removed if the flight or the write raises.
 
     A forked writer formats the rows on another CPU while the loop
     flies (:class:`pgsim.engagement.CsvStream`).  The record is written
@@ -116,16 +109,16 @@ def _fly_writing_csv(eng: en.EngagementConfig, path: Path) -> en.EngagementRecor
                 with en.CsvStream(fh) as stream:
                     return en.run_engagement(eng, on_rows=stream.write)
             record = en.run_engagement(eng)
+            record.write_csv(path)
         except BaseException:
             os.unlink(path)
             raise
-    record.write_csv(path)
     return record
 
 
 def cmd_run(args) -> int:
     cfg = _resolve(args)
-    eng = _engagement_config(cfg)
+    eng = en.EngagementConfig.from_setup(cf.build_setup(cfg))
     args.out.mkdir(parents=True, exist_ok=True)
     record = _fly_writing_csv(eng, args.out / "engagement.csv")
     metrics = en.compute_metrics(record, eng)
@@ -149,21 +142,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
-    # build_run_config sets these per run, whatever the config says
-    swept = {"observer.delta": cfg["observer"]["delta"], "target.phase": cfg["target"]["phase"]}
-    problems = ["%s must be 'auto' in a sweep, which sets it per run, got %r" % (key, value)
-                for key, value in swept.items() if value != "auto"]
-    if problems:
-        raise cf.ConfigError(problems)
-    base = _engagement_config(cfg)
-    sw = cfg["sweep"]
-    sweep = mc.SweepConfig(
-        delays=tuple(float(d) for d in sw["delays"]),
-        samples_per_delay=int(sw["samples_per_delay"]),
-        master_seed=int(cfg["seed"]),
-        sources=tuple(sw["sources"]),
-        base=base,
-    )
+    sweep = cf.build_sweep(cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     summary = mc.run_sweep(sweep, jobs=args.jobs)
     mc.write_runs_csv(summary, args.out / "sweep_runs.csv")
@@ -178,6 +157,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _resolve(args)
+    problems = cf.validate(cfg)
+    if problems:
+        raise cf.ConfigError(problems)
     print(json.dumps(cfg, indent=2))
     return EXIT_OK
 

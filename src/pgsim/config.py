@@ -16,13 +16,15 @@ import sys
 import numpy as np
 
 from . import airframe as af
+from . import engagement as en
 from . import guidance as gd
+from . import montecarlo as mc
 from . import observer as ob
 from . import seeker as sk
 from . import targets as tg
 
 __all__ = ["DEFAULTS", "resolve", "apply_override", "validate", "build_setup",
-           "ConfigError"]
+           "build_sweep", "ConfigError"]
 
 DEFAULTS = {
     "seed": 12345,
@@ -298,12 +300,9 @@ def validate(cfg: dict) -> list:
     return problems
 
 
-def build_setup(cfg: dict):
-    """Typed module configs from a validated config document.
-
-    Returns a dict with keys observer, seeker, guidance, autopilot,
-    target, airframe plus the raw engagement section.
-    """
+def build_setup(cfg: dict) -> dict:
+    """The fields of :class:`pgsim.engagement.EngagementConfig` from a
+    config document; raises :class:`ConfigError` if it is invalid."""
     problems = validate(cfg)
     if problems:
         raise ConfigError(problems)
@@ -325,6 +324,7 @@ def build_setup(cfg: dict):
         speed=float(t["speed"]), weave_amplitude=float(t["weave_amplitude"]),
         weave_frequency=float(t["weave_frequency"]), phase=phase,
     )
+    eng = cfg["engagement"]
     return {
         "observer": obs_cfg,
         "seeker": sk.SeekerConfig(lag_time_constant=lag),
@@ -337,5 +337,23 @@ def build_setup(cfg: dict):
             accel_to_deflection_gain=gain),
         "target": target_cfg,
         "airframe": frame,
-        "engagement": cfg["engagement"],
+        "dt": float(eng["dt"]),
+        "max_time": float(eng["max_time"]),
+        "launch_speed": float(eng["launch_speed"]),
+        "launch_elevation": math.radians(float(eng["launch_elevation_deg"])),
     }
+
+
+def build_sweep(cfg: dict) -> mc.SweepConfig:
+    """The sweep of a config document; raises :class:`ConfigError` if it is
+    invalid or sets what each run sets (``montecarlo.build_run_config``)."""
+    base = en.EngagementConfig.from_setup(build_setup(cfg))
+    swept = {"observer.delta": cfg["observer"]["delta"], "target.phase": cfg["target"]["phase"]}
+    problems = ["%s must be 'auto' in a sweep, which sets it per run, got %r" % (key, value)
+                for key, value in swept.items() if value != "auto"]
+    if problems:
+        raise ConfigError(problems)
+    sw = cfg["sweep"]
+    return mc.SweepConfig(delays=tuple(float(d) for d in sw["delays"]),
+                          samples_per_delay=sw["samples_per_delay"], master_seed=cfg["seed"],
+                          sources=tuple(sw["sources"]), base=base)

@@ -71,15 +71,8 @@ class EngagementConfig:
 
     @staticmethod
     def from_setup(setup: dict) -> "EngagementConfig":
-        eng = setup["engagement"]
-        return EngagementConfig(
-            observer=setup["observer"], seeker=setup["seeker"],
-            guidance=setup["guidance"], autopilot=setup["autopilot"],
-            target=setup["target"], airframe=setup["airframe"],
-            dt=float(eng["dt"]), max_time=float(eng["max_time"]),
-            launch_speed=float(eng["launch_speed"]),
-            launch_elevation=math.radians(float(eng["launch_elevation_deg"])),
-        )
+        """The config of :func:`pgsim.config.build_setup`'s fields."""
+        return EngagementConfig(**setup)
 
     def with_source(self, source: str) -> "EngagementConfig":
         """This config with guidance fed from ``source``."""

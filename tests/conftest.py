@@ -16,6 +16,19 @@ def schema_config(section, **overrides):
     return dataclasses.replace(cf.build_setup(cf.resolve())[section], **overrides)
 
 
+def engagement_config(overrides=None):
+    """The engagement config of the config schema's defaults, with
+    ``overrides`` (dotted key -> value) set in the document first."""
+    cfg = cf.resolve()
+    for key, value in (overrides or {}).items():
+        node = cfg
+        parts = key.split(".")
+        for p in parts[:-1]:
+            node = node[p]
+        node[parts[-1]] = value
+    return en.EngagementConfig.from_setup(cf.build_setup(cfg))
+
+
 def state_derivative(x, dp, dyaw, row, sref, lref, inv_i, thrust, mdot, rho):
     """The derivative of the whole 11-state ``x`` (position, velocity,
     pitch, yaw, body rates, mass): the position rate is the velocity,
@@ -69,14 +82,7 @@ def rk4_from_rhs8(x, v, dt, coeffs):
 def default_sweep():
     """The 400-run sweep of the config schema's defaults on all cores,
     flown once per session: (sweep config, summary, elapsed seconds)."""
-    cfg = cf.resolve()
-    sweep = mc.SweepConfig(
-        delays=tuple(cfg["sweep"]["delays"]),
-        samples_per_delay=cfg["sweep"]["samples_per_delay"],
-        master_seed=cfg["seed"],
-        sources=tuple(cfg["sweep"]["sources"]),
-        base=en.EngagementConfig.from_setup(cf.build_setup(cfg)),
-    )
+    sweep = cf.build_sweep(cf.resolve())
     start = time.monotonic()
     summary = mc.run_sweep(sweep, jobs=os.cpu_count() or 1)
     return sweep, summary, time.monotonic() - start

@@ -10,10 +10,9 @@ import random
 
 import numpy as np
 import pytest
-from conftest import rk4_from_rhs8
+from conftest import engagement_config, rk4_from_rhs8
 
 from pgsim import airframe as af
-from pgsim import config as cf
 from pgsim import engagement as en
 from pgsim import montecarlo as mc
 from pgsim import observer as ob
@@ -25,17 +24,6 @@ def report(capsys, number, ok, detail):
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line
-
-
-def build(overrides=None):
-    cfg = cf.resolve()
-    for key, value in (overrides or {}).items():
-        node = cfg
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node[p]
-        node[parts[-1]] = value
-    return en.EngagementConfig.from_setup(cf.build_setup(cfg))
 
 
 def observer_config(epsilon=0.05, delta=0.2):
@@ -112,8 +100,8 @@ def test_criterion_3_zero_horizon_degeneracy(capsys):
 def test_criterion_4_miss_distance_ordering(capsys):
     miss = {}
     for source, lag in (("delayed", 0.2), ("predicted", 0.2), ("true", 0.0)):
-        cfg = build({"guidance.source": source,
-                     "seeker.lag_time_constant": lag})
+        cfg = engagement_config({"guidance.source": source,
+                                 "seeker.lag_time_constant": lag})
         miss[source] = en.run_engagement(cfg).miss_distance
     ok = (miss["predicted"] <= 0.6 * miss["delayed"]
           and miss["true"] <= miss["predicted"])
@@ -124,7 +112,7 @@ def test_criterion_4_miss_distance_ordering(capsys):
 
 
 def test_criterion_5_zero_delay_baseline(capsys):
-    record = en.run_engagement(build({"guidance.source": "true"}))
+    record = en.run_engagement(engagement_config({"guidance.source": "true"}))
     report(capsys, 5, record.miss_distance < 0.5,
            "zero-lag ideal-source miss %.4g m (< 0.5 m)" % record.miss_distance)
 
@@ -193,7 +181,7 @@ def test_criterion_7_metric_oracles(capsys):
 def test_criterion_8_sweep_determinism(capsys, tmp_path):
     sweep = mc.SweepConfig(delays=(0.1, 0.25), samples_per_delay=3,
                            master_seed=2024, sources=("delayed", "predicted"),
-                           base=build({"engagement.max_time": 15.0}))
+                           base=engagement_config({"engagement.max_time": 15.0}))
     paths = []
     for tag in ("a", "b"):
         summary = mc.run_sweep(sweep)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import threading
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from pgsim import cli
+from pgsim import config as cf
 from pgsim import engagement as en
 from pgsim import guidance as gd
 
@@ -74,6 +76,21 @@ class TestValidate:
     def test_source_true_stays_a_string(self, capsys):
         assert run_cli("validate", "--set", "guidance.source=true") == 0
         assert json.loads(capsys.readouterr().out)["guidance"]["source"] == "true"
+
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    def test_validates_once(self, capsys, tmp_path, monkeypatch, command):
+        calls = []
+        real = cf.validate
+
+        def validate(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(cf, "validate", validate)
+        out = [] if command == "validate" else ["--out", str(tmp_path)]
+        jobs = ["--jobs", "1"] if command == "sweep" else []
+        assert run_cli(command, *out, *jobs, *TestSweep.SMALL) == 0
+        assert len(calls) == 1
 
     def test_invalid_value_exits_2(self, capsys):
         assert run_cli("validate", "--set", "guidance.nav_ratio=-1") == 2
@@ -222,8 +239,12 @@ class TestInputFiles:
          "transverse_inertia must be > 0, got -22"),
         (("0.4 20.0 0.3", "0.4 nan 0.3"), "non-finite dataset value 'nan'"),
         (("3.0 15000.0", "3.0 inf"), "non-finite dataset value 'inf'"),
+        (("3.0 15000.0", "3.0"), "thrust row at t=3 holds 1 numbers, expected 2"),
+        (("3.0 15000.0", "3.0 15000.0 1.0"), "thrust row at t=3 holds 3 numbers, expected 2"),
+        (("3.1 0.0\n", "3.1 0.0\n[thrust]\n0.0 1.0\n"), "repeats section [thrust]"),
     ], ids=["non-numeric-value", "missing-section", "missing-key", "no-trim-gain",
-            "zero-inertia", "negative-inertia", "nan-aero-entry", "inf-thrust-entry"])
+            "zero-inertia", "negative-inertia", "nan-aero-entry", "inf-thrust-entry",
+            "short-thrust-row", "long-thrust-row", "repeated-section"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_malformed_dataset_exits_2(self, capsys, tmp_path, command, edit, message):
         assert edit[0] in UNSTABLE_AIRFRAME
@@ -411,6 +432,22 @@ class TestRunWriter:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "engagement.csv" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+        # pinned to one CPU, the record is written in-process: a write
+        # that fails part way leaves no file either
+        def fill_disk(fh, blocks):
+            fh.write(",".join(en.CSV_COLUMNS) + "\n")
+            fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(en, "_write_table", fill_disk)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert run_cli("run", "--out", str(tmp_path), *FAST) == 2
+        assert len(writers) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_interrupted_run_removes_csv(self, tmp_path, writers, monkeypatch):

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
 from pgsim import config as cf
+from pgsim import engagement as en
+from pgsim import montecarlo as mc
 from pgsim import observer as ob
 
 
@@ -204,3 +207,36 @@ class TestBuildSetup:
         assert isinstance(obs, ob.ObserverConfig)
         assert (obs.k1, obs.k2, obs.k3, obs.k4) == (4.0, 6.0, 4.0, 1.0)
         assert obs.epsilon == 0.05
+
+    def test_keys_are_engagement_config_fields(self):
+        fields = {f.name for f in dataclasses.fields(en.EngagementConfig)}
+        assert set(cf.build_setup(cf.resolve())) == fields
+
+    def test_engagement_values_typed(self):
+        cfg = cf.resolve()
+        cfg["engagement"].update(dt=1e-3, max_time=30, launch_speed=25, launch_elevation_deg=90)
+        setup = cf.build_setup(cfg)
+        assert [(setup[k], type(setup[k])) for k in ("dt", "max_time", "launch_speed")] \
+            == [(1e-3, float), (30.0, float), (25.0, float)]
+        assert setup["launch_elevation"] == math.pi / 2
+
+
+class TestBuildSweep:
+    def test_matches_hand_built(self):
+        cfg = cf.resolve()
+        sweep = cf.build_sweep(cfg)
+        setup = cf.build_setup(cfg)
+        base = en.EngagementConfig(
+            observer=setup["observer"], seeker=setup["seeker"], guidance=setup["guidance"],
+            autopilot=setup["autopilot"], target=setup["target"],
+            airframe=sweep.base.airframe,  # an airframe compares by identity
+            dt=0.001, max_time=60.0, launch_speed=20.0, launch_elevation=math.radians(45.0))
+        assert sweep == mc.SweepConfig(
+            delays=(0.025, 0.071, 0.118, 0.164, 0.211, 0.257, 0.304, 0.35),
+            samples_per_delay=25, master_seed=12345, sources=("delayed", "predicted"),
+            base=base)
+
+    def test_delays_are_floats(self):
+        cfg = cf.resolve()
+        cfg["sweep"]["delays"] = [1, 2]
+        assert [type(d) for d in cf.build_sweep(cfg).delays] == [float, float]

@@ -8,10 +8,9 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import state_derivative
+from conftest import engagement_config, state_derivative
 
 from pgsim import airframe as af
-from pgsim import config as cf
 from pgsim import engagement as en
 from pgsim import guidance as gd
 from pgsim import observer as ob
@@ -19,27 +18,16 @@ from pgsim import seeker as sk
 from pgsim import targets as tg
 
 
-def build(overrides=None):
-    cfg = cf.resolve()
-    for key, value in (overrides or {}).items():
-        node = cfg
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node[p]
-        node[parts[-1]] = value
-    return en.EngagementConfig.from_setup(cf.build_setup(cfg))
-
-
 @pytest.fixture(scope="module")
 def true_run():
-    cfg = build({"guidance.source": "true"})
+    cfg = engagement_config({"guidance.source": "true"})
     return en.run_engagement(cfg), cfg
 
 
 @pytest.fixture(scope="module")
 def predicted_run():
-    cfg = build({"guidance.source": "predicted",
-                 "seeker.lag_time_constant": 0.2})
+    cfg = engagement_config({"guidance.source": "predicted",
+                             "seeker.lag_time_constant": 0.2})
     return en.run_engagement(cfg), cfg
 
 
@@ -226,9 +214,9 @@ class TestRunEngagement:
         assert np.max(np.abs(record.series["defl_y"])) <= lim + 1e-12
 
     def test_determinism_bit_identical(self):
-        cfg = build({"guidance.source": "predicted",
-                     "seeker.lag_time_constant": 0.15,
-                     "target.kind": "weaving", "target.phase": 1.2})
+        cfg = engagement_config({"guidance.source": "predicted",
+                                 "seeker.lag_time_constant": 0.15,
+                                 "target.kind": "weaving", "target.phase": 1.2})
         a = en.run_engagement(cfg)
         b = en.run_engagement(cfg)
         assert a.miss_distance == b.miss_distance
@@ -268,8 +256,8 @@ class TestRunEngagement:
     def test_no_switch_before_warmup_reached(self, max_time, switch):
         # a run that stops before the 2 s warm-up never hands off; one
         # whose last step lands on it does
-        cfg = build({"guidance.source": "predicted", "seeker.lag_time_constant": 0.2,
-                     "engagement.max_time": max_time})
+        cfg = engagement_config({"guidance.source": "predicted", "seeker.lag_time_constant": 0.2,
+                                 "engagement.max_time": max_time})
         assert cfg.guidance.warmup == 2.0
         record = en.run_engagement(cfg)
         assert record.termination_reason == "timeout"
@@ -279,9 +267,9 @@ class TestRunEngagement:
         # an off-grid warm-up hands off at the next step, t = 0.201; the
         # commands replayed from the recorded kinematics take the delayed
         # rate before that row and the prediction from it on
-        cfg = build({"guidance.source": "predicted", "seeker.lag_time_constant": 0.2,
-                     "target.kind": "weaving", "target.phase": 0.7,
-                     "guidance.warmup": 0.2005, "engagement.max_time": 0.25})
+        cfg = engagement_config({"guidance.source": "predicted", "seeker.lag_time_constant": 0.2,
+                                 "target.kind": "weaving", "target.phase": 0.7,
+                                 "guidance.warmup": 0.2005, "engagement.max_time": 0.25})
         record = en.run_engagement(cfg)
         s = record.series
         assert record.source_switch_time == s["t"][201] == 0.201
@@ -302,8 +290,8 @@ class TestRunEngagement:
     def test_rmse_window_starts_at_switch_step(self):
         # a warm-up just past a grid point hands over one step later; the
         # windowed RMSE scores the prediction from that step on
-        cfg = build({"guidance.source": "predicted", "seeker.lag_time_constant": 0.2,
-                     "target.kind": "weaving", "guidance.warmup": 2.0 + 1e-13})
+        cfg = engagement_config({"guidance.source": "predicted", "seeker.lag_time_constant": 0.2,
+                                 "target.kind": "weaving", "guidance.warmup": 2.0 + 1e-13})
         record = en.run_engagement(cfg)
         s = record.series
         ts = s["t"].tolist()
@@ -319,16 +307,16 @@ class TestRunEngagement:
         assert record.source_switch_time is None
 
     def test_timeout(self):
-        cfg = build({"engagement.max_time": 0.5,
-                     "target.position": [30000.0, 0.0, 2000.0]})
+        cfg = engagement_config({"engagement.max_time": 0.5,
+                                 "target.position": [30000.0, 0.0, 2000.0]})
         record = en.run_engagement(cfg)
         assert record.termination_reason == "timeout"
         assert record.series["t"][-1] == pytest.approx(0.5)
 
     def test_ground_impact(self):
-        cfg = build({"engagement.launch_elevation_deg": -60.0,
-                     "engagement.max_time": 20.0,
-                     "guidance.nav_ratio": 0.1})
+        cfg = engagement_config({"engagement.launch_elevation_deg": -60.0,
+                                 "engagement.max_time": 20.0,
+                                 "guidance.nav_ratio": 0.1})
         record = en.run_engagement(cfg)
         assert record.termination_reason == "ground_impact"
         assert record.series["mz"][-1] <= 0.0
@@ -353,10 +341,10 @@ propellant_mass = 30.0
 3.0 15000.0
 3.1 0.0
 """)
-        cfg = build({"airframe.dataset": str(p),
-                     "guidance.source": "predicted",
-                     "seeker.lag_time_constant": 0.2,
-                     "engagement.max_time": 30.0})
+        cfg = engagement_config({"airframe.dataset": str(p),
+                                 "guidance.source": "predicted",
+                                 "seeker.lag_time_constant": 0.2,
+                                 "engagement.max_time": 30.0})
         record = en.run_engagement(cfg)
         assert record.termination_reason == "vehicle_divergence"
         assert record.diagnostic != ""
@@ -372,7 +360,7 @@ propellant_mass = 30.0
             return x if len(calls) < 10 else x[:3] + (math.nan,) + x[4:]
 
         monkeypatch.setattr(en, "_vehicle_rk4", blow_up)
-        record = en.run_engagement(build({"engagement.max_time": 0.1}))
+        record = en.run_engagement(engagement_config({"engagement.max_time": 0.1}))
         assert record.termination_reason == "vehicle_divergence"
         assert "non-finite vehicle state" in record.diagnostic
         assert len(record) == 10
@@ -382,9 +370,9 @@ propellant_mass = 30.0
         p = tmp_path / "hot.txt"
         p.write_text(resources.files("pgsim.data").joinpath("generic_airframe.txt")
                      .read_text().replace("15000.0", "400000.0"))
-        record = en.run_engagement(build({"airframe.dataset": str(p),
-                                          "target.position": [2000.0, 0.0, 60000.0],
-                                          "engagement.launch_elevation_deg": 85.0}))
+        record = en.run_engagement(engagement_config({"airframe.dataset": str(p),
+                                                      "target.position": [2000.0, 0.0, 60000.0],
+                                                      "engagement.launch_elevation_deg": 85.0}))
         assert record.termination_reason == "altitude_ceiling"
         assert record.series["mz"][-1] > af.ISA_CEILING
         assert record.series["mz"][-2] <= af.ISA_CEILING
@@ -421,7 +409,7 @@ propellant_mass = 30.0
                 "engagement.launch_speed": rng.uniform(5.0, 50.0),
                 "engagement.max_time": 0.3,
             }
-            record = en.run_engagement(build(over))
+            record = en.run_engagement(engagement_config(over))
             assert record.termination_reason in en.TERMINATIONS
             assert len(record) > 0
 
@@ -459,8 +447,8 @@ class TestWarmupResume:
         def run(warmup, max_time, source):
             key = (warmup, max_time)
             if key not in bases:
-                bases[key] = build({**self.LAGGED, "guidance.warmup": warmup,
-                                    "engagement.max_time": max_time})
+                bases[key] = engagement_config({**self.LAGGED, "guidance.warmup": warmup,
+                                                "engagement.max_time": max_time})
             if key + (source,) not in cache:
                 cfg = bases[key].with_source(source)
                 cache[key + (source,)] = cfg, en.run_engagement(cfg)
@@ -509,8 +497,8 @@ class TestWarmupResume:
         assert not np.shares_memory(record.warmup.detached().prefix, prefix)
 
     def test_no_state_for_closest_approach_before_warmup(self):
-        cfg = build({**self.LAGGED, "guidance.source": "predicted",
-                     "guidance.warmup": 30.0, "target.position": [2000.0, 0.0, 800.0]})
+        cfg = engagement_config({**self.LAGGED, "guidance.source": "predicted",
+                                 "guidance.warmup": 30.0, "target.position": [2000.0, 0.0, 800.0]})
         record = en.run_engagement(cfg)
         assert record.termination_reason == "closest_approach"
         assert record.series["t"][-1] < 30.0
@@ -534,7 +522,7 @@ class TestWarmupResume:
             source = ("delayed", "predicted")[i % 2]
             for warmup in (k * dt, math.nextafter(k * dt, math.inf),
                            math.nextafter(k * dt, 0.0), (k + 0.5) * dt):
-                record = en.run_engagement(build({
+                record = en.run_engagement(engagement_config({
                     "guidance.source": source, "seeker.lag_time_constant": 0.2,
                     "guidance.warmup": warmup, "engagement.dt": dt,
                     "engagement.max_time": n_max * dt}))
@@ -548,9 +536,9 @@ class TestWarmupResume:
 
     def test_warmup_step_constant_time(self):
         # a warm-up no step reaches stores no state, however far away
-        record = en.run_engagement(build({"guidance.source": "predicted",
-                                          "guidance.warmup": 1e300,
-                                          "engagement.max_time": 0.01}))
+        record = en.run_engagement(engagement_config({"guidance.source": "predicted",
+                                                      "guidance.warmup": 1e300,
+                                                      "engagement.max_time": 0.01}))
         assert record.termination_reason == "timeout"
         assert record.warmup is None
         assert record.source_switch_time is None
@@ -588,7 +576,7 @@ class TestMetricsAndCsv:
 
     @pytest.mark.parametrize("max_time", [0.001, 0.254, 0.255, 0.256, 2.0])
     def test_rows_handed_off_join_to_record(self, max_time):
-        cfg = build({"engagement.max_time": max_time})
+        cfg = engagement_config({"engagement.max_time": max_time})
         record, chunks = rows_handed_off(cfg)
         assert len(record) == round(max_time / cfg.dt) + 1
         assert_same_record(record, en.run_engagement(cfg))
@@ -598,7 +586,7 @@ class TestMetricsAndCsv:
     @pytest.mark.parametrize("piece", [1, ROW_BYTES - 1, 70_000],
                              ids=["byte", "row-less-one-byte", "over-a-pipe"])
     def test_stream_joins_rows_split_across_writes(self, piece, tmp_path):
-        record = en.run_engagement(build({"engagement.max_time": 2.0}))
+        record = en.run_engagement(engagement_config({"engagement.max_time": 2.0}))
         record.write_csv(tmp_path / "want.csv")
         write_streamed(record, tmp_path / "got.csv", piece)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -615,7 +603,7 @@ class TestMetricsAndCsv:
             os.waitpid(stream.pid, 0)
 
     def test_short_run_rmse_is_nan(self):
-        cfg = build({"engagement.max_time": 0.05})
+        cfg = engagement_config({"engagement.max_time": 0.05})
         record = en.run_engagement(cfg)
         m = en.compute_metrics(record, cfg)
         assert math.isnan(m.rmse_delayed)
@@ -655,7 +643,7 @@ class TestMetricsAndCsv:
     def test_record_memory_near_its_size(self):
         # the loop keeps packed doubles, not a Python object per value:
         # the traced peak stays within twice the record's own size
-        cfg = build({"engagement.max_time": 2.0})
+        cfg = engagement_config({"engagement.max_time": 2.0})
         en.run_engagement(cfg)  # warm-up: first-call caches are not the record
         tracemalloc.start()
         try:
@@ -669,7 +657,7 @@ class TestMetricsAndCsv:
 
     def test_record_ending_at_step_zero(self, tmp_path):
         # a target at the launch site gives no line of sight on step 0
-        cfg = build()
+        cfg = engagement_config()
         cfg = dataclasses.replace(cfg, target=dataclasses.replace(
             cfg.target, initial_position=(0.0, 0.0, 0.0)))
         record = en.run_engagement(cfg)
@@ -764,8 +752,8 @@ class TestLoopReplay:
 
     @pytest.fixture(scope="class")
     def weave_run(self):
-        cfg = build({"guidance.source": "predicted", "seeker.lag_time_constant": 0.2,
-                     "target.kind": "weaving"})
+        cfg = engagement_config({"guidance.source": "predicted", "seeker.lag_time_constant": 0.2,
+                                 "target.kind": "weaving"})
         return en.run_engagement(cfg), cfg
 
     def test_target_positions(self, weave_run):

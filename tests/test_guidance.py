@@ -3,12 +3,11 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import schema_config
+from conftest import engagement_config, schema_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsim import airframe as af
-from pgsim import config as cf
 from pgsim import engagement as en
 from pgsim.guidance import (AutopilotConfig, actuator_coefficients, autopilot_step,
                             pn_command, select_source, trim_deflection_gain)
@@ -26,10 +25,8 @@ class TestClosingVelocity:
         # oracle on a recorded engagement: the command is N * Vc * lambda
         # of the selected source, with Vc = -(r . rdot) / |r| from the
         # recorded relative state, positive while the range closes
-        cfg = cf.resolve()
-        cfg["guidance"]["source"] = "predicted"
-        cfg["seeker"]["lag_time_constant"] = 0.2
-        eng = en.EngagementConfig.from_setup(cf.build_setup(cfg))
+        eng = engagement_config({"guidance.source": "predicted",
+                                 "seeker.lag_time_constant": 0.2})
         record = en.run_engagement(eng)
         s = record.series
         r = np.column_stack([s["tx"] - s["mx"], s["ty"] - s["my"], s["tz"] - s["mz"]])

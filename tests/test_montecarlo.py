@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from conftest import engagement_config
 
 from pgsim import config as cf
 from pgsim import engagement as en
@@ -9,13 +10,6 @@ from pgsim import montecarlo as mc
 from pgsim import targets as tg
 
 SOURCES = tuple(cf.DEFAULTS["sweep"]["sources"])
-
-
-def base_config(**engagement_overrides):
-    cfg = cf.resolve()
-    for key, value in engagement_overrides.items():
-        cfg["engagement"][key] = value
-    return en.EngagementConfig.from_setup(cf.build_setup(cfg))
 
 
 def result(delay=0.1, source="delayed", sample=0, seed=1, miss=1.0,
@@ -30,7 +24,7 @@ def small_sweep():
     # short runs: enough to exercise the machinery end to end quickly
     sweep = mc.SweepConfig(delays=(0.05, 0.1), samples_per_delay=2,
                            master_seed=777, sources=("delayed", "predicted"),
-                           base=base_config(max_time=0.5))
+                           base=engagement_config({"engagement.max_time": 0.5}))
     return sweep, mc.run_sweep(sweep)
 
 
@@ -110,7 +104,7 @@ class TestBuildRunConfig:
     def test_paired_phase_across_sources(self):
         sweep = mc.SweepConfig(delays=(0.1,), samples_per_delay=2,
                                master_seed=42, sources=SOURCES,
-                               base=base_config())
+                               base=engagement_config())
         _, pair = mc.build_run_config(sweep, 0.1, 0)
         a = pair.with_source("delayed")
         b = pair.with_source("predicted")
@@ -121,7 +115,7 @@ class TestBuildRunConfig:
     def test_delay_sets_lag_and_horizon(self):
         sweep = mc.SweepConfig(delays=(0.25,), samples_per_delay=1,
                                master_seed=42, sources=SOURCES,
-                               base=base_config())
+                               base=engagement_config())
         _, cfg = mc.build_run_config(sweep, 0.25, 0)
         assert cfg.seeker.lag_time_constant == 0.25
         assert cfg.observer.delta == 0.25
@@ -130,7 +124,7 @@ class TestBuildRunConfig:
     def test_samples_get_distinct_phases(self):
         sweep = mc.SweepConfig(delays=(0.1,), samples_per_delay=5,
                                master_seed=42, sources=SOURCES,
-                               base=base_config())
+                               base=engagement_config())
         phases = {mc.build_run_config(sweep, 0.1, i)[1].target.phase
                   for i in range(5)}
         assert len(phases) == 5
@@ -138,7 +132,7 @@ class TestBuildRunConfig:
     def test_phase_matches_seed_chain(self):
         sweep = mc.SweepConfig(delays=(0.1,), samples_per_delay=3,
                                master_seed=99, sources=SOURCES,
-                               base=base_config())
+                               base=engagement_config())
         seed, cfg = mc.build_run_config(sweep, 0.1, 2)
         assert seed == tg.derive_seed(99, 2)
         assert cfg.target.phase == tg.sample_phase(seed)
@@ -204,7 +198,7 @@ class TestRunSweep:
         # two work items: one (delay, sample) pair each
         sweep = mc.SweepConfig(delays=(0.05,), samples_per_delay=2, master_seed=3,
                                sources=("delayed", "predicted"),
-                               base=base_config(max_time=0.05))
+                               base=engagement_config({"engagement.max_time": 0.05}))
         summary = mc.run_sweep(sweep, jobs=jobs)
         assert len(summary.runs) == 4
         assert requested == ([] if started is None else [started])
@@ -216,13 +210,9 @@ class TestRunSweep:
         # every pair at t = 2 s; in the other case each run reaches
         # closest approach before the warm-up ends, leaves no warm-up
         # state, and the second source flies from the start
-        cfg = cf.resolve()
-        if case == "handoff":
-            cfg["engagement"]["max_time"] = 2.5
-        else:
-            cfg["guidance"]["warmup"] = 30.0
-            cfg["target"]["position"] = [2000.0, 0.0, 800.0]
-        base = en.EngagementConfig.from_setup(cf.build_setup(cfg))
+        base = engagement_config(
+            {"engagement.max_time": 2.5} if case == "handoff"
+            else {"guidance.warmup": 30.0, "target.position": [2000.0, 0.0, 800.0]})
 
         def rows(sources, jobs=1):
             sweep = mc.SweepConfig(delays=(0.05, 0.2), samples_per_delay=2,
@@ -243,7 +233,7 @@ class TestRunSweep:
     def test_item_is_one_pair(self):
         sweep = mc.SweepConfig(delays=(0.05,), samples_per_delay=1, master_seed=3,
                                sources=("predicted", "delayed"),
-                               base=base_config(max_time=0.05))
+                               base=engagement_config({"engagement.max_time": 0.05}))
         got = mc._execute_item((sweep, 0.05, 0))
         assert [(r.delay, r.source, r.sample) for r in got] == [
             (0.05, "predicted", 0), (0.05, "delayed", 0)]

@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import rhs8, rk4_from_rhs8, schema_config
+from conftest import engagement_config, rhs8, rk4_from_rhs8, schema_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgsim import config as cf
 from pgsim import engagement as en
 from pgsim import observer as ob
 
@@ -120,11 +119,9 @@ class TestReset:
             assert ob.rk4_step8(x, v0, m) == x
 
     def test_seed_value_placed_in_both_steps(self):
-        cfg = cf.resolve()
-        cfg["guidance"]["source"] = "predicted"
-        cfg["seeker"]["lag_time_constant"] = 0.2
-        cfg["engagement"]["max_time"] = 0.01
-        s = en.run_engagement(en.EngagementConfig.from_setup(cf.build_setup(cfg))).series
+        s = en.run_engagement(engagement_config({"guidance.source": "predicted",
+                                                 "seeker.lag_time_constant": 0.2,
+                                                 "engagement.max_time": 0.01})).series
         for ch in ("p", "y"):
             assert s["lam_pred_" + ch][0] == s["lam_true_" + ch][0]
             assert s["lam_del_" + ch][0] == s["lam_true_" + ch][0]
@@ -146,9 +143,7 @@ class TestObserverStep:
             return x if len(calls) < 10 else x[:4] + (math.inf,) + x[5:]
 
         monkeypatch.setattr(ob, "rk4_step8", blow_up)
-        cfg = cf.resolve()
-        cfg["engagement"]["max_time"] = 0.1
-        record = en.run_engagement(en.EngagementConfig.from_setup(cf.build_setup(cfg)))
+        record = en.run_engagement(engagement_config({"engagement.max_time": 0.1}))
         assert record.termination_reason == "observer_divergence"
         assert "observer state non-finite" in record.diagnostic
         assert len(record) == 5
@@ -156,9 +151,7 @@ class TestObserverStep:
     def test_nonfinite_map_diverges(self, monkeypatch):
         # any non-finite entry of the map the loop steps with ends the
         # run as observer_divergence within two steps
-        cfg = cf.resolve()
-        cfg["engagement"]["max_time"] = 0.05
-        eng = en.EngagementConfig.from_setup(cf.build_setup(cfg))
+        eng = engagement_config({"engagement.max_time": 0.05})
         m = ob.step_map(eng.dt, eng.observer.coefficients())
         for i in range(len(m)):
             for bad in (math.inf, math.nan):
