@@ -287,26 +287,69 @@ def _dataset_number(text: str) -> float:
     return v
 
 
+# What each dataset section holds: these ``key = value`` lines, each
+# once, or (where it names no keys) whitespace-separated number rows.
+DATASET_SECTIONS = {
+    "airframe": ("reference_area", "reference_length", "transverse_inertia"),
+    "mass": ("initial_mass", "propellant_mass"),
+    "aero": (),
+    "thrust": (),
+}
+
+
+def _misplaced(n: int, section: str, line: str) -> str:
+    """Why dataset line ``n``, ``line``, does not belong in ``[section]``."""
+    where = "airframe dataset line %d in [%s]" % (n, section)
+    keys = DATASET_SECTIONS[section]
+    if not keys:
+        return "%s: expected a row of numbers, got %r" % (where, line)
+    if "=" not in line:
+        return "%s: expected 'key = value', got %r" % (where, line)
+    key = line.split("=", 1)[0].strip()
+    if key in keys:
+        return "%s repeats key %r" % (where, key)
+    return "%s: unknown key %r, expected one of %s" % (where, key, ", ".join(keys))
+
+
 def _parse_dataset(text: str) -> dict:
+    """The sections of a dataset, a dict of values for a keyed section
+    and a list of rows for a table; refuses what
+    :data:`DATASET_SECTIONS` does not expect."""
     sections: dict = {}
     current = None
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
+            if current not in DATASET_SECTIONS:
+                raise ValueError("airframe dataset line %d: unknown section [%s]"
+                                 % (n, current))
             if current in sections:
-                raise ValueError("airframe dataset repeats section [%s]" % current)
-            sections[current] = {"kv": {}, "rows": []}
+                raise ValueError("airframe dataset line %d repeats section [%s]"
+                                 % (n, current))
+            sections[current] = {} if DATASET_SECTIONS[current] else []
             continue
         if current is None:
             raise ValueError("dataset content before any [section] header")
-        if "=" in line:
+        keys, content = DATASET_SECTIONS[current], sections[current]
+        if not keys and "=" not in line:
+            content.append([_dataset_number(v) for v in line.split()])
+            continue
+        if keys and "=" in line:
             key, val = (s.strip() for s in line.split("=", 1))
-            sections[current]["kv"][key] = _dataset_number(val)
-        else:
-            sections[current]["rows"].append([_dataset_number(v) for v in line.split()])
+            if key in keys and key not in content:
+                content[key] = _dataset_number(val)
+                continue
+        raise ValueError(_misplaced(n, current, line))
+    for name, keys in DATASET_SECTIONS.items():
+        if name not in sections:
+            raise ValueError("airframe dataset missing section %r" % name)
+        for key in keys:
+            if key not in sections[name]:
+                raise ValueError("airframe dataset section [%s] missing key %r"
+                                 % (name, key))
     return sections
 
 
@@ -318,19 +361,8 @@ def load_airframe(path: str | None = None) -> Airframe:
         with open(path) as fh:
             text = fh.read()
     sec = _parse_dataset(text)
-    for name in ("airframe", "mass", "aero", "thrust"):
-        if name not in sec:
-            raise ValueError("airframe dataset missing section %r" % name)
-
-    def value(section, key):
-        try:
-            return sec[section]["kv"][key]
-        except KeyError:
-            raise ValueError("airframe dataset section [%s] missing key %r"
-                             % (section, key)) from None
-
-    aero_rows = sec["aero"]["rows"]
-    thrust_rows = sec["thrust"]["rows"]
+    air, mass = sec["airframe"], sec["mass"]
+    aero_rows, thrust_rows = sec["aero"], sec["thrust"]
     for r in thrust_rows:
         if len(r) != 2:
             raise ValueError("thrust row at t=%g holds %d numbers, expected 2 (time, thrust)"
@@ -338,16 +370,16 @@ def load_airframe(path: str | None = None) -> Airframe:
     table = AeroTable(
         mach_breakpoints=[r[0] for r in aero_rows],
         rows=[r[1:] for r in aero_rows],
-        reference_area=value("airframe", "reference_area"),
-        reference_length=value("airframe", "reference_length"),
+        reference_area=air["reference_area"],
+        reference_length=air["reference_length"],
     )
     profile = ThrustProfile(
         time_breakpoints=[r[0] for r in thrust_rows],
         thrust_values=[r[1] for r in thrust_rows],
-        initial_mass=value("mass", "initial_mass"),
-        propellant_mass=value("mass", "propellant_mass"),
+        initial_mass=mass["initial_mass"],
+        propellant_mass=mass["propellant_mass"],
     )
-    inertia = value("airframe", "transverse_inertia")
+    inertia = air["transverse_inertia"]
     if not inertia > 0.0:
         raise ValueError("transverse_inertia must be > 0, got %g" % inertia)
     return Airframe(table=table, thrust=profile, transverse_inertia=inertia)

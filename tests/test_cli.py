@@ -1,6 +1,8 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 import threading
 from importlib import resources
 
@@ -242,9 +244,23 @@ class TestInputFiles:
         (("3.0 15000.0", "3.0"), "thrust row at t=3 holds 1 numbers, expected 2"),
         (("3.0 15000.0", "3.0 15000.0 1.0"), "thrust row at t=3 holds 3 numbers, expected 2"),
         (("3.1 0.0\n", "3.1 0.0\n[thrust]\n0.0 1.0\n"), "repeats section [thrust]"),
+        # every line is read by its section or refused
+        (("propellant_mass = 30.0\n", "propellant_mass = 30.0\n1.0 2.0\n"),
+         "line 9 in [mass]: expected 'key = value', got '1.0 2.0'"),
+        (("[aero]\n", "[aero]\nmach = 0.4\n"),
+         "line 10 in [aero]: expected a row of numbers, got 'mach = 0.4'"),
+        (("[thrust]\n", "[thrust]\nburn_time = 3.0\n"),
+         "line 13 in [thrust]: expected a row of numbers, got 'burn_time = 3.0'"),
+        (("transverse_inertia = 22.0\n", "transverse_inertia = 22.0\nreference_lenght = 2.0\n"),
+         "line 6 in [airframe]: unknown key 'reference_lenght'"),
+        (("initial_mass = 85.0\n", "initial_mass = 85.0\ninitial_mass = 80.0\n"),
+         "line 8 in [mass] repeats key 'initial_mass'"),
+        (("3.1 0.0\n", "3.1 0.0\n[drag]\n0.5 0.3\n"), "line 16: unknown section [drag]"),
     ], ids=["non-numeric-value", "missing-section", "missing-key", "no-trim-gain",
             "zero-inertia", "negative-inertia", "nan-aero-entry", "inf-thrust-entry",
-            "short-thrust-row", "long-thrust-row", "repeated-section"])
+            "short-thrust-row", "long-thrust-row", "repeated-section", "row-in-keyed-section",
+            "key-in-aero-table", "key-in-thrust-table", "unknown-key", "repeated-key",
+            "unknown-section"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_malformed_dataset_exits_2(self, capsys, tmp_path, command, edit, message):
         assert edit[0] in UNSTABLE_AIRFRAME
@@ -289,7 +305,7 @@ class TestSeedPrecedence:
     @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_negative_seed_exits_2(self, capsys, tmp_path, command, via):
-        # numpy's SeedSequence takes no negative entropy
+        # pgsim's seed derivation takes no negative entropy
         argv = ["--seed", "-1"] if via == "flag" else ["--set", "seed=-1"]
         out = ["--out", str(tmp_path)] if command != "validate" else []
         assert run_cli(command, *out, *argv) == 2
@@ -563,3 +579,22 @@ class TestSweep:
                            *self.SMALL) == 0
         assert (a / "sweep_runs.csv").read_bytes() == \
             (b / "sweep_runs.csv").read_bytes()
+
+
+class TestFootprint:
+    """No command loads ``numpy.random``: the weave phase is drawn with
+    Python integers.  Each command runs in a fresh interpreter, since the
+    test process itself imports ``numpy.random``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--set", "target.kind=weaving", "--set", "engagement.max_time=0.05"],
+        ["sweep", "--jobs", "1", "--set", "sweep.delays=[0.2]",
+         "--set", "sweep.samples_per_delay=1", "--set", "engagement.max_time=0.05"],
+    ], ids=["run", "sweep"])
+    def test_no_numpy_random(self, tmp_path, argv):
+        script = ("import sys\nfrom pgsim import cli\ncode = cli.main(sys.argv[1:])\n"
+                  "assert 'numpy.random' not in sys.modules\nsys.exit(code)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr

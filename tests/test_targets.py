@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from conftest import schema_config
 from hypothesis import given, settings
@@ -117,3 +119,35 @@ class TestSeeding:
 
     def test_derived_seeds_differ_by_master(self):
         assert derive_seed(1, 0) != derive_seed(2, 0)
+
+
+# masters of one to 32 uint32 words, and seeded random widths up to 1100 bits
+_widths = random.Random(21)
+ORACLE_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**100, 10**300] + [
+    _widths.getrandbits(_widths.randint(1, 1100)) for _ in range(8)]
+ORACLE_SAMPLES = list(range(30)) + [2**32 + 3, 10**12]
+
+
+class TestNumpyStream:
+    """numpy.random is the reference the plain-integer draw must match,
+    bit for bit."""
+
+    @pytest.mark.parametrize("master", ORACLE_MASTERS)
+    def test_matches_numpy(self, master):
+        for sample in ORACLE_SAMPLES:
+            ss = np.random.SeedSequence(entropy=master, spawn_key=(sample,))
+            seed = int(ss.generate_state(1, np.uint64)[0])
+            assert derive_seed(master, sample) == seed
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            assert sample_phase(seed).hex() == float(gen.uniform(0, TWO_PI)).hex()
+        # a seed wider than derive_seed's 64 bits
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(master)))
+        assert sample_phase(master).hex() == float(gen.uniform(0, TWO_PI)).hex()
+
+    @pytest.mark.parametrize("draw, args", [
+        (derive_seed, (-1, 0)), (derive_seed, (0, -1)), (derive_seed, (-2**70, 3)),
+        (sample_phase, (-1,)),
+    ], ids=["master", "sample", "wide-master", "seed"])
+    def test_negative_raises(self, draw, args):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            draw(*args)
