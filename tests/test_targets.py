@@ -121,7 +121,7 @@ class TestSeeding:
         assert derive_seed(1, 0) != derive_seed(2, 0)
 
 
-# masters of one to 32 uint32 words, and seeded random widths up to 1100 bits
+# masters of one to 35 uint32 words: edge widths, then seeded random widths
 _widths = random.Random(21)
 ORACLE_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**100, 10**300] + [
     _widths.getrandbits(_widths.randint(1, 1100)) for _ in range(8)]
@@ -140,7 +140,7 @@ class TestNumpyStream:
             assert derive_seed(master, sample) == seed
             gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
             assert sample_phase(seed).hex() == float(gen.uniform(0, TWO_PI)).hex()
-        # a seed wider than derive_seed's 64 bits
+        # the master itself as a seed, of any width
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(master)))
         assert sample_phase(master).hex() == float(gen.uniform(0, TWO_PI)).hex()
 
