@@ -48,6 +48,12 @@ CASES = {
         "engagement.csv": "0585ecbdbc210634b2b8709609ec5e419574b6d56d722657ddf61f23bbd05ffd",
         "metrics.json": "b34ba7f4084c46961cebb55ea4ebf362b0035c8383825fe364311de7e150f53a",
     }),
+    # a step off the thrust table's grid: the stage times fall between
+    # breakpoints, and burnout (6.6 s) falls inside a step
+    "run-dt-offgrid": (["run", "--set", "engagement.dt=0.0007"], {
+        "engagement.csv": "7761b89f30c7c9069cac9d86446d004344b0b1e3eea0b80a3b54ae47839b929d",
+        "metrics.json": "537abaed00601db548dd27cf736c9fe0d8772083a39c92fab38c7987aeadca5e",
+    }),
     "sweep-jobs1": (["sweep", "--jobs", "1", *REDUCED_SWEEP], SWEEP_HASHES),
     "sweep-jobs2": (["sweep", "--jobs", "2", *REDUCED_SWEEP], SWEEP_HASHES),
 }
