@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "AeroTable",
     "ThrustProfile",
@@ -128,7 +130,14 @@ class AeroTable:
 
 
 class ThrustProfile:
-    """Piecewise-linear thrust table with proportional propellant burn."""
+    """Piecewise-linear thrust table with proportional propellant burn.
+
+    :meth:`thrust`, :meth:`mass_flow`, :meth:`impulse_to` and
+    :meth:`mass_at` take a number or an array of them and return a numpy
+    float or an array of the same shape.  Each element goes through the
+    same float operations in the same order as a lone number would, so
+    an array gives the bits of element-by-element calls.
+    """
 
     def __init__(self, time_breakpoints, thrust_values, initial_mass, propellant_mass):
         self.times = tuple(float(t) for t in time_breakpoints)
@@ -157,53 +166,61 @@ class ThrustProfile:
             v1 = vs[i] + (vs[i + 1] - vs[i]) * w / w
             burnt.append(burnt[-1] + 0.5 * (vs[i] + v1) * w)
         self.total_impulse = imp
-        self._burnt = tuple(burnt)
+        self._ts, self._vs, self._burnt = np.array(ts), np.array(vs), np.array(burnt)
         # from the last breakpoint on, thrust is zero and the burnt
-        # impulse no longer depends on t
+        # impulse is the whole table's, so the mass no longer depends on t
         self.burnout_time = ts[-1]
-        self.burnout_mass = self._mass_after(self.impulse_to(self.burnout_time))
+        self.burnout_mass = float(self._mass_after(burnt[-1]))
 
-    def thrust(self, t: float) -> float:
+    def _segments(self, t, inside):
+        """The elements of the array ``t`` where ``inside`` holds, which
+        lie in ``[times[0], times[-1])``, and the segment of each."""
+        ti = t[inside]
+        return ti, np.searchsorted(self._ts, ti, side="right") - 1
+
+    def thrust(self, t):
         """Interpolated thrust; zero before the first breakpoint and from
         the last on, where :meth:`impulse_to` counts no impulse either."""
-        ts = self.times
-        if t < ts[0] or t >= ts[-1]:
-            return 0.0  # not yet ignited, or burnt out
-        vs = self.values
-        i = bisect_right(ts, t) - 1
-        f = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return vs[i] + f * (vs[i + 1] - vs[i])
+        ts, vs = self._ts, self._vs
+        t = np.asarray(t, dtype=float)
+        inside = (t >= ts[0]) & (t < ts[-1])  # ignited and not yet burnt out
+        ti, i = self._segments(t, inside)
+        out = np.zeros(t.shape)
+        f = (ti - ts[i]) / (ts[i + 1] - ts[i])
+        out[inside] = vs[i] + f * (vs[i + 1] - vs[i])
+        return out[()]
 
-    def mass_flow(self, thrust: float) -> float:
+    def mass_flow(self, thrust):
         """Mass flow at a given thrust level (burn rate is proportional)."""
+        thrust = np.asarray(thrust, dtype=float)
         if self.total_impulse <= 0.0:
-            return 0.0
+            return np.zeros(thrust.shape)[()]
         return thrust * self.propellant_mass / self.total_impulse
 
-    def impulse_to(self, t: float) -> float:
+    def impulse_to(self, t):
         """Impulse delivered up to ``t``; exact for the piecewise-linear table."""
-        ts, vs = self.times, self.values
-        if t <= ts[0]:
-            return 0.0
-        if t >= ts[-1]:
-            return self._burnt[-1]
-        i = bisect_right(ts, t) - 1
-        v1 = vs[i] + (vs[i + 1] - vs[i]) * (t - ts[i]) / (ts[i + 1] - ts[i])
-        return self._burnt[i] + 0.5 * (vs[i] + v1) * (t - ts[i])
+        ts, vs = self._ts, self._vs
+        t = np.asarray(t, dtype=float)
+        out = np.where(t >= ts[-1], self._burnt[-1], 0.0)
+        inside = (t > ts[0]) & (t < ts[-1])
+        ti, i = self._segments(t, inside)
+        v1 = vs[i] + (vs[i + 1] - vs[i]) * (ti - ts[i]) / (ts[i + 1] - ts[i])
+        out[inside] = self._burnt[i] + 0.5 * (vs[i] + v1) * (ti - ts[i])
+        return out[()]
 
-    def mass_at(self, t: float) -> float:
+    def mass_at(self, t):
         """Vehicle mass at ``t`` from the exact burnt-impulse fraction."""
-        if t >= self.burnout_time:
-            return self.burnout_mass
-        return self._mass_after(self.impulse_to(t))
+        t = np.asarray(t, dtype=float)
+        return np.where(t >= self.burnout_time, self.burnout_mass,
+                        self._mass_after(self.impulse_to(t)))[()]
 
-    def _mass_after(self, impulse: float) -> float:
+    def _mass_after(self, impulse):
+        impulse = np.asarray(impulse, dtype=float)
         if self.total_impulse <= 0.0:
-            return self.initial_mass
+            return np.full(impulse.shape, self.initial_mass)[()]
         frac = impulse / self.total_impulse
-        if frac > 1.0:  # min(frac, 1.0), including its NaN handling
-            frac = 1.0
-        return self.initial_mass - self.propellant_mass * frac
+        frac = np.where(frac > 1.0, 1.0, frac)  # min(frac, 1.0), keeping NaN
+        return (self.initial_mass - self.propellant_mass * frac)[()]
 
 
 @dataclass(frozen=True)
@@ -280,10 +297,19 @@ def vehicle_rhs(vx: float, vy: float, vz: float, pitch: float, yaw: float,
     )
 
 
-def _dataset_number(text: str) -> float:
-    v = float(text)
+def _where(n: int, section: str) -> str:
+    """Where dataset line ``n`` in ``[section]`` is, for an error message."""
+    return "airframe dataset line %d in [%s]" % (n, section)
+
+
+def _dataset_number(text: str, n: int, section: str) -> float:
+    """The finite number ``text`` on dataset line ``n`` in ``[section]``."""
+    try:
+        v = float(text)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (_where(n, section), exc)) from None
     if not math.isfinite(v):
-        raise ValueError("non-finite dataset value %r" % text)
+        raise ValueError("%s: non-finite dataset value %r" % (_where(n, section), text))
     return v
 
 
@@ -299,7 +325,7 @@ DATASET_SECTIONS = {
 
 def _misplaced(n: int, section: str, line: str) -> str:
     """Why dataset line ``n``, ``line``, does not belong in ``[section]``."""
-    where = "airframe dataset line %d in [%s]" % (n, section)
+    where = _where(n, section)
     keys = DATASET_SECTIONS[section]
     if not keys:
         return "%s: expected a row of numbers, got %r" % (where, line)
@@ -335,12 +361,12 @@ def _parse_dataset(text: str) -> dict:
             raise ValueError("dataset content before any [section] header")
         keys, content = DATASET_SECTIONS[current], sections[current]
         if not keys and "=" not in line:
-            content.append([_dataset_number(v) for v in line.split()])
+            content.append([_dataset_number(v, n, current) for v in line.split()])
             continue
         if keys and "=" in line:
             key, val = (s.strip() for s in line.split("=", 1))
             if key in keys and key not in content:
-                content[key] = _dataset_number(val)
+                content[key] = _dataset_number(val, n, current)
                 continue
         raise ValueError(_misplaced(n, current, line))
     for name, keys in DATASET_SECTIONS.items():

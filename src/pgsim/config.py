@@ -195,9 +195,27 @@ def _rk4_stable(ks, h: float) -> bool:
     return bool(np.all(amp < 1.0))
 
 
+class _Problems(list):
+    """The violations :func:`validate` found, one message each.
+    ``airframe`` is the :func:`_airframe` of a file ``airframe.dataset``
+    that checking it loaded, so that :func:`build_setup` loads it once;
+    None if the check loaded none."""
+
+    airframe = None
+
+
+def _airframe(dataset: str, trim: bool) -> tuple:
+    """(frame, gain): the airframe of ``dataset``, ``"builtin"`` or a
+    file path, and the autopilot gain trimmed from it if ``trim``, else
+    None."""
+    frame = af.load_airframe(None if dataset == "builtin" else dataset)
+    return frame, gd.trim_deflection_gain(frame) if trim else None
+
+
 def validate(cfg: dict) -> list:
-    """All violations in the resolved config; empty list means valid."""
-    problems: list = []
+    """All violations in the resolved config; empty list means valid.
+    The list's ``airframe`` holds what checking a file dataset loaded."""
+    problems = _Problems()
     ks = [_num(cfg, "observer." + k, problems) for k in ("k1", "k2", "k3", "k4")]
     gains_ok = None not in ks and ob.validate_gains(*ks)
     if None not in ks and not gains_ok:
@@ -292,9 +310,7 @@ def validate(cfg: dict) -> list:
         problems.append("airframe.dataset must be 'builtin' or a file path")
     elif dataset != "builtin":
         try:
-            frame = af.load_airframe(dataset)
-            if cfg["autopilot"]["gain"] == "auto":
-                gd.trim_deflection_gain(frame)
+            problems.airframe = _airframe(dataset, cfg["autopilot"]["gain"] == "auto")
         except (OSError, ValueError) as exc:
             problems.append("invalid value for airframe.dataset: %r (%s)" % (dataset, exc))
     return problems
@@ -311,11 +327,10 @@ def build_setup(cfg: dict) -> dict:
     delta = lag if o["delta"] == "auto" else float(o["delta"])
     obs_cfg = ob.ObserverConfig(
         *(float(o[k]) for k in ("k1", "k2", "k3", "k4", "epsilon")), delta=delta)
-    frame = af.load_airframe(None if cfg["airframe"]["dataset"] == "builtin"
-                             else cfg["airframe"]["dataset"])
     ap = cfg["autopilot"]
-    gain = (gd.trim_deflection_gain(frame) if ap["gain"] == "auto"
-            else float(ap["gain"]))
+    frame, trim = problems.airframe or _airframe(cfg["airframe"]["dataset"],
+                                                 ap["gain"] == "auto")
+    gain = trim if ap["gain"] == "auto" else float(ap["gain"])
     t = cfg["target"]
     phase = (tg.sample_phase(tg.derive_seed(int(cfg["seed"]), 0))
              if t["phase"] == "auto" else float(t["phase"]))

@@ -45,6 +45,9 @@ CSV_COLUMNS = (
 _ROW = struct.Struct("%dd" % (len(CSV_COLUMNS) + 6))
 # the prefix at launch, and of a handoff state until its record attaches one
 _NO_ROWS = np.empty((0, len(CSV_COLUMNS) + 6))
+# what one airframe step reads of the boost profile (_boost_schedule):
+# three stage thrusts, three stage mass drops and the mass after the step
+_BOOST_ROW = struct.Struct("7d")
 # rows per block that the CSV formatter converts to Python floats at a
 # time, and per write into and read from a CsvStream's pipe: 256 packed
 # rows are 48 KiB, within the 64 KiB a Linux pipe holds by default, so a
@@ -279,6 +282,11 @@ def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
     diagnostic = ""
     if on_rows is not None and start:
         on_rows(bytes(rows))
+    # the boost row of each step from start that begins before burnout,
+    # then the coast row: no thrust, no mass flow, the burnout mass
+    prof = frame.thrust
+    burn = _BOOST_ROW.iter_unpack(_boost_schedule(prof, start, n_max, dt))
+    coast = (0.0,) * 6 + (prof.burnout_mass,)
 
     for n in range(start, n_max + 1):
         t = n * dt
@@ -351,7 +359,7 @@ def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
             diagnostic = "integration failed at t=%g: observer state non-finite at t=%g" % (t, t)
             break
         try:
-            vehicle = _vehicle_rk4(vehicle, (defl_p, defl_y), frame, t, dt)
+            vehicle = _vehicle_rk4(vehicle, (defl_p, defl_y), frame, next(burn, coast), dt)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             # the atmosphere model raises for the step-start altitude mz
             termination = ("altitude_ceiling" if mz > af.ISA_CEILING
@@ -381,19 +389,47 @@ def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
     return record
 
 
+def _boost_schedule(prof: af.ThrustProfile, start: int, stop: int, dt: float) -> np.ndarray:
+    """The :data:`_BOOST_ROW` of each airframe step ``n`` from ``start``,
+    and before ``stop``, that starts before burnout (``n * dt <
+    prof.burnout_time``), one row per step: an ``(n, 7)`` array.
+
+    Each row holds ``(th0, th1, th2, h2 * md0, h2 * md1, dt * md1,
+    m_end)`` with ``t = n * dt`` and ``h2 = dt / 2``: the thrust at
+    ``t``, ``t + h2`` and ``t + dt``; the mass drops from the step's
+    start mass to its second, third and fourth RK4 stage, from the mass
+    flows ``md0`` and ``md1`` at the first two thrusts; and the mass at
+    ``t + dt``.  The step reads the same values at the same times as
+    one that called the profile itself, so it gets the same bits.
+    """
+    # n * dt grows with n, so the steps before burnout come first, and
+    # the first step at or after it is at most 2 past burnout_time / dt
+    last = int(min(prof.burnout_time / dt, stop)) + 2
+    t = np.arange(start, min(stop, last)) * dt
+    t = t[t < prof.burnout_time]
+    h2 = dt * 0.5
+    th0 = prof.thrust(t)
+    th1 = prof.thrust(t + h2)
+    md1 = prof.mass_flow(th1)
+    return np.column_stack([th0, th1, prof.thrust(t + dt), h2 * prof.mass_flow(th0),
+                            h2 * md1, dt * md1, prof.mass_at(t + dt)])
+
+
 def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
-                 t: float, dt: float) -> tuple:
+                 boost: tuple, dt: float) -> tuple:
     """One RK4 step of the airframe with deflections held over the step.
 
     The ambient sample and the interpolated aero row are frozen at the
     step start (their within-step variation is negligible at the fixed
-    step sizes used here), and the mass is reset from the exact
-    burnt-impulse integral after the step.  The stages are classical RK4
-    on the 11-state derivative: :func:`pgsim.airframe.vehicle_rhs` gives
-    the accelerations, the position and attitude rates are the stage
-    velocities and body rates, and the mass rate is minus the mass flow.
-    From burnout on, thrust and mass flow are zero and the mass after the
-    step is the burnout mass.
+    step sizes used here).  ``boost`` is the step's row of
+    :func:`_boost_schedule`: the stage thrusts, the stage mass drops, and
+    the mass after the step from the exact burnt-impulse integral.  The
+    stages are classical RK4 on the 11-state derivative:
+    :func:`pgsim.airframe.vehicle_rhs` gives the accelerations, the
+    position and attitude rates are the stage velocities and body rates,
+    and the mass rate is minus the mass flow.  From burnout on, the row
+    is zero but for the burnout mass: ``m - 0.0`` is ``m`` for every
+    float.
     """
     px, py, pz, vx, vy, vz, pitch, yaw, q, r, m = x
     rho, sound, _, _ = af.atmosphere(pz)
@@ -404,23 +440,8 @@ def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
     lref = table.reference_length
     inv_i = 1.0 / frame.transverse_inertia
     dp, dyaw = deflections
-    prof = frame.thrust
+    th0, th1, th2, dm1, dm2, dm3, m_end = boost
     h2 = dt * 0.5
-    if t < prof.burnout_time:
-        th0 = prof.thrust(t)
-        th1 = prof.thrust(t + h2)
-        th2 = prof.thrust(t + dt)
-        md0 = prof.mass_flow(th0)
-        md1 = prof.mass_flow(th1)
-        # m + h * (-mdot) of the full-state stage, rounded the same way
-        m1 = m - h2 * md0
-        m2 = m - h2 * md1
-        m3 = m - dt * md1
-        m_end = prof.mass_at(t + dt)
-    else:
-        th0 = th1 = th2 = 0.0
-        m1 = m2 = m3 = m
-        m_end = prof.burnout_mass
     rhs = af.vehicle_rhs
     ax0, ay0, az0, qd0, rd0 = rhs(vx, vy, vz, pitch, yaw, q, r, m,
                                   dp, dyaw, row, sref, lref, inv_i, th0, rho)
@@ -429,21 +450,21 @@ def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
     vz1 = vz + h2 * az0
     q1 = q + h2 * qd0
     r1 = r + h2 * rd0
-    ax1, ay1, az1, qd1, rd1 = rhs(vx1, vy1, vz1, pitch + h2 * q, yaw + h2 * r, q1, r1, m1,
+    ax1, ay1, az1, qd1, rd1 = rhs(vx1, vy1, vz1, pitch + h2 * q, yaw + h2 * r, q1, r1, m - dm1,
                                   dp, dyaw, row, sref, lref, inv_i, th1, rho)
     vx2 = vx + h2 * ax1
     vy2 = vy + h2 * ay1
     vz2 = vz + h2 * az1
     q2 = q + h2 * qd1
     r2 = r + h2 * rd1
-    ax2, ay2, az2, qd2, rd2 = rhs(vx2, vy2, vz2, pitch + h2 * q1, yaw + h2 * r1, q2, r2, m2,
+    ax2, ay2, az2, qd2, rd2 = rhs(vx2, vy2, vz2, pitch + h2 * q1, yaw + h2 * r1, q2, r2, m - dm2,
                                   dp, dyaw, row, sref, lref, inv_i, th1, rho)
     vx3 = vx + dt * ax2
     vy3 = vy + dt * ay2
     vz3 = vz + dt * az2
     q3 = q + dt * qd2
     r3 = r + dt * rd2
-    ax3, ay3, az3, qd3, rd3 = rhs(vx3, vy3, vz3, pitch + dt * q2, yaw + dt * r2, q3, r3, m3,
+    ax3, ay3, az3, qd3, rd3 = rhs(vx3, vy3, vz3, pitch + dt * q2, yaw + dt * r2, q3, r3, m - dm3,
                                   dp, dyaw, row, sref, lref, inv_i, th2, rho)
     h6 = dt / 6.0
     return (

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import os
 import time
@@ -38,6 +39,64 @@ def state_derivative(x, dp, dyaw, row, sref, lref, inv_i, thrust, mdot, rho):
     ax, ay, az, q_dot, r_dot = af.vehicle_rhs(*x[3:], dp, dyaw, row, sref, lref,
                                               inv_i, thrust, rho)
     return (vx, vy, vz, ax, ay, az, q_rate, r_rate, q_dot, r_dot, -mdot)
+
+
+def thrust_at(prof, t):
+    """The thrust of ``prof`` at the time ``t``, one float at a time:
+    the bit-level reference of ``ThrustProfile.thrust``."""
+    ts, vs = prof.times, prof.values
+    if t < ts[0] or t >= ts[-1]:
+        return 0.0  # not yet ignited, or burnt out
+    i = bisect.bisect_right(ts, t) - 1
+    f = (t - ts[i]) / (ts[i + 1] - ts[i])
+    return vs[i] + f * (vs[i + 1] - vs[i])
+
+
+def mass_flow_at(prof, thrust):
+    """The reference of ``ThrustProfile.mass_flow``."""
+    if prof.total_impulse <= 0.0:
+        return 0.0
+    return thrust * prof.propellant_mass / prof.total_impulse
+
+
+def impulse_to(prof, t):
+    """The reference of ``ThrustProfile.impulse_to``: the whole segments
+    before ``t``, each with its end value interpolated, then the partial
+    segment up to ``t``."""
+    ts, vs = prof.times, prof.values
+    if t <= ts[0]:
+        return 0.0
+    burnt = 0.0
+    for i in range(len(ts) - 1):
+        if t < ts[i + 1]:
+            v1 = vs[i] + (vs[i + 1] - vs[i]) * (t - ts[i]) / (ts[i + 1] - ts[i])
+            return burnt + 0.5 * (vs[i] + v1) * (t - ts[i])
+        w = ts[i + 1] - ts[i]
+        burnt += 0.5 * (vs[i] + (vs[i] + (vs[i + 1] - vs[i]) * w / w)) * w
+    return burnt
+
+
+def mass_at(prof, t):
+    """The reference of ``ThrustProfile.mass_at``."""
+    if prof.total_impulse <= 0.0:
+        return prof.initial_mass
+    frac = impulse_to(prof, min(t, prof.burnout_time)) / prof.total_impulse
+    if frac > 1.0:  # min(frac, 1.0), including its NaN handling
+        frac = 1.0
+    return prof.initial_mass - prof.propellant_mass * frac
+
+
+def boost_row(prof, t, dt):
+    """What the airframe step from ``t`` reads of ``prof``: the row of
+    ``engagement._boost_schedule`` before burnout, the coast row from it
+    on."""
+    if t >= prof.burnout_time:
+        return (0.0,) * 6 + (mass_at(prof, prof.burnout_time),)
+    h2 = dt * 0.5
+    th0, th1 = thrust_at(prof, t), thrust_at(prof, t + h2)
+    md0, md1 = mass_flow_at(prof, th0), mass_flow_at(prof, th1)
+    return (th0, th1, thrust_at(prof, t + dt), h2 * md0, h2 * md1, dt * md1,
+            mass_at(prof, t + dt))
 
 
 def rhs8(x, v, coeffs):

@@ -4,7 +4,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from conftest import state_derivative
+from conftest import impulse_to, mass_at, mass_flow_at, state_derivative, thrust_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -230,6 +230,27 @@ class TestThrustProfile:
                                           abs=max(prof.values) * h), t_end
         assert prof.thrust(0.4) == 0.0
         assert prof.thrust(0.8) == prof.values[0]
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES) + ["one_row"])
+    def test_array_gives_scalar_reference_bits(self, profile):
+        # each element of an array call gets the scalar formula's bits
+        prof = (af.ThrustProfile([0.5], [900.0], 80.0, 20.0) if profile == "one_row"
+                else PROFILES[profile]())
+        rng = np.random.default_rng(8)
+        times = rng.uniform(prof.times[0] - 1.0, prof.times[-1] + 1.0, 500).tolist()
+        for tb in prof.times:
+            times += [tb, math.nextafter(tb, -math.inf), math.nextafter(tb, math.inf)]
+        cases = [(prof.thrust, thrust_at, times),
+                 (prof.impulse_to, impulse_to, times),
+                 (prof.mass_at, mass_at, times),
+                 (prof.mass_flow, mass_flow_at, [thrust_at(prof, t) for t in times])]
+        for method, reference, args in cases:
+            want = np.array([reference(prof, a) for a in args])
+            assert method(np.array(args)).tobytes() == want.tobytes(), method.__name__
+            assert np.array([method(a) for a in args]).tobytes() == want.tobytes(), \
+                method.__name__
+        assert type(prof.burnout_mass) is float
+        assert prof.burnout_mass == mass_at(prof, prof.burnout_time)
 
     def test_one_row_table_is_zero_thrust(self):
         prof = af.ThrustProfile([0.5], [900.0], 80.0, 20.0)

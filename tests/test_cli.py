@@ -9,6 +9,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from pgsim import airframe as af
 from pgsim import cli
 from pgsim import config as cf
 from pgsim import engagement as en
@@ -222,6 +223,25 @@ class TestInputFiles:
         assert run_cli("validate", "--config", str(tmp_path)) == 2
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dataset, gain, trims", [
+        ("file", "auto", 1), ("file", "0.002", 0), ("builtin", "auto", 1)])
+    def test_dataset_loaded_and_trimmed_once(self, monkeypatch, tmp_path, dataset, gain, trims):
+        calls = {"load": 0, "trim": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(af, "load_airframe", counted("load", af.load_airframe))
+        monkeypatch.setattr(gd, "trim_deflection_gain", counted("trim", gd.trim_deflection_gain))
+        path = resources.files("pgsim.data").joinpath("generic_airframe.txt")
+        assert run_cli("run", "--out", str(tmp_path), "--set", "engagement.max_time=0.01",
+                       "--set", "autopilot.gain=%s" % gain,
+                       "--set", "airframe.dataset=%s" % (path if dataset == "file" else dataset)) == 0
+        assert calls == {"load": 1, "trim": trims}
+
     @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
     def test_dataset_directory_exits_2(self, capsys, tmp_path, command):
         out = ["--out", str(tmp_path)] if command in ("run", "sweep") else []
@@ -229,7 +249,8 @@ class TestInputFiles:
         assert "config error: invalid value for airframe.dataset" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
-        (("reference_area = 0.0254", "reference_area = abc"), "could not convert"),
+        (("reference_area = 0.0254", "reference_area = abc"),
+         "line 3 in [airframe]: could not convert string to float: 'abc'"),
         (("[airframe]\nreference_area = 0.0254\nreference_length = 2.0\n"
           "transverse_inertia = 22.0\n", ""), "missing section 'airframe'"),
         (("reference_area = 0.0254\n", ""), "[airframe] missing key 'reference_area'"),
@@ -239,8 +260,8 @@ class TestInputFiles:
          "transverse_inertia must be > 0, got 0"),
         (("transverse_inertia = 22.0", "transverse_inertia = -22.0"),
          "transverse_inertia must be > 0, got -22"),
-        (("0.4 20.0 0.3", "0.4 nan 0.3"), "non-finite dataset value 'nan'"),
-        (("3.0 15000.0", "3.0 inf"), "non-finite dataset value 'inf'"),
+        (("0.4 20.0 0.3", "0.4 nan 0.3"), "line 10 in [aero]: non-finite dataset value 'nan'"),
+        (("3.0 15000.0", "3.0 inf"), "line 14 in [thrust]: non-finite dataset value 'inf'"),
         (("3.0 15000.0", "3.0"), "thrust row at t=3 holds 1 numbers, expected 2"),
         (("3.0 15000.0", "3.0 15000.0 1.0"), "thrust row at t=3 holds 3 numbers, expected 2"),
         (("3.1 0.0\n", "3.1 0.0\n[thrust]\n0.0 1.0\n"), "repeats section [thrust]"),

@@ -8,7 +8,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import engagement_config, state_derivative
+from conftest import (boost_row, engagement_config, mass_at, mass_flow_at, state_derivative,
+                      thrust_at)
 
 from pgsim import airframe as af
 from pgsim import engagement as en
@@ -386,7 +387,7 @@ propellant_mass = 30.0
         state = (0.0, 0.0, 1000.0, 300.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                  prof.mass_at(prof.burnout_time))
         out = en._vehicle_rk4(state, (0.0, 0.0), cfg.airframe,
-                              prof.burnout_time + 1.0, cfg.dt)
+                              boost_row(prof, prof.burnout_time + 1.0, cfg.dt), cfg.dt)
         assert out[10] == prof.initial_mass - prof.propellant_mass
 
     def test_fuzzed_configs_never_crash(self):
@@ -435,8 +436,9 @@ class TestWarmupResume:
     LAGGED = {"seeker.lag_time_constant": 0.2, "target.kind": "weaving",
               "target.phase": 0.7}
     # warm-up, max_time: on the grid, off it, at t = 0, at the last step,
-    # and past the timeout, where the first run leaves no state
-    WARMUPS = [(0.0, 60.0), (0.2005, 60.0), (2.0, 60.0), (3.0, 3.0), (5.0, 3.0)]
+    # past the timeout, where the first run leaves no state, and after
+    # burnout (6.6 s), where the resumed run schedules no boost row
+    WARMUPS = [(0.0, 60.0), (0.2005, 60.0), (2.0, 60.0), (3.0, 3.0), (5.0, 3.0), (7.0, 60.0)]
 
     @pytest.fixture(scope="class")
     def runs(self):
@@ -677,10 +679,10 @@ def _bits(values) -> bytes:
 
 
 def vehicle_rk4_reference(x, defl, frame, t, dt):
-    """Classical RK4 on the whole 11-state derivative, with the profile's
-    own thrust, mass_flow and mass_at at every stage time: the reference
-    for _vehicle_rk4, which integrates only the states the dynamics read
-    and skips the thrust table from burnout on."""
+    """Classical RK4 on the whole 11-state derivative, with the scalar
+    reference of the profile's thrust, mass flow and mass at every stage
+    time: the reference for _vehicle_rk4, which integrates only the
+    states the dynamics read and takes the boost from a schedule row."""
     atm = af.atmosphere(max(x[2], 0.0))
     speed = math.sqrt(x[3] * x[3] + x[4] * x[4] + x[5] * x[5])
     row = frame.table.interpolate(speed / atm.speed_of_sound)
@@ -689,7 +691,8 @@ def vehicle_rk4_reference(x, defl, frame, t, dt):
     def rhs(state, tt):
         return state_derivative(state, defl[0], defl[1], row, frame.table.reference_area,
                                 frame.table.reference_length, 1.0 / frame.transverse_inertia,
-                                prof.thrust(tt), prof.mass_flow(prof.thrust(tt)), atm.density)
+                                thrust_at(prof, tt), mass_flow_at(prof, thrust_at(prof, tt)),
+                                atm.density)
 
     h2 = dt * 0.5
     k1 = rhs(x, t)
@@ -698,7 +701,7 @@ def vehicle_rk4_reference(x, defl, frame, t, dt):
     k4 = rhs(tuple(a + dt * b for a, b in zip(x, k3)), t + dt)
     h6 = dt / 6.0
     out = [a + h6 * (p + 2.0 * (q + r) + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-    out[10] = prof.mass_at(t + dt)
+    out[10] = mass_at(prof, t + dt)
     return tuple(out)
 
 
@@ -733,9 +736,9 @@ class TestVehicleStepParity:
                      *(float(v) for v in vel),
                      float(rng.uniform(-1.2, 1.2)), float(rng.uniform(-math.pi, math.pi)),
                      float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0)),
-                     prof.mass_at(t) * float(rng.uniform(0.9, 1.1)))
+                     mass_at(prof, t) * float(rng.uniform(0.9, 1.1)))
                 defl = (float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.5, 0.5)))
-                got = en._vehicle_rk4(x, defl, frame, t, self.DT)
+                got = en._vehicle_rk4(x, defl, frame, boost_row(prof, t, self.DT), self.DT)
                 want = vehicle_rk4_reference(x, defl, frame, t, self.DT)
                 assert _bits(got) == _bits(want), t
 
@@ -744,6 +747,52 @@ class TestVehicleStepParity:
         for t in (prof.burnout_time, prof.burnout_time + 1e-3, 60.0):
             frac = min(prof.impulse_to(t) / prof.total_impulse, 1.0)
             assert prof.mass_at(t) == prof.initial_mass - prof.propellant_mass * frac
+
+
+BOOST_PROFILES = {
+    "builtin": lambda: af.load_airframe().thrust,
+    # one breakpoint: no thrust and zero total impulse
+    "zero_impulse": lambda: af.ThrustProfile([0.5], [900.0], 80.0, 20.0),
+    # ignites at 0.8 s
+    "late_ignition": lambda: af.ThrustProfile([0.8, 7.3, 8.2, 9.1],
+                                              [3828.1, 14895.7, 1175.2, 0.0], 90.0, 30.0),
+}
+
+
+class TestBoostSchedule:
+    """The schedule holds what each burning step reads of the profile,
+    bit for bit as the scalar reference gives it."""
+
+    @pytest.mark.parametrize("dt", [5e-4, 7e-4, 1e-3, 2e-3])
+    @pytest.mark.parametrize("profile", sorted(BOOST_PROFILES))
+    def test_rows_match_scalar_reference(self, profile, dt):
+        prof = BOOST_PROFILES[profile]()
+        n_max = int(round(60.0 / dt))
+        rows = en._boost_schedule(prof, 0, n_max, dt)
+        burning = [n for n in range(n_max) if n * dt < prof.burnout_time]
+        assert burning == list(range(len(rows)))
+        assert rows.shape == (len(burning), 7)
+        for n, row in zip(burning, rows.tolist()):
+            assert _bits(row) == _bits(boost_row(prof, n * dt, dt)), n
+        # a resumed run's schedule is the tail of the fresh run's
+        for start in (1, len(rows) // 2, len(rows) - 1, len(rows), len(rows) + 5):
+            tail = en._boost_schedule(prof, start, n_max, dt)
+            assert tail.tobytes() == rows[start:].tobytes(), start
+        # and a run that stops before burnout schedules only its steps
+        assert en._boost_schedule(prof, 0, 7, dt).tobytes() == rows[:7].tobytes()
+
+    def test_off_grid_step_straddles_burnout(self):
+        # at 0.7 ms the stage times fall between the breakpoints, and the
+        # last burning step ends after burnout
+        prof = af.load_airframe().thrust
+        dt = 7e-4
+        rows = en._boost_schedule(prof, 0, 100_000, dt).tolist()
+        last = len(rows) - 1
+        assert last * dt < prof.burnout_time < (last + 1) * dt
+        assert rows[last][2] == 0.0 < rows[last][1]
+        assert rows[last][6] == prof.burnout_mass
+        stage_times = {n * dt + h for n in range(len(rows)) for h in (0.0, dt * 0.5, dt)}
+        assert not stage_times & set(prof.times[1:])
 
 
 class TestLoopReplay:
