@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import NamedTuple
 
@@ -166,22 +167,33 @@ class ThrustProfile:
             v1 = vs[i] + (vs[i + 1] - vs[i]) * w / w
             burnt.append(burnt[-1] + 0.5 * (vs[i] + v1) * w)
         self.total_impulse = imp
-        self._ts, self._vs, self._burnt = np.array(ts), np.array(vs), np.array(burnt)
+        self._burnt = tuple(burnt)
         # from the last breakpoint on, thrust is zero and the burnt
-        # impulse is the whole table's, so the mass no longer depends on t
+        # impulse no longer depends on t
         self.burnout_time = ts[-1]
-        self.burnout_mass = float(self._mass_after(burnt[-1]))
+
+    # Made on first use, so that loading a dataset calls no numpy.
+    @cached_property
+    def burnout_mass(self) -> float:
+        """The mass from :attr:`burnout_time` on, with the whole table's
+        impulse burnt."""
+        return float(self._mass_after(self._burnt[-1]))
+
+    @cached_property
+    def _arrays(self) -> tuple:
+        """The breakpoints, their thrust values and burnt impulses as arrays."""
+        return np.array(self.times), np.array(self.values), np.array(self._burnt)
 
     def _segments(self, t, inside):
         """The elements of the array ``t`` where ``inside`` holds, which
         lie in ``[times[0], times[-1])``, and the segment of each."""
         ti = t[inside]
-        return ti, np.searchsorted(self._ts, ti, side="right") - 1
+        return ti, np.searchsorted(self._arrays[0], ti, side="right") - 1
 
     def thrust(self, t):
         """Interpolated thrust; zero before the first breakpoint and from
         the last on, where :meth:`impulse_to` counts no impulse either."""
-        ts, vs = self._ts, self._vs
+        ts, vs, _ = self._arrays
         t = np.asarray(t, dtype=float)
         inside = (t >= ts[0]) & (t < ts[-1])  # ignited and not yet burnt out
         ti, i = self._segments(t, inside)
@@ -199,13 +211,13 @@ class ThrustProfile:
 
     def impulse_to(self, t):
         """Impulse delivered up to ``t``; exact for the piecewise-linear table."""
-        ts, vs = self._ts, self._vs
+        ts, vs, burnt = self._arrays
         t = np.asarray(t, dtype=float)
-        out = np.where(t >= ts[-1], self._burnt[-1], 0.0)
+        out = np.where(t >= ts[-1], burnt[-1], 0.0)
         inside = (t > ts[0]) & (t < ts[-1])
         ti, i = self._segments(t, inside)
         v1 = vs[i] + (vs[i + 1] - vs[i]) * (ti - ts[i]) / (ts[i + 1] - ts[i])
-        out[inside] = self._burnt[i] + 0.5 * (vs[i] + v1) * (ti - ts[i])
+        out[inside] = burnt[i] + 0.5 * (vs[i] + v1) * (ti - ts[i])
         return out[()]
 
     def mass_at(self, t):
