@@ -392,7 +392,7 @@ def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
 def _boost_schedule(prof: af.ThrustProfile, start: int, stop: int, dt: float) -> np.ndarray:
     """The :data:`_BOOST_ROW` of each airframe step ``n`` from ``start``,
     and before ``stop``, that starts before burnout (``n * dt <
-    prof.burnout_time``), one row per step: an ``(n, 7)`` array.
+    prof.burnout_time``): a float array of one 7-value row per step.
 
     Each row holds ``(th0, th1, th2, h2 * md0, h2 * md1, dt * md1,
     m_end)`` with ``t = n * dt`` and ``h2 = dt / 2``: the thrust at
