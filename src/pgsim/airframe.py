@@ -130,11 +130,19 @@ class AeroTable:
                 a3 + f * (b3 - a3), a4 + f * (b4 - a4), a5 + f * (b5 - a5))
 
 
+def _burnt(a, w, v0, dv, b, t):
+    """The impulse burnt by ``t`` in the thrust segment that starts at
+    ``a``, is ``w`` wide and ramps from ``v0`` by ``dv``, after the
+    impulse ``b`` burnt before it: exact for the linear ramp."""
+    x = t - a
+    return b + 0.5 * (v0 + (v0 + dv * x / w)) * x
+
+
 class ThrustProfile:
     """Piecewise-linear thrust table with proportional propellant burn.
 
     :meth:`thrust`, :meth:`mass_flow`, :meth:`impulse_to` and
-    :meth:`mass_at` take a number or an array of them and return a numpy
+    :meth:`mass_at` take a finite number or an array of them and return a
     float or an array of the same shape.  Each element goes through the
     same float operations in the same order as a lone number would, so
     an array gives the bits of element-by-element calls.
@@ -145,31 +153,33 @@ class ThrustProfile:
         self.values = tuple(float(v) for v in thrust_values)
         self.initial_mass = float(initial_mass)
         self.propellant_mass = float(propellant_mass)
-        if len(self.times) != len(self.values) or len(self.times) < 1:
+        if len(self.times) != len(self.values):
             raise ValueError("thrust table breakpoints/values mismatch")
+        if not self.times:
+            raise ValueError("thrust table has no rows")
         if any(b >= a for a, b in zip(self.times[1:], self.times[:-1])):
             raise ValueError("thrust breakpoints must be strictly ascending")
         if any(v < 0.0 for v in self.values):
             raise ValueError("thrust must be non-negative")
         if not (self.initial_mass > 0.0 and 0.0 <= self.propellant_mass < self.initial_mass):
             raise ValueError("need 0 <= propellant mass < initial mass")
-        # trapezoid total impulse; mass flow is thrust * propellant / impulse.
-        # The burnt impulse at each breakpoint sums the whole segments
-        # before it, each with its end value interpolated as impulse_to's
-        # partial segment is; that value can differ from the table's by
-        # an ulp, so the two sums are kept apart.
+        # The trapezoid total impulse; mass flow is thrust * propellant /
+        # impulse.  One segment-table row (start, width, start thrust,
+        # thrust change, impulse burnt before it) per table interval,
+        # padded with a zero-thrust row before ignition and one from
+        # burnout on that holds the whole burnt impulse (a pad's width of
+        # 1 keeps its division finite).  The burnt impulses sum whole
+        # segments through _burnt, so they can differ from the total by
+        # an ulp.
         ts, vs = self.times, self.values
         imp = 0.0
-        burnt = [0.0]
-        for i in range(len(ts) - 1):
-            w = ts[i + 1] - ts[i]
-            imp += 0.5 * (vs[i] + vs[i + 1]) * w
-            v1 = vs[i] + (vs[i + 1] - vs[i]) * w / w
-            burnt.append(burnt[-1] + 0.5 * (vs[i] + v1) * w)
+        table = [(ts[0], 1.0, 0.0, 0.0, 0.0)]
+        for a, b, v0, v1 in zip(ts, ts[1:], vs, vs[1:]):
+            imp += 0.5 * (v0 + v1) * (b - a)
+            table.append((a, b - a, v0, v1 - v0, _burnt(*table[-1], a)))
         self.total_impulse = imp
-        self._burnt = tuple(burnt)
-        # from the last breakpoint on, thrust is zero and the burnt
-        # impulse no longer depends on t
+        table.append((ts[-1], 1.0, 0.0, 0.0, _burnt(*table[-1], ts[-1])))
+        self._table = tuple(table)
         self.burnout_time = ts[-1]
 
     # Made on first use, so that loading a dataset calls no numpy.
@@ -177,62 +187,44 @@ class ThrustProfile:
     def burnout_mass(self) -> float:
         """The mass from :attr:`burnout_time` on, with the whole table's
         impulse burnt."""
-        return float(self._mass_after(self._burnt[-1]))
+        return float(self._mass_after(self._table[-1][4]))
 
     @cached_property
     def _arrays(self) -> tuple:
-        """The breakpoints, their thrust values and burnt impulses as arrays."""
-        return np.array(self.times), np.array(self.values), np.array(self._burnt)
+        """The breakpoints, and the segment table's five columns."""
+        return np.array(self.times), np.array(self._table).T
 
-    def _segments(self, t, inside):
-        """The elements of the array ``t`` where ``inside`` holds, which
-        lie in ``[times[0], times[-1])``, and the segment of each."""
-        ti = t[inside]
-        return ti, np.searchsorted(self._arrays[0], ti, side="right") - 1
+    def _segment(self, t):
+        """The five segment-table columns at each time of ``t``."""
+        times, columns = self._arrays
+        return columns[:, np.searchsorted(times, t, side="right")]
 
     def thrust(self, t):
         """Interpolated thrust; zero before the first breakpoint and from
         the last on, where :meth:`impulse_to` counts no impulse either."""
-        ts, vs, _ = self._arrays
-        t = np.asarray(t, dtype=float)
-        inside = (t >= ts[0]) & (t < ts[-1])  # ignited and not yet burnt out
-        ti, i = self._segments(t, inside)
-        out = np.zeros(t.shape)
-        f = (ti - ts[i]) / (ts[i + 1] - ts[i])
-        out[inside] = vs[i] + f * (vs[i + 1] - vs[i])
-        return out[()]
+        a, w, v0, dv, _ = self._segment(t)
+        return v0 + (t - a) / w * dv
 
     def mass_flow(self, thrust):
         """Mass flow at a given thrust level (burn rate is proportional)."""
-        thrust = np.asarray(thrust, dtype=float)
         if self.total_impulse <= 0.0:
-            return np.zeros(thrust.shape)[()]
+            return thrust * 0.0  # a table that burns no impulse burns no mass
         return thrust * self.propellant_mass / self.total_impulse
 
     def impulse_to(self, t):
         """Impulse delivered up to ``t``; exact for the piecewise-linear table."""
-        ts, vs, burnt = self._arrays
-        t = np.asarray(t, dtype=float)
-        out = np.where(t >= ts[-1], burnt[-1], 0.0)
-        inside = (t > ts[0]) & (t < ts[-1])
-        ti, i = self._segments(t, inside)
-        v1 = vs[i] + (vs[i + 1] - vs[i]) * (ti - ts[i]) / (ts[i + 1] - ts[i])
-        out[inside] = burnt[i] + 0.5 * (vs[i] + v1) * (ti - ts[i])
-        return out[()]
+        return _burnt(*self._segment(t), t)
 
     def mass_at(self, t):
         """Vehicle mass at ``t`` from the exact burnt-impulse fraction."""
-        t = np.asarray(t, dtype=float)
-        return np.where(t >= self.burnout_time, self.burnout_mass,
-                        self._mass_after(self.impulse_to(t)))[()]
+        return self._mass_after(self.impulse_to(t))
 
     def _mass_after(self, impulse):
-        impulse = np.asarray(impulse, dtype=float)
         if self.total_impulse <= 0.0:
-            return np.full(impulse.shape, self.initial_mass)[()]
-        frac = impulse / self.total_impulse
-        frac = np.where(frac > 1.0, 1.0, frac)  # min(frac, 1.0), keeping NaN
-        return (self.initial_mass - self.propellant_mass * frac)[()]
+            return self.initial_mass + impulse  # nothing burns: the impulse is 0
+        # the burnt impulse can pass the trapezoid total by an ulp
+        return self.initial_mass - self.propellant_mass * np.minimum(
+            impulse / self.total_impulse, 1.0)
 
 
 @dataclass(frozen=True)
@@ -370,7 +362,8 @@ def _parse_dataset(text: str) -> dict:
             sections[current] = {} if DATASET_SECTIONS[current] else []
             continue
         if current is None:
-            raise ValueError("dataset content before any [section] header")
+            raise ValueError("airframe dataset line %d: %r before any [section] header"
+                             % (n, line))
         keys, content = DATASET_SECTIONS[current], sections[current]
         if not keys and "=" not in line:
             content.append([_dataset_number(v, n, current) for v in line.split()])

@@ -307,7 +307,8 @@ def validate(cfg: dict) -> list:
         problems.append("seed must be >= 0, got %d" % cfg["seed"])
     dataset = cfg["airframe"]["dataset"]
     if not isinstance(dataset, str):
-        problems.append("airframe.dataset must be 'builtin' or a file path")
+        problems.append("invalid value for airframe.dataset: %r (expected 'builtin' "
+                        "or a file path)" % (dataset,))
     elif dataset != "builtin":
         try:
             problems.airframe = _airframe(dataset, cfg["autopilot"]["gain"] == "auto")

@@ -168,8 +168,9 @@ class CsvStream:
     ``write`` is the ``on_rows`` of :func:`run_engagement`.  Leaving the
     ``with`` block closes the pipe and reaps the writer on every path;
     when no exception is pending, a writer that fails or exits early
-    raises ``OSError`` naming the file, as does a ``BrokenPipeError``
-    from ``write``.  Fork only from a process that runs no other thread.
+    raises ``OSError`` naming the file, as do a ``BrokenPipeError``
+    from ``write`` and a fork that fails.  Fork only from a process that
+    runs no other thread.
     """
 
     def __init__(self, fh):
@@ -178,9 +179,12 @@ class CsvStream:
         read_fd, write_fd = os.pipe()
         try:
             pid = os.fork()
-        except BaseException:
+        except BaseException as exc:
             os.close(read_fd)
             os.close(write_fd)
+            if isinstance(exc, OSError):
+                raise OSError(exc.errno, "could not fork the writer of %s: %s"
+                              % (self.name, exc.strerror)) from exc
             raise
         if pid == 0:  # the writer leaves only through os._exit
             code = 1
@@ -406,7 +410,7 @@ def _boost_schedule(prof: af.ThrustProfile, start: int, stop: int, dt: float) ->
     # the first step at or after it is at most 2 past burnout_time / dt
     last = int(min(prof.burnout_time / dt, stop)) + 2
     t = np.arange(start, min(stop, last)) * dt
-    t = t[t < prof.burnout_time]
+    t = t[:np.searchsorted(t, prof.burnout_time)]  # t is sorted
     h2 = dt * 0.5
     th0 = prof.thrust(t)
     th1 = prof.thrust(t + h2)
@@ -511,16 +515,15 @@ def miss_distance(record: EngagementRecord) -> tuple:
 
 
 def los_rmse(predicted_series, reference_series, delta: float, dt: float,
-             start: int = 0, min_samples: int = 1) -> float:
+             start: int = 0) -> float:
     """RMSE of a horizon-ahead prediction against the shifted reference.
 
     Sample i of ``predicted_series`` is compared with sample
     i + delta/dt of ``reference_series``; ``delta`` must sit on the step
     grid.  Series are (n, 2) channel arrays or 1-D; the result is the
     root of the mean of the per-channel mean squared errors.  Samples
-    before index ``start`` are dropped.  Engagement metrics
-    demand at least 100 overlapping samples; the default permits the
-    short hand-checked series used in unit tests.
+    before index ``start`` are dropped; with no overlapping sample left,
+    it raises ``ValueError``.
     """
     pred = np.atleast_2d(np.asarray(predicted_series, dtype=float).T).T
     ref = np.atleast_2d(np.asarray(reference_series, dtype=float).T).T
@@ -529,9 +532,8 @@ def los_rmse(predicted_series, reference_series, delta: float, dt: float,
     if abs(shift_f - shift) > 1e-9:
         raise ValueError("delta=%g is not an integer multiple of dt=%g" % (delta, dt))
     n = min(len(pred), len(ref) - shift)
-    if n - start < max(min_samples, 1):
-        raise ValueError("fewer than %d overlapping samples after alignment"
-                         % max(min_samples, 1))
+    if n <= start:
+        raise ValueError("no overlapping samples after alignment")
     err = pred[start:n] - ref[start + shift:n + shift]
     return float(math.sqrt(np.mean(np.mean(err ** 2, axis=0))))
 
@@ -548,32 +550,30 @@ def commanded_accel_stats(record: EngagementRecord) -> dict:
 
 
 def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> MetricsReport:
-    """Engagement-level metrics; RMSE entries are NaN when the series is
-    too short to align.  The windowed RMSEs start at the first recorded
-    step with ``t >= guidance.warmup``, where guidance takes the prediction.
+    """Engagement-level metrics; an RMSE entry is NaN when its window
+    holds fewer than 100 aligned samples.  The windowed RMSEs start at
+    the first recorded step with ``t >= guidance.warmup``, where guidance
+    takes the prediction.
     """
     s = record.series
     dt = config.dt
-    delta = config.observer.delta
-    delta_aligned = round(delta / dt) * dt
+    shift = round(config.observer.delta / dt)
     true_series = np.column_stack([s["lam_true_p"], s["lam_true_y"]])
     pred_series = np.column_stack([s["lam_pred_p"], s["lam_pred_y"]])
     del_series = np.column_stack([s["lam_del_p"], s["lam_del_y"]])
     handoff = int(np.searchsorted(s["t"], config.guidance.warmup, side="left"))
 
-    def safe(series, start):
-        try:
-            return los_rmse(series, true_series, delta_aligned, dt, start,
-                            min_samples=100)
-        except ValueError:
+    def rmse(series, start):
+        if len(record) - shift - start < 100:
             return math.nan
+        return los_rmse(series, true_series, shift * dt, dt, start)
 
     stats = commanded_accel_stats(record)
     return MetricsReport(
-        rmse_delayed=safe(del_series, handoff),
-        rmse_predicted=safe(pred_series, handoff),
-        rmse_delayed_full=safe(del_series, 0),
-        rmse_predicted_full=safe(pred_series, 0),
+        rmse_delayed=rmse(del_series, handoff),
+        rmse_predicted=rmse(pred_series, handoff),
+        rmse_delayed_full=rmse(del_series, 0),
+        rmse_predicted_full=rmse(pred_series, 0),
         miss_distance=record.miss_distance,
         peak_accel_cmd=stats["peak"],
         integrated_abs_deflection=stats["integral_abs_deflection"],

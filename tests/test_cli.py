@@ -277,16 +277,34 @@ class TestInputFiles:
         (("initial_mass = 85.0\n", "initial_mass = 85.0\ninitial_mass = 80.0\n"),
          "line 8 in [mass] repeats key 'initial_mass'"),
         (("3.1 0.0\n", "3.1 0.0\n[drag]\n0.5 0.3\n"), "line 16: unknown section [drag]"),
+        (("[airframe]\n", "reference_area = 0.0254\n[airframe]\n"),
+         "line 2: 'reference_area = 0.0254' before any [section] header"),
+        (("0.0 15000.0\n3.0 15000.0\n3.1 0.0\n", ""), "thrust table has no rows"),
+        (("3.0 15000.0", "3.2 15000.0"), "thrust breakpoints must be strictly ascending"),
+        (("3.1 0.0", "3.1 -1.0"), "thrust must be non-negative"),
+        (("propellant_mass = 30.0", "propellant_mass = 85.0"),
+         "need 0 <= propellant mass < initial mass"),
+        (("3.0 20.0 0.3", "0.2 20.0 0.3"), "Mach breakpoints must be strictly ascending"),
+        (("3.0 20.0 0.3 -1.0 200000.0 8.0 10.0", "3.0 20.0 0.3 -1.0 200000.0 8.0"),
+         "aero row at Mach 3 has 5 columns, expected 6"),
+        (("reference_area = 0.0254", "reference_area = 0"),
+         "reference area and length must be positive"),
+        # a JSON number, not a path
+        (None, "5 (expected 'builtin' or a file path)"),
     ], ids=["non-numeric-value", "missing-section", "missing-key", "no-trim-gain",
             "zero-inertia", "negative-inertia", "nan-aero-entry", "inf-thrust-entry",
             "short-thrust-row", "long-thrust-row", "repeated-section", "row-in-keyed-section",
             "key-in-aero-table", "key-in-thrust-table", "unknown-key", "repeated-key",
-            "unknown-section"])
+            "unknown-section", "key-before-section", "empty-thrust-table",
+            "descending-thrust-times", "negative-thrust", "propellant-not-below-mass",
+            "descending-mach", "ragged-aero-row", "zero-reference-area", "number-not-path"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_malformed_dataset_exits_2(self, capsys, tmp_path, command, edit, message):
-        assert edit[0] in UNSTABLE_AIRFRAME
-        p = tmp_path / "frame.txt"
-        p.write_text(UNSTABLE_AIRFRAME.replace(*edit))
+        p = 5
+        if edit is not None:
+            assert edit[0] in UNSTABLE_AIRFRAME
+            p = tmp_path / "frame.txt"
+            p.write_text(UNSTABLE_AIRFRAME.replace(*edit))
         out = ["--out", str(tmp_path)] if command == "run" else []
         assert run_cli(command, *out, "--set", "airframe.dataset=%s" % p) == 2
         err = capsys.readouterr().err
@@ -486,6 +504,33 @@ class TestRunWriter:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+    @pytest.mark.parametrize("failure", [OSError(errno.EAGAIN, os.strerror(errno.EAGAIN)),
+                                         KeyboardInterrupt()], ids=["eagain", "interrupt"])
+    def test_failed_fork_leaves_nothing(self, capsys, tmp_path, monkeypatch, failure):
+        forks = []
+
+        def fork():
+            forks.append(1)
+            raise failure
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        fds = len(os.listdir("/proc/self/fd"))
+        if isinstance(failure, OSError):
+            assert run_cli("run", "--out", str(tmp_path), *FAST) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "engagement.csv" in err and "Traceback" not in err
+        else:
+            with pytest.raises(KeyboardInterrupt) as exc:
+                run_cli("run", "--out", str(tmp_path), *FAST)
+            assert exc.value is failure
+        assert forks == [1]
+        assert list(tmp_path.iterdir()) == []
+        assert len(os.listdir("/proc/self/fd")) == fds  # both pipe ends closed
 
     def test_interrupted_run_removes_csv(self, tmp_path, writers, monkeypatch):
         real_pn = gd.pn_command

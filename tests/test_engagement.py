@@ -116,11 +116,13 @@ class TestLosRmse:
         with pytest.raises(ValueError, match="multiple"):
             en.los_rmse([1.0] * 10, [1.0] * 10, 0.00037, 0.001)
 
-    def test_min_samples_enforced(self):
+    def test_no_overlap_rejected(self):
         s = [1.0, 2.0, 3.0]
         with pytest.raises(ValueError, match="overlapping"):
-            en.los_rmse(s, s, 0.0, 0.1, min_samples=100)
-        assert en.los_rmse(s, s, 0.0, 0.1) == 0.0
+            en.los_rmse(s, s, 0.3, 0.1)
+        with pytest.raises(ValueError, match="overlapping"):
+            en.los_rmse(s, s, 0.0, 0.1, start=3)
+        assert en.los_rmse(s, s, 0.0, 0.1, start=2) == 0.0
 
     def test_exclude_before_drops_transient(self):
         pred = np.array([100.0, 100.0, 1.0, 1.0, 1.0, 1.0])
@@ -300,7 +302,7 @@ class TestRunEngagement:
         assert step == 2001
         pred = np.column_stack([s["lam_pred_p"], s["lam_pred_y"]])
         true = np.column_stack([s["lam_true_p"], s["lam_true_y"]])
-        want = en.los_rmse(pred, true, cfg.observer.delta, cfg.dt, step, min_samples=100)
+        want = en.los_rmse(pred, true, cfg.observer.delta, cfg.dt, step)
         assert en.compute_metrics(record, cfg).rmse_predicted == want
 
     def test_no_switch_for_direct_sources(self, true_run):
@@ -611,6 +613,20 @@ class TestMetricsAndCsv:
         assert math.isnan(m.rmse_delayed)
         assert math.isnan(m.rmse_predicted)
         assert math.isfinite(m.miss_distance)
+
+    @pytest.mark.parametrize("samples", [99, 100])
+    def test_rmse_needs_100_samples(self, samples):
+        # a timeout's full-run window holds every step but the last
+        # delta / dt, which have no reference sample
+        cfg = engagement_config()
+        shift = round(cfg.observer.delta / cfg.dt)
+        cfg = engagement_config({"engagement.max_time": (shift + samples - 1) * cfg.dt})
+        record = en.run_engagement(cfg)
+        assert record.termination_reason == "timeout"
+        assert len(record) - shift == samples
+        m = en.compute_metrics(record, cfg)
+        for rmse in (m.rmse_delayed_full, m.rmse_predicted_full):
+            assert math.isfinite(rmse) if samples == 100 else math.isnan(rmse)
 
 
     # both sides of write_csv's block boundaries and of the stream's chunks,
