@@ -7,7 +7,6 @@ sweep), ``validate`` (config check only).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -121,10 +120,9 @@ def cmd_run(args) -> int:
     eng = en.EngagementConfig.from_setup(cf.build_setup(cfg))
     args.out.mkdir(parents=True, exist_ok=True)
     record = _fly_writing_csv(eng, args.out / "engagement.csv")
-    metrics = en.compute_metrics(record, eng)
     doc = {
         "config": cfg,
-        "metrics": dataclasses.asdict(metrics),
+        "metrics": en.compute_metrics(record, eng),
         "miss_distance": record.miss_distance,
         "miss_time": record.miss_time,
         "termination_reason": record.termination_reason,

@@ -27,7 +27,6 @@ __all__ = [
     "EngagementRecord",
     "CsvStream",
     "WarmupState",
-    "MetricsReport",
     "run_engagement",
     "miss_distance",
     "los_rmse",
@@ -219,17 +218,6 @@ class CsvStream:
         return False
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    rmse_delayed: float
-    rmse_predicted: float
-    rmse_delayed_full: float
-    rmse_predicted_full: float
-    miss_distance: float
-    peak_accel_cmd: float
-    integrated_abs_deflection: float
-
-
 def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
                    on_rows=None) -> EngagementRecord:
     """Simulate one engagement to termination.
@@ -360,7 +348,7 @@ def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
         # a non-finite state or map entry reaches x12 within two steps
         if not (math.isfinite(obs_p[4]) and math.isfinite(obs_y[4])):
             termination = "observer_divergence"
-            diagnostic = "integration failed at t=%g: observer state non-finite at t=%g" % (t, t)
+            diagnostic = "observer state non-finite at t=%g" % t
             break
         try:
             vehicle = _vehicle_rk4(vehicle, (defl_p, defl_y), frame, next(burn, coast), dt)
@@ -549,8 +537,9 @@ def commanded_accel_stats(record: EngagementRecord) -> dict:
     return {"peak": float(np.max(mag)), "integral_abs_deflection": integral}
 
 
-def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> MetricsReport:
-    """Engagement-level metrics; an RMSE entry is NaN when its window
+def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> dict:
+    """Engagement-level metrics, as the ``metrics`` block of
+    ``metrics.json`` holds them; an RMSE entry is NaN when its window
     holds fewer than 100 aligned samples.  The windowed RMSEs start at
     the first recorded step with ``t >= guidance.warmup``, where guidance
     takes the prediction.
@@ -569,12 +558,12 @@ def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> Metri
         return los_rmse(series, true_series, shift * dt, dt, start)
 
     stats = commanded_accel_stats(record)
-    return MetricsReport(
-        rmse_delayed=rmse(del_series, handoff),
-        rmse_predicted=rmse(pred_series, handoff),
-        rmse_delayed_full=rmse(del_series, 0),
-        rmse_predicted_full=rmse(pred_series, 0),
-        miss_distance=record.miss_distance,
-        peak_accel_cmd=stats["peak"],
-        integrated_abs_deflection=stats["integral_abs_deflection"],
-    )
+    return {
+        "rmse_delayed": rmse(del_series, handoff),
+        "rmse_predicted": rmse(pred_series, handoff),
+        "rmse_delayed_full": rmse(del_series, 0),
+        "rmse_predicted_full": rmse(pred_series, 0),
+        "miss_distance": record.miss_distance,
+        "peak_accel_cmd": stats["peak"],
+        "integrated_abs_deflection": stats["integral_abs_deflection"],
+    }

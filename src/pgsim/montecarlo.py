@@ -87,9 +87,9 @@ def _execute_item(args):
         metrics = en.compute_metrics(record, cfg)
         results.append(RunResult(
             delay=delay, source=source, sample=sample, seed=seed,
-            miss=record.miss_distance, rmse=metrics.rmse_predicted
-            if source == "predicted" else metrics.rmse_delayed,
-            peak_accel=metrics.peak_accel_cmd,
+            miss=record.miss_distance, rmse=metrics["rmse_predicted"]
+            if source == "predicted" else metrics["rmse_delayed"],
+            peak_accel=metrics["peak_accel_cmd"],
             termination=record.termination_reason,
         ))
         if record.warmup is not None and i + 1 < len(sweep.sources):

@@ -117,6 +117,7 @@ def test_criterion_5_zero_delay_baseline(capsys):
            "zero-lag ideal-source miss %.4g m (< 0.5 m)" % record.miss_distance)
 
 
+@pytest.mark.slow
 def test_criterion_6_sweep_trends(capsys, default_sweep):
     sweep, summary, elapsed = default_sweep
     g = summary.groups

@@ -134,6 +134,10 @@ class TestAeroTable:
         with pytest.raises(ValueError):
             af.AeroTable([0.5], [(10, 0.3, -1.0, -50, 5, 6)], 0.01, 2.0)
 
+    def test_row_count_must_match_breakpoints(self):
+        with pytest.raises(ValueError, match="aero table row count does not match breakpoints"):
+            af.AeroTable([0.5, 1.0, 2.0], [(10, 0.3, -1.0, -50, 5, 6)] * 2, 0.01, 2.0)
+
 
 def trapezoid_impulse(prof, t):
     """Area under the piecewise-linear thrust curve on [times[0], t],
@@ -258,6 +262,10 @@ class TestThrustProfile:
         assert prof.thrust(0.5) == 0.0
         assert prof.total_impulse == 0.0
         assert prof.mass_at(1.0) == 80.0
+
+    def test_values_must_match_breakpoints(self):
+        with pytest.raises(ValueError, match="thrust table breakpoints/values mismatch"):
+            af.ThrustProfile([0.0, 0.5, 1.0], [900.0, 900.0], 80.0, 20.0)
 
 
 def make_state(velocity, pitch=0.0, yaw=0.0, pitch_rate=0.0, yaw_rate=0.0,

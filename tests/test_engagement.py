@@ -303,7 +303,7 @@ class TestRunEngagement:
         pred = np.column_stack([s["lam_pred_p"], s["lam_pred_y"]])
         true = np.column_stack([s["lam_true_p"], s["lam_true_y"]])
         want = en.los_rmse(pred, true, cfg.observer.delta, cfg.dt, step)
-        assert en.compute_metrics(record, cfg).rmse_predicted == want
+        assert en.compute_metrics(record, cfg)["rmse_predicted"] == want
 
     def test_no_switch_for_direct_sources(self, true_run):
         record, _ = true_run
@@ -552,11 +552,11 @@ class TestMetricsAndCsv:
     def test_metrics_consistent_with_record(self, predicted_run):
         record, cfg = predicted_run
         m = en.compute_metrics(record, cfg)
-        assert m.miss_distance == record.miss_distance
-        assert m.rmse_predicted < m.rmse_delayed
-        assert math.isfinite(m.rmse_predicted_full)
-        assert m.peak_accel_cmd > 0.0
-        assert m.integrated_abs_deflection > 0.0
+        assert m["miss_distance"] == record.miss_distance
+        assert m["rmse_predicted"] < m["rmse_delayed"]
+        assert math.isfinite(m["rmse_predicted_full"])
+        assert m["peak_accel_cmd"] > 0.0
+        assert m["integrated_abs_deflection"] > 0.0
 
     def test_peak_matches_series(self, predicted_run):
         record, _ = predicted_run
@@ -610,9 +610,9 @@ class TestMetricsAndCsv:
         cfg = engagement_config({"engagement.max_time": 0.05})
         record = en.run_engagement(cfg)
         m = en.compute_metrics(record, cfg)
-        assert math.isnan(m.rmse_delayed)
-        assert math.isnan(m.rmse_predicted)
-        assert math.isfinite(m.miss_distance)
+        assert math.isnan(m["rmse_delayed"])
+        assert math.isnan(m["rmse_predicted"])
+        assert math.isfinite(m["miss_distance"])
 
     @pytest.mark.parametrize("samples", [99, 100])
     def test_rmse_needs_100_samples(self, samples):
@@ -625,7 +625,7 @@ class TestMetricsAndCsv:
         assert record.termination_reason == "timeout"
         assert len(record) - shift == samples
         m = en.compute_metrics(record, cfg)
-        for rmse in (m.rmse_delayed_full, m.rmse_predicted_full):
+        for rmse in (m["rmse_delayed_full"], m["rmse_predicted_full"]):
             assert math.isfinite(rmse) if samples == 100 else math.isnan(rmse)
 
 

@@ -68,6 +68,7 @@ def test_output_bytes(case, tmp_path, capsys):
     assert got == hashes
 
 
+@pytest.mark.slow
 def test_default_sweep_runs_csv(default_sweep, tmp_path):
     _, summary, _ = default_sweep
     path = tmp_path / "sweep_runs.csv"

@@ -145,7 +145,7 @@ class TestObserverStep:
         monkeypatch.setattr(ob, "rk4_step8", blow_up)
         record = en.run_engagement(engagement_config({"engagement.max_time": 0.1}))
         assert record.termination_reason == "observer_divergence"
-        assert "observer state non-finite" in record.diagnostic
+        assert record.diagnostic == "observer state non-finite at t=0.004"
         assert len(record) == 5
 
     def test_nonfinite_map_diverges(self, monkeypatch):
