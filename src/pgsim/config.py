@@ -9,6 +9,7 @@ first.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 import sys
@@ -204,11 +205,25 @@ class _Problems(list):
     airframe = None
 
 
+@functools.cache
+def _builtin_frame() -> af.Airframe:
+    """The bundled airframe, parsed once per process."""
+    return af.load_airframe()
+
+
+@functools.cache
+def _builtin_gain() -> float:
+    """The autopilot gain trimmed from the bundled airframe, once per process."""
+    return gd.trim_deflection_gain(_builtin_frame())
+
+
 def _airframe(dataset: str, trim: bool) -> tuple:
     """(frame, gain): the airframe of ``dataset``, ``"builtin"`` or a
     file path, and the autopilot gain trimmed from it if ``trim``, else
-    None."""
-    frame = af.load_airframe(None if dataset == "builtin" else dataset)
+    None.  A file is read at every call; the bundled dataset once."""
+    if dataset == "builtin":
+        return _builtin_frame(), _builtin_gain() if trim else None
+    frame = af.load_airframe(dataset)
     return frame, gd.trim_deflection_gain(frame) if trim else None
 
 

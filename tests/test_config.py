@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+from importlib import resources
 
 import pytest
 
@@ -29,9 +31,14 @@ class TestResolve:
             cf.resolve({"observer": 5})
 
     def test_defaults_not_mutated(self):
+        before = copy.deepcopy(cf.DEFAULTS)
         cfg = cf.resolve()
         cfg["observer"]["epsilon"] = 99.0
-        assert cf.DEFAULTS["observer"]["epsilon"] == 0.05
+        cfg["sweep"]["delays"].append(0.5)
+        cfg["sweep"]["sources"].remove("delayed")
+        cfg["target"]["position"][0] = -1.0
+        assert cf.DEFAULTS == before
+        assert cf.resolve() == before
 
 
 class TestApplyOverride:
@@ -211,6 +218,32 @@ class TestBuildSetup:
     def test_keys_are_engagement_config_fields(self):
         fields = {f.name for f in dataclasses.fields(en.EngagementConfig)}
         assert set(cf.build_setup(cf.resolve())) == fields
+
+    def test_builtin_airframe_shared(self):
+        a, b = cf.build_setup(cf.resolve()), cf.build_setup(cf.resolve())
+        assert a["airframe"] is b["airframe"]
+        gains = [s["autopilot"].accel_to_deflection_gain for s in (a, b)]
+        assert gains[0].hex() == gains[1].hex()
+
+    def test_file_airframe_read_at_every_build(self, tmp_path):
+        path = tmp_path / "airframe.txt"
+        text = resources.files("pgsim.data").joinpath("generic_airframe.txt").read_text()
+        cfg = cf.resolve()
+        cfg["airframe"]["dataset"] = str(path)
+        for inertia in ("22.0", "30.0"):
+            path.write_text(text.replace("transverse_inertia = 22.0",
+                                         "transverse_inertia = " + inertia))
+            assert cf.build_setup(cfg)["airframe"].transverse_inertia == float(inertia)
+
+    def test_file_copy_of_builtin_trims_the_same_gain(self, tmp_path):
+        path = tmp_path / "airframe.txt"
+        path.write_text(resources.files("pgsim.data").joinpath("generic_airframe.txt").read_text())
+        cfg = cf.resolve()
+        builtin = cf.build_setup(cfg)["autopilot"].accel_to_deflection_gain
+        cfg["airframe"]["dataset"] = str(path)
+        setup = cf.build_setup(cfg)
+        assert setup["airframe"] is not cf.build_setup(cf.resolve())["airframe"]
+        assert setup["autopilot"].accel_to_deflection_gain.hex() == builtin.hex()
 
     def test_engagement_values_typed(self):
         cfg = cf.resolve()
