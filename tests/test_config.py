@@ -239,11 +239,12 @@ class TestBuildSetup:
         path = tmp_path / "airframe.txt"
         path.write_text(resources.files("pgsim.data").joinpath("generic_airframe.txt").read_text())
         cfg = cf.resolve()
-        builtin = cf.build_setup(cfg)["autopilot"].accel_to_deflection_gain
+        builtin = cf.build_setup(cfg)
         cfg["airframe"]["dataset"] = str(path)
         setup = cf.build_setup(cfg)
-        assert setup["airframe"] is not cf.build_setup(cf.resolve())["airframe"]
-        assert setup["autopilot"].accel_to_deflection_gain.hex() == builtin.hex()
+        assert setup["airframe"] is not builtin["airframe"]
+        assert setup["autopilot"].accel_to_deflection_gain.hex() \
+            == builtin["autopilot"].accel_to_deflection_gain.hex()
 
     def test_engagement_values_typed(self):
         cfg = cf.resolve()
