@@ -12,10 +12,10 @@ yaw-then-pitch Euler attitude and roll fixed at zero.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
@@ -384,13 +384,16 @@ def _parse_dataset(text: str) -> dict:
     return sections
 
 
+# The generic dataset shipped in the package's data directory, opened by
+# its path: importlib.resources would import that directory as a
+# namespace package first, which costs more than parsing the file.
+_BUILTIN_DATASET = os.path.join(os.path.dirname(__file__), "data", "generic_airframe.txt")
+
+
 def load_airframe(path: str | None = None) -> Airframe:
     """Load an airframe dataset file; ``None`` loads the bundled generic one."""
-    if path is None:
-        text = resources.files("pgsim.data").joinpath("generic_airframe.txt").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    with open(_BUILTIN_DATASET if path is None else path) as fh:
+        text = fh.read()
     sec = _parse_dataset(text)
     air, mass = sec["airframe"], sec["mass"]
     aero_rows, thrust_rows = sec["aero"], sec["thrust"]

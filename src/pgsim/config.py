@@ -8,8 +8,6 @@ first.
 
 from __future__ import annotations
 
-import copy
-import functools
 import json
 import math
 import sys
@@ -142,9 +140,17 @@ def _merge(base: dict, overlay: dict, path="") -> list:
     return problems
 
 
+def _fresh(node):
+    """A copy of a :data:`DEFAULTS` node that shares no dict or list with
+    it; a third of what ``copy.deepcopy`` costs on these plain values."""
+    if isinstance(node, dict):
+        return {k: _fresh(v) for k, v in node.items()}
+    return list(node) if isinstance(node, list) else node
+
+
 def resolve(file_cfg: dict | None = None, overrides=()) -> dict:
     """Defaults overlaid with a config document and dotted overrides."""
-    cfg = copy.deepcopy(DEFAULTS)
+    cfg = _fresh(DEFAULTS)
     problems = _merge(cfg, file_cfg or {})
     if problems:
         raise ConfigError(problems)
@@ -205,25 +211,11 @@ class _Problems(list):
     airframe = None
 
 
-@functools.cache
-def _builtin_frame() -> af.Airframe:
-    """The bundled airframe, parsed once per process."""
-    return af.load_airframe()
-
-
-@functools.cache
-def _builtin_gain() -> float:
-    """The autopilot gain trimmed from the bundled airframe, once per process."""
-    return gd.trim_deflection_gain(_builtin_frame())
-
-
 def _airframe(dataset: str, trim: bool) -> tuple:
     """(frame, gain): the airframe of ``dataset``, ``"builtin"`` or a
     file path, and the autopilot gain trimmed from it if ``trim``, else
-    None.  A file is read at every call; the bundled dataset once."""
-    if dataset == "builtin":
-        return _builtin_frame(), _builtin_gain() if trim else None
-    frame = af.load_airframe(dataset)
+    None."""
+    frame = af.load_airframe(None if dataset == "builtin" else dataset)
     return frame, gd.trim_deflection_gain(frame) if trim else None
 
 

@@ -223,10 +223,10 @@ class TestInputFiles:
         assert run_cli("validate", "--config", str(tmp_path)) == 2
         assert "error: " in capsys.readouterr().err
 
-    @staticmethod
-    def count_loads(monkeypatch):
-        """Counts of the dataset loads and trims from here on, with the
-        bundled dataset's once-per-process cache emptied."""
+    @pytest.mark.parametrize("dataset, gain, trims", [
+        ("file", "auto", 1), ("file", "0.002", 0), ("builtin", "auto", 1),
+        ("builtin", "0.002", 0)])
+    def test_dataset_loaded_and_trimmed_once(self, monkeypatch, tmp_path, dataset, gain, trims):
         calls = {"load": 0, "trim": 0}
 
         def counted(name, fn):
@@ -237,33 +237,11 @@ class TestInputFiles:
 
         monkeypatch.setattr(af, "load_airframe", counted("load", af.load_airframe))
         monkeypatch.setattr(gd, "trim_deflection_gain", counted("trim", gd.trim_deflection_gain))
-        cf._builtin_frame.cache_clear()
-        cf._builtin_gain.cache_clear()
-        return calls
-
-    @staticmethod
-    def run_on(tmp_path, dataset, gain):
         path = resources.files("pgsim.data").joinpath("generic_airframe.txt")
         assert run_cli("run", "--out", str(tmp_path), "--set", "engagement.max_time=0.01",
                        "--set", "autopilot.gain=%s" % gain,
                        "--set", "airframe.dataset=%s" % (path if dataset == "file" else dataset)) == 0
-
-    @pytest.mark.parametrize("dataset, gain, trims", [
-        ("file", "auto", 1), ("file", "0.002", 0), ("builtin", "auto", 1),
-        ("builtin", "0.002", 0)])
-    def test_dataset_loaded_and_trimmed_once(self, monkeypatch, tmp_path, dataset, gain, trims):
-        calls = self.count_loads(monkeypatch)
-        self.run_on(tmp_path, dataset, gain)
         assert calls == {"load": 1, "trim": trims}
-
-    def test_builtin_dataset_loaded_once_per_process(self, monkeypatch, tmp_path):
-        calls = self.count_loads(monkeypatch)
-        self.run_on(tmp_path, "builtin", "auto")
-        calls.update(load=0, trim=0)
-        self.run_on(tmp_path, "builtin", "auto")
-        assert calls == {"load": 0, "trim": 0}
-        self.run_on(tmp_path, "file", "auto")  # a file is read at every run
-        assert calls == {"load": 1, "trim": 1}
 
     @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
     def test_dataset_directory_exits_2(self, capsys, tmp_path, command):

@@ -219,12 +219,6 @@ class TestBuildSetup:
         fields = {f.name for f in dataclasses.fields(en.EngagementConfig)}
         assert set(cf.build_setup(cf.resolve())) == fields
 
-    def test_builtin_airframe_shared(self):
-        a, b = cf.build_setup(cf.resolve()), cf.build_setup(cf.resolve())
-        assert a["airframe"] is b["airframe"]
-        gains = [s["autopilot"].accel_to_deflection_gain for s in (a, b)]
-        assert gains[0].hex() == gains[1].hex()
-
     def test_file_airframe_read_at_every_build(self, tmp_path):
         path = tmp_path / "airframe.txt"
         text = resources.files("pgsim.data").joinpath("generic_airframe.txt").read_text()
@@ -242,7 +236,6 @@ class TestBuildSetup:
         builtin = cf.build_setup(cfg)
         cfg["airframe"]["dataset"] = str(path)
         setup = cf.build_setup(cfg)
-        assert setup["airframe"] is not builtin["airframe"]
         assert setup["autopilot"].accel_to_deflection_gain.hex() \
             == builtin["autopilot"].accel_to_deflection_gain.hex()
 
