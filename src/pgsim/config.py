@@ -94,6 +94,9 @@ _FLOAT_MAX = sys.float_info.max
 # the most steps max_time / dt may ask of one engagement: 167 times the
 # default's 60,000: a 1.9 GB record, and 170 s of stepping at 17 us a step
 MAX_STEPS = 10_000_000
+# the most (delay, sample) pairs one sweep may ask for: run_sweep holds every
+# pair's work item and two results (about 0.85 KB) until it ends, 0.85 GB here
+MAX_PAIRS = 1_000_000
 KNOWN_KEYS = frozenset(_FLAT_DEFAULTS)
 # classical RK4's stability region holds the closed left half-disk of this
 # radius (its boundary comes within 2.6156 of the origin)
@@ -301,8 +304,12 @@ def validate(cfg: dict) -> list:
         if not _finite_injection_gains(ks, eps, delta):
             problems.append("observer.epsilon=%r and %s=%r give the observer "
                             "non-finite injection gains" % (eps, key, delta))
-    if not (type(sw["samples_per_delay"]) is int and sw["samples_per_delay"] >= 1):
+    samples = sw["samples_per_delay"]
+    if not (type(samples) is int and samples >= 1):
         problems.append("sweep.samples_per_delay must be an integer >= 1")
+    elif isinstance(delays, (list, tuple)) and len(delays) * samples > MAX_PAIRS:
+        problems.append("sweep.samples_per_delay=%d times %d sweep.delays exceeds %d "
+                        "(delay, sample) pairs" % (samples, len(delays), MAX_PAIRS))
     if not (isinstance(sw["sources"], (list, tuple)) and sw["sources"]
             and all(s in ("delayed", "predicted") for s in sw["sources"])
             and len(set(sw["sources"])) == len(sw["sources"])):
@@ -310,7 +317,7 @@ def validate(cfg: dict) -> list:
                         "['delayed', 'predicted'], without repeats")
     if type(cfg["seed"]) is not int:  # bool is an int subclass
         problems.append("seed must be an integer")
-    elif cfg["seed"] < 0:  # targets.derive_seed takes no negative entropy
+    elif cfg["seed"] < 0:  # targets.derive_seed refuses a negative master
         problems.append("seed must be >= 0, got %d" % cfg["seed"])
     dataset = cfg["airframe"]["dataset"]
     if not isinstance(dataset, str):

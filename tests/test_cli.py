@@ -145,6 +145,15 @@ class TestValidate:
                        "--set", "sweep.delays=[Infinity]") == 2
         assert "sweep.delays" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples, code", [
+        (1_000_000_000, 2), (cf.MAX_PAIRS // 8 + 1, 2), (cf.MAX_PAIRS // 8, 0)])
+    def test_sweep_pair_cap(self, capsys, samples, code):
+        # the default sweep has 8 delays; validate flies nothing
+        assert run_cli("validate", "--set", "sweep.samples_per_delay=%d" % samples) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "sweep.samples_per_delay" in err and "sweep.delays" in err, err
+
     @pytest.mark.parametrize("jobs", ["0", "-4", "two"])
     def test_jobs_below_one_is_a_usage_error(self, capsys, tmp_path, jobs):
         with pytest.raises(SystemExit) as exc:
@@ -649,9 +658,10 @@ class TestSweep:
 
 
 class TestFootprint:
-    """No command loads ``numpy.random``: the weave phase is drawn with
-    Python integers.  Each command runs in a fresh interpreter, since the
-    test process itself imports ``numpy.random``."""
+    """No command loads ``numpy.random`` or OpenSSL's ``_hashlib`` (3.6 MB
+    of resident memory): the weave phase is drawn with ``random.Random``.
+    Each command runs in a fresh interpreter, since the test process itself
+    imports both."""
 
     @pytest.mark.parametrize("argv", [
         ["run", "--set", "target.kind=weaving", "--set", "engagement.max_time=0.05"],
@@ -660,7 +670,8 @@ class TestFootprint:
     ], ids=["run", "sweep"])
     def test_no_numpy_random(self, tmp_path, argv):
         script = ("import sys\nfrom pgsim import cli\ncode = cli.main(sys.argv[1:])\n"
-                  "assert 'numpy.random' not in sys.modules\nsys.exit(code)\n")
+                  "assert 'numpy.random' not in sys.modules\n"
+                  "assert '_hashlib' not in sys.modules\nsys.exit(code)\n")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path)],
                               env=env, capture_output=True, text=True, timeout=300)

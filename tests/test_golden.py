@@ -22,11 +22,11 @@ from pgsim import montecarlo as mc
 REDUCED_SWEEP = ["--set", "sweep.delays=[0.025, 0.35]",
                  "--set", "sweep.samples_per_delay=2"]
 
-DEFAULT_SWEEP_RUNS_CSV = "41c5c775abc67eadbb43f9c27c0f5266f32b74a70e76c77a66e97b8fd2cf269c"
+DEFAULT_SWEEP_RUNS_CSV = "fcfa3931f00f146c28f18d9e16ae6cd4e78508aa4d40558f7771a96a14ef30c6"
 
 SWEEP_HASHES = {
-    "sweep_runs.csv": "ba75887a27c5071801b075ab420e3b2f7433301f7f6033089403e0bba7fea78d",
-    "sweep_summary.json": "fe5d06f8e4b813b09509c36bbb542a3999f9d11a24418f496c638b25faba92fc",
+    "sweep_runs.csv": "f211cb394315c49197ffffb2c4613668c361713f09d25bf509da1fdf4b0c2792",
+    "sweep_summary.json": "a0da15a79e0923248f373049360b570076361507340b11d659515a92e9e52b1b",
 }
 
 CASES = {
@@ -37,16 +37,16 @@ CASES = {
     "run-weave-predicted": (["run", "--set", "seeker.lag_time_constant=0.2",
                              "--set", "guidance.source=predicted",
                              "--set", "target.kind=weaving"], {
-        "engagement.csv": "5a5129b6d23de79a0a7778ff39aebbc8aeb1549ab73883808d767304d0607e01",
-        "metrics.json": "e3cb824c4b374144f4e4d9021987877198d7a8f6240cf003073f74c459ef640e",
+        "engagement.csv": "1986cc271b8de436326ec4a3ab21f33e62ef28fb215bbed3ef0072aeef63f032",
+        "metrics.json": "f16aac3bb6968f43c79f5fefadb5d3711980c0ffe9393e905985e116c9d09c2d",
     }),
     # a warm-up off the step grid: guidance hands over at t = 2.001
     "run-weave-predicted-offgrid": (["run", "--set", "seeker.lag_time_constant=0.2",
                                      "--set", "guidance.source=predicted",
                                      "--set", "target.kind=weaving",
                                      "--set", "guidance.warmup=2.0005"], {
-        "engagement.csv": "0585ecbdbc210634b2b8709609ec5e419574b6d56d722657ddf61f23bbd05ffd",
-        "metrics.json": "b34ba7f4084c46961cebb55ea4ebf362b0035c8383825fe364311de7e150f53a",
+        "engagement.csv": "a20cea59223024bff412a0393af7b10af8ef4e4eefd16d33122dd776a080fb6c",
+        "metrics.json": "6ea99c9dfeb7eba85c65ce40a934c4a525cd6a5ecfbcc8341fbfeca4948f335a",
     }),
     # a step off the thrust table's grid: the stage times fall between
     # breakpoints, and burnout (6.6 s) falls inside a step
