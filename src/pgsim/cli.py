@@ -20,6 +20,9 @@ from . import montecarlo as mc
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
+# the most sweep workers --jobs accepts: each worker is a forked copy of
+# the parent, and workers beyond the host's CPUs only add processes
+MAX_JOBS = 256
 
 
 def _parse_set(pairs):
@@ -37,8 +40,8 @@ def _worker_count(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("need at least 1 worker, got %d" % value)
+    if not 1 <= value <= MAX_JOBS:
+        raise argparse.ArgumentTypeError("need 1 to %d workers, got %d" % (MAX_JOBS, value))
     return value
 
 
@@ -71,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", type=Path, default=Path("."),
                            help="output directory")
         if name == "sweep":
-            p.add_argument("--jobs", type=_worker_count, default=_usable_cpus(),
-                           help="worker processes (at least 1)")
+            p.add_argument("--jobs", type=_worker_count, default=min(_usable_cpus(), MAX_JOBS),
+                           help="worker processes (1 to %d)" % MAX_JOBS)
     return parser
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "run_engagement",
     "miss_distance",
     "los_rmse",
-    "commanded_accel_stats",
     "compute_metrics",
 ]
 
@@ -526,23 +525,15 @@ def los_rmse(predicted_series, reference_series, delta: float, dt: float,
     return float(math.sqrt(np.mean(np.mean(err ** 2, axis=0))))
 
 
-def commanded_accel_stats(record: EngagementRecord) -> dict:
-    """Peak acceleration demand and the time integral of fin travel."""
-    if len(record) == 0:
-        raise ValueError("empty engagement record")
-    s = record.series
-    mag = np.hypot(s["acc_cmd_p"], s["acc_cmd_y"])
-    defl = np.abs(s["defl_p"]) + np.abs(s["defl_y"])
-    integral = float(np.trapezoid(defl, s["t"])) if len(record) > 1 else 0.0
-    return {"peak": float(np.max(mag)), "integral_abs_deflection": integral}
-
-
 def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> dict:
     """Engagement-level metrics, as the ``metrics`` block of
     ``metrics.json`` holds them; an RMSE entry is NaN when its window
     holds fewer than 100 aligned samples.  The windowed RMSEs start at
     the first recorded step with ``t >= guidance.warmup``, where guidance
-    takes the prediction.
+    takes the prediction.  ``peak_accel_cmd`` is the largest commanded
+    acceleration magnitude and ``integrated_abs_deflection`` the time
+    integral of ``|defl_p| + |defl_y|``, 0 for a one-row record; an
+    empty record raises ``ValueError``.
     """
     s = record.series
     dt = config.dt
@@ -557,13 +548,13 @@ def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> dict:
             return math.nan
         return los_rmse(series, true_series, shift * dt, dt, start)
 
-    stats = commanded_accel_stats(record)
     return {
         "rmse_delayed": rmse(del_series, handoff),
         "rmse_predicted": rmse(pred_series, handoff),
         "rmse_delayed_full": rmse(del_series, 0),
         "rmse_predicted_full": rmse(pred_series, 0),
         "miss_distance": record.miss_distance,
-        "peak_accel_cmd": stats["peak"],
-        "integrated_abs_deflection": stats["integral_abs_deflection"],
+        "peak_accel_cmd": float(np.max(np.hypot(s["acc_cmd_p"], s["acc_cmd_y"]))),
+        "integrated_abs_deflection": float(np.trapezoid(np.abs(s["defl_p"]) + np.abs(s["defl_y"]),
+                                                        s["t"])),
     }

@@ -154,8 +154,8 @@ class TestValidate:
         if code:
             assert "sweep.samples_per_delay" in err and "sweep.delays" in err, err
 
-    @pytest.mark.parametrize("jobs", ["0", "-4", "two"])
-    def test_jobs_below_one_is_a_usage_error(self, capsys, tmp_path, jobs):
+    @pytest.mark.parametrize("jobs", ["0", "-4", "two", str(cli.MAX_JOBS + 1)])
+    def test_jobs_out_of_range_is_a_usage_error(self, capsys, tmp_path, jobs):
         with pytest.raises(SystemExit) as exc:
             run_cli("sweep", "--out", str(tmp_path), "--jobs", jobs)
         assert exc.value.code == 2
@@ -344,6 +344,13 @@ class TestOptions:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert cli.build_parser().parse_args(["sweep"]).jobs == 1
+
+    def test_jobs_default_at_most_max_jobs(self, monkeypatch):
+        # a host with more CPUs than MAX_JOBS defaults to MAX_JOBS workers
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cli.MAX_JOBS + 1)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cli.MAX_JOBS + 1)
+        assert cli.build_parser().parse_args(["sweep"]).jobs == cli.MAX_JOBS
 
     def test_run_out_and_seed(self, capsys, tmp_path):
         assert run_cli("run", "--out", str(tmp_path), "--seed", "7", *FAST) == 0

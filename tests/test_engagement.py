@@ -85,6 +85,13 @@ def synthetic_record(ts, missile_pos, missile_vel, target_pos, target_vel):
         termination_reason="closest_approach", source_switch_time=None)
 
 
+def still_record(ts):
+    """A synthetic record of a still missile and target 1 km apart."""
+    def still(t):
+        return (0.0, 0.0, 0.0)
+    return synthetic_record(ts, still, still, lambda t: (1000.0, 0.0, 0.0), still)
+
+
 class TestLosRmse:
     def test_perfect_prediction_is_zero(self):
         s = np.sin(np.arange(200) * 0.01)
@@ -559,11 +566,30 @@ class TestMetricsAndCsv:
         assert m["integrated_abs_deflection"] > 0.0
 
     def test_peak_matches_series(self, predicted_run):
-        record, _ = predicted_run
+        record, cfg = predicted_run
         s = record.series
-        stats = en.commanded_accel_stats(record)
         want = float(np.max(np.hypot(s["acc_cmd_p"], s["acc_cmd_y"])))
-        assert stats["peak"] == want
+        assert en.compute_metrics(record, cfg)["peak_accel_cmd"] == want
+
+    def test_integrated_deflection_closed_form(self):
+        # defl_p = k t is linear, so the trapezoid is exact: k T^2 / 2;
+        # a constant defl_y = -c adds c T
+        k, c, big_t = 0.3, 0.05, 2.0
+        ts = np.linspace(0.0, big_t, 401)
+        record = still_record(ts)
+        record.series["defl_p"] = k * ts
+        record.series["defl_y"] = np.full_like(ts, -c)
+        got = en.compute_metrics(record, engagement_config())["integrated_abs_deflection"]
+        assert got == pytest.approx(k * big_t ** 2 / 2 + c * big_t, rel=1e-12)
+
+    def test_one_row_record_metrics(self):
+        record = still_record([0.0])
+        record.series["acc_cmd_p"] = np.array([-3.0])
+        record.series["acc_cmd_y"] = np.array([4.0])
+        record.series["defl_p"] = np.array([0.2])
+        m = en.compute_metrics(record, engagement_config())
+        assert m["peak_accel_cmd"] == 5.0
+        assert m["integrated_abs_deflection"] == 0.0
 
     def test_csv_round_trip(self, true_run, tmp_path):
         record, _ = true_run
