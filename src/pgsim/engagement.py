@@ -51,6 +51,8 @@ _BOOST_ROW = struct.Struct("7d")
 # rows are 48 KiB, within the 64 KiB a Linux pipe holds by default, so a
 # writer that keeps up never blocks the loop
 STREAM_CHUNK_ROWS = 256
+# the observer state of a run that no later step reads
+_UNREAD_OBSERVER = (math.nan,) * 8
 
 # a failed run: its miss is no data point
 FAILURES = ("observer_divergence", "vehicle_divergence", "altitude_ceiling")
@@ -218,7 +220,7 @@ class CsvStream:
 
 
 def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
-                   on_rows=None) -> EngagementRecord:
+                   on_rows=None, record_prediction: bool = True) -> EngagementRecord:
     """Simulate one engagement to termination.
 
     Never raises for in-flight failures: they terminate the record with
@@ -236,6 +238,15 @@ def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
     Given ``on_rows``, the loop hands it each row as it packs it, as
     bytes of ``len(CSV_COLUMNS) + 6`` doubles.  A resumed run's prefix
     rows come first, in one call.
+
+    With ``record_prediction=False`` the observer steps only while a
+    later step can read it: throughout for the predicted source, until
+    the run takes its warm-up state (the state a resumed predicted run
+    starts from) for the delayed one, and never for the true one.  After
+    that its state is NaN, so ``lam_pred_p/y`` read NaN from the next row
+    and the run cannot end in ``observer_divergence``; every other
+    column and outcome field is the default run's.  A sweep run records
+    no prediction, and no file holds its prediction columns.
     """
     dt = config.dt
     n_max = int(round(config.max_time / dt))
@@ -252,6 +263,11 @@ def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
     # first with t >= warm_t, where select_source hands over
     warm_t = guid.warmup if guid.source != "true" else math.inf
     warm = resume  # the loop state at the start of that step
+    # unless the prediction is recorded, only the predicted source's
+    # guidance reads the observer: a delayed run hands it on to that
+    # source in its warm-up state, and a true run takes none
+    observe_all = record_prediction or guid.source == "predicted"
+    observe_to_warm = warm_t < math.inf
 
     if resume is None:
         tx, ty, _, _ = tg.target_state(0.0, target, tvx, tvy)
@@ -341,14 +357,18 @@ def run_engagement(config: EngagementConfig, resume: WarmupState | None = None,
             termination = "timeout"
             break
 
-        # advance observer (ZOH on the delayed signal) and the airframe
-        obs_p = ob.rk4_step8(obs_p, delayed[0], obs_map)
-        obs_y = ob.rk4_step8(obs_y, delayed[1], obs_map)
-        # a non-finite state or map entry reaches x12 within two steps
-        if not (math.isfinite(obs_p[4]) and math.isfinite(obs_y[4])):
-            termination = "observer_divergence"
-            diagnostic = "observer state non-finite at t=%g" % t
-            break
+        # advance the observer (ZOH on the delayed signal) while a later
+        # step can read it, and the airframe
+        if observe_all or warm is None and observe_to_warm:
+            obs_p = ob.rk4_step8(obs_p, delayed[0], obs_map)
+            obs_y = ob.rk4_step8(obs_y, delayed[1], obs_map)
+            # a non-finite state or map entry reaches x12 within two steps
+            if not (math.isfinite(obs_p[4]) and math.isfinite(obs_y[4])):
+                termination = "observer_divergence"
+                diagnostic = "observer state non-finite at t=%g" % t
+                break
+        else:
+            obs_p = obs_y = _UNREAD_OBSERVER
         try:
             vehicle = _vehicle_rk4(vehicle, (defl_p, defl_y), frame, next(burn, coast), dt)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -533,7 +553,10 @@ def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> dict:
     takes the prediction.  ``peak_accel_cmd`` is the largest commanded
     acceleration magnitude and ``integrated_abs_deflection`` the time
     integral of ``|defl_p| + |defl_y|``, 0 for a one-row record; an
-    empty record raises ``ValueError``.
+    empty record raises ``ValueError``.  A run without a recorded
+    prediction (``run_engagement(..., record_prediction=False)``) has
+    NaN prediction columns after its warm-up state, so its
+    ``rmse_predicted*`` read NaN; a sweep writes none of them.
     """
     s = record.series
     dt = config.dt

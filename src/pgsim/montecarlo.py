@@ -4,8 +4,12 @@ Every (delay, sample) pair gets one target phase, shared by the
 corrected and uncorrected runs so the comparison is paired.  One work
 item flies a pair: the warm-up, through which both sources feed guidance
 the delayed rate, is flown once, and each source's run goes on from the
-handoff step.  Seeding is keyed by (master seed, sample index), which
-makes the summary independent of execution order and worker count.
+handoff step.  A sweep reads only each run's miss, termination,
+acceleration peak and the RMSE of its own source, so no run records the
+prediction: a delayed run stops stepping the observer at the handoff
+step and its ``rmse_predicted*`` read NaN, which no output holds.
+Seeding is keyed by (master seed, sample index), which makes the summary
+independent of execution order and worker count.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ def _execute_item(args):
     warm = None
     for i, source in enumerate(sweep.sources):
         cfg = pair.with_source(source)
-        record = en.run_engagement(cfg, warm)
+        record = en.run_engagement(cfg, warm, record_prediction=False)
         warm = None  # the prefix copy is not held through the metrics
         metrics = en.compute_metrics(record, cfg)
         results.append(RunResult(

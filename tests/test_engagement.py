@@ -455,23 +455,26 @@ class TestWarmupResume:
         of one warm-up share everything but the source."""
         bases, cache = {}, {}
 
-        def run(warmup, max_time, source):
+        def run(warmup, max_time, source, record_prediction=True):
             key = (warmup, max_time)
             if key not in bases:
                 bases[key] = engagement_config({**self.LAGGED, "guidance.warmup": warmup,
                                                 "engagement.max_time": max_time})
-            if key + (source,) not in cache:
+            case = key + (source, record_prediction)
+            if case not in cache:
                 cfg = bases[key].with_source(source)
-                cache[key + (source,)] = cfg, en.run_engagement(cfg)
-            return cache[key + (source,)]
+                cache[case] = cfg, en.run_engagement(cfg, record_prediction=record_prediction)
+            return cache[case]
         return run
 
+    @pytest.mark.parametrize("record_prediction", [True, False])
     @pytest.mark.parametrize("warmup, max_time", WARMUPS)
     @pytest.mark.parametrize("first, second", [("delayed", "predicted"),
                                                ("predicted", "delayed")])
-    def test_resumed_run_is_independent_run(self, runs, warmup, max_time, first, second):
-        _, first_record = runs(warmup, max_time, first)
-        cfg, independent = runs(warmup, max_time, second)
+    def test_resumed_run_is_independent_run(self, runs, warmup, max_time, first, second,
+                                            record_prediction):
+        _, first_record = runs(warmup, max_time, first, record_prediction)
+        cfg, independent = runs(warmup, max_time, second, record_prediction)
         state = first_record.warmup
         if warmup > max_time:
             # a run that times out before the handoff leaves no state,
@@ -486,10 +489,62 @@ class TestWarmupResume:
         for r in first_record.series["range"][:state.step].tolist():
             range_min, rising = (range_min, rising + 1) if r > range_min else (r, 0)
         assert (state.range_min, state.rising) == (range_min, rising)
-        resumed = en.run_engagement(cfg, state.detached())
+        resumed = en.run_engagement(cfg, state.detached(), record_prediction=record_prediction)
         assert_same_record(resumed, independent)
         assert resumed.termination_reason == ("timeout" if warmup >= max_time
                                               else "closest_approach")
+
+    def test_unread_prediction_is_not_stepped(self, runs, monkeypatch):
+        # without a recorded prediction, a delayed run steps the observer
+        # only until its warm-up state is taken, and records NaN after it
+        full_cfg, full = runs(2.0, 60.0, "delayed")
+        real, calls = ob.rk4_step8, []
+
+        def counted(x, v, m):
+            calls.append(1)
+            return real(x, v, m)
+
+        monkeypatch.setattr(ob, "rk4_step8", counted)
+        lean = en.run_engagement(full_cfg, record_prediction=False)
+        step = full.warmup.step
+        assert len(calls) == 2 * step
+        for c in en.CSV_COLUMNS:
+            if c in ("lam_pred_p", "lam_pred_y"):
+                assert lean.series[c][:step + 1].tobytes() == full.series[c][:step + 1].tobytes()
+                assert np.isnan(lean.series[c][step + 1:]).all(), c
+            else:
+                assert lean.series[c].tobytes() == full.series[c].tobytes(), c
+        assert_same_record(dataclasses.replace(lean, series=full.series), full)
+        assert (lean.warmup.step, lean.warmup.obs_p, lean.warmup.obs_y) == (
+            step, full.warmup.obs_p, full.warmup.obs_y)
+        # the predicted source reads the observer throughout
+        pred_cfg, pred = runs(2.0, 60.0, "predicted")
+        assert_same_record(en.run_engagement(pred_cfg, record_prediction=False), pred)
+        # the true source reads it never
+        calls.clear()
+        true = en.run_engagement(full_cfg.with_source("true"), record_prediction=False)
+        assert calls == []
+        assert true.termination_reason == "closest_approach"
+
+    def test_unread_observer_cannot_end_flight(self):
+        # epsilon 1e-4 makes the observer blow up within 0.13 s;
+        # replace bypasses the validation that would refuse it
+        cfg = engagement_config({**self.LAGGED, "guidance.source": "delayed",
+                                 "guidance.warmup": 0.0})
+        bad = dataclasses.replace(cfg, observer=dataclasses.replace(cfg.observer,
+                                                                    epsilon=1e-4))
+        diverged = en.run_engagement(bad)
+        assert diverged.termination_reason == "observer_divergence"
+        assert diverged.diagnostic == "observer state non-finite at t=0.121"
+        assert len(diverged) == 122
+        lean = en.run_engagement(bad, record_prediction=False)
+        stable = en.run_engagement(cfg)
+        assert lean.termination_reason == "closest_approach"
+        for c in en.CSV_COLUMNS:
+            if c not in ("lam_pred_p", "lam_pred_y"):
+                assert lean.series[c].tobytes() == stable.series[c].tobytes(), c
+        assert np.isnan(lean.series["lam_pred_p"][1:]).all()
+        assert_same_record(dataclasses.replace(lean, series=stable.series), stable)
 
     def test_resumed_rows_handed_off_from_row_zero(self, runs):
         _, first_record = runs(2.0, 60.0, "delayed")
