@@ -85,7 +85,7 @@ def _resolve(args) -> dict:
         with open(args.config) as fh:
             try:
                 file_cfg = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8 text
+            except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
                 raise cf.ConfigError(["%s is not valid JSON: %s" % (args.config, exc)]) from None
         if not isinstance(file_cfg, dict):
             raise cf.ConfigError(["%s must hold a JSON object" % args.config])
@@ -158,9 +158,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _resolve(args)
-    problems = cf.validate(cfg)
-    if problems:
-        raise cf.ConfigError(problems)
+    cf.build_setup(cfg)
     print(json.dumps(cfg, indent=2))
     return EXIT_OK
 

@@ -3,7 +3,10 @@
 A run is described by one nested JSON document.  Defaults live here,
 a config file overlays them, and dotted-key overrides overlay the file.
 Validation is collected: every violation is reported, not just the
-first.
+first.  :func:`resolve` reports every unknown key of the file and the
+overrides, :func:`validate` every bad value in the document (it reads no
+file), and :func:`build_setup` adds an airframe dataset that cannot be
+loaded after them.
 """
 
 from __future__ import annotations
@@ -97,7 +100,6 @@ MAX_STEPS = 10_000_000
 # the most (delay, sample) pairs one sweep may ask for: run_sweep holds every
 # pair's work item and two results (about 0.85 KB) until it ends, 0.85 GB here
 MAX_PAIRS = 1_000_000
-KNOWN_KEYS = frozenset(_FLAT_DEFAULTS)
 # classical RK4's stability region holds the closed left half-disk of this
 # radius (its boundary comes within 2.6156 of the origin)
 RK4_STABLE_RADIUS = 2.61
@@ -107,15 +109,17 @@ def apply_override(cfg: dict, dotted_key: str, raw_value: str) -> None:
     """Set one dotted key from its string form; unknown keys are errors.
 
     The value is parsed as JSON, falling back to the raw string, so bare
-    words like ``predicted`` need no quotes.  For a key whose default is
-    a string, a JSON ``true``/``false``/``null`` stays the raw string:
+    words like ``predicted`` need no quotes; JSON nested too deep, or an
+    integer of too many digits, stays a string for :func:`validate` to
+    refuse.  For a key whose default is a string, a JSON
+    ``true``/``false``/``null`` stays the raw string:
     ``guidance.source=true`` names the true-rate source.
     """
-    if dotted_key not in KNOWN_KEYS:
+    if dotted_key not in _FLAT_DEFAULTS:
         raise ConfigError(["unknown config key: %s" % dotted_key])
     try:
         value = json.loads(raw_value)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         value = raw_value  # bare strings like "predicted"
     if (value is None or isinstance(value, bool)) \
             and isinstance(_FLAT_DEFAULTS[dotted_key], str):
@@ -155,10 +159,13 @@ def resolve(file_cfg: dict | None = None, overrides=()) -> dict:
     """Defaults overlaid with a config document and dotted overrides."""
     cfg = _fresh(DEFAULTS)
     problems = _merge(cfg, file_cfg or {})
+    for key, value in overrides:
+        try:
+            apply_override(cfg, key, value)
+        except ConfigError as exc:
+            problems += exc.problems
     if problems:
         raise ConfigError(problems)
-    for key, value in overrides:
-        apply_override(cfg, key, value)
     return cfg
 
 
@@ -205,27 +212,11 @@ def _rk4_stable(ks, h: float) -> bool:
     return bool(np.all(amp < 1.0))
 
 
-class _Problems(list):
-    """The violations :func:`validate` found, one message each.
-    ``airframe`` is the :func:`_airframe` of a file ``airframe.dataset``
-    that checking it loaded, so that :func:`build_setup` loads it once;
-    None if the check loaded none."""
-
-    airframe = None
-
-
-def _airframe(dataset: str, trim: bool) -> tuple:
-    """(frame, gain): the airframe of ``dataset``, ``"builtin"`` or a
-    file path, and the autopilot gain trimmed from it if ``trim``, else
-    None."""
-    frame = af.load_airframe(None if dataset == "builtin" else dataset)
-    return frame, gd.trim_deflection_gain(frame) if trim else None
-
-
 def validate(cfg: dict) -> list:
     """All violations in the resolved config; empty list means valid.
-    The list's ``airframe`` holds what checking a file dataset loaded."""
-    problems = _Problems()
+    Reads no file: :func:`build_setup` checks an airframe dataset as it
+    loads it."""
+    problems = []
     ks = [_num(cfg, "observer." + k, problems) for k in ("k1", "k2", "k3", "k4")]
     gains_ok = None not in ks and ob.validate_gains(*ks)
     if None not in ks and not gains_ok:
@@ -319,22 +310,24 @@ def validate(cfg: dict) -> list:
         problems.append("seed must be an integer")
     elif cfg["seed"] < 0:  # targets.derive_seed refuses a negative master
         problems.append("seed must be >= 0, got %d" % cfg["seed"])
-    dataset = cfg["airframe"]["dataset"]
-    if not isinstance(dataset, str):
+    if not isinstance(cfg["airframe"]["dataset"], str):
         problems.append("invalid value for airframe.dataset: %r (expected 'builtin' "
-                        "or a file path)" % (dataset,))
-    elif dataset != "builtin":
-        try:
-            problems.airframe = _airframe(dataset, cfg["autopilot"]["gain"] == "auto")
-        except (OSError, ValueError) as exc:
-            problems.append("invalid value for airframe.dataset: %r (%s)" % (dataset, exc))
+                        "or a file path)" % (cfg["airframe"]["dataset"],))
     return problems
 
 
 def build_setup(cfg: dict) -> dict:
     """The fields of :class:`pgsim.engagement.EngagementConfig` from a
-    config document; raises :class:`ConfigError` if it is invalid."""
+    config document; raises :class:`ConfigError` if it is invalid.  The
+    one loader of the airframe dataset, which is checked as it loads."""
     problems = validate(cfg)
+    dataset, ap = cfg["airframe"]["dataset"], cfg["autopilot"]
+    if isinstance(dataset, str):
+        try:
+            frame = af.load_airframe(None if dataset == "builtin" else dataset)
+            trim = gd.trim_deflection_gain(frame) if ap["gain"] == "auto" else None
+        except (OSError, ValueError) as exc:
+            problems.append("invalid value for airframe.dataset: %r (%s)" % (dataset, exc))
     if problems:
         raise ConfigError(problems)
     lag = float(cfg["seeker"]["lag_time_constant"])
@@ -342,9 +335,6 @@ def build_setup(cfg: dict) -> dict:
     delta = lag if o["delta"] == "auto" else float(o["delta"])
     obs_cfg = ob.ObserverConfig(
         *(float(o[k]) for k in ("k1", "k2", "k3", "k4", "epsilon")), delta=delta)
-    ap = cfg["autopilot"]
-    frame, trim = problems.airframe or _airframe(cfg["airframe"]["dataset"],
-                                                 ap["gain"] == "auto")
     gain = trim if ap["gain"] == "auto" else float(ap["gain"])
     t = cfg["target"]
     phase = (tg.sample_phase(tg.derive_seed(int(cfg["seed"]), 0))

@@ -114,6 +114,33 @@ class TestValidate:
         assert run_cli("validate", "--set", "epsilon") == 2
         assert "KEY=VALUE" in capsys.readouterr().err
 
+    def test_every_unknown_key_reported(self, capsys, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"observer": {"bandwidth": 1.0}}')
+        assert run_cli("validate", "--config", str(p), "--set", "a.b=1", "--set", "c.d=2") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: unknown config key: %s" % key
+            for key in ("observer.bandwidth", "a.b", "c.d")]
+
+    @pytest.mark.parametrize("where", ["config", "set"])
+    def test_json_nested_too_deep_exits_2(self, capsys, tmp_path, where):
+        deep = "[" * 100_000
+        if where == "config":
+            p = tmp_path / "deep.json"
+            p.write_text(deep)
+            argv, message = ["--config", str(p)], "%s is not valid JSON" % p
+        else:
+            argv, message = ["--set", "seed=" + deep], "seed must be an integer"
+        assert run_cli("validate", *argv) == 2
+        assert capsys.readouterr().err.startswith("config error: " + message)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no limit on the digits of an int parsed from text")
+    def test_integer_of_too_many_digits_exits_2(self, capsys):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        assert run_cli("validate", "--set", "seed=" + digits) == 2
+        assert capsys.readouterr().err == "config error: seed must be an integer\n"
+
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         assert run_cli("validate", "--config", str(tmp_path / "nope.json")) == 2
         assert "error" in capsys.readouterr().err
@@ -231,6 +258,18 @@ class TestInputFiles:
     def test_config_directory_exits_2(self, capsys, tmp_path):
         assert run_cli("validate", "--config", str(tmp_path)) == 2
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_dataset_reported_after_document(self, capsys, tmp_path, command):
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        missing = str(tmp_path / "missing.txt")
+        assert run_cli(command, *out, "--set", "airframe.dataset=%s" % missing,
+                       "--set", "target.speed=0") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("config error: invalid value for target.speed: 0")
+        assert lines[1].startswith("config error: invalid value for airframe.dataset: %r (" % missing)
+        assert not (tmp_path / "metrics.json").exists()
 
     @pytest.mark.parametrize("dataset, gain, trims", [
         ("file", "auto", 1), ("file", "0.002", 0), ("builtin", "auto", 1),

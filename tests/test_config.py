@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from pgsim import airframe as af
 from pgsim import config as cf
 from pgsim import engagement as en
 from pgsim import montecarlo as mc
@@ -62,6 +63,15 @@ class TestApplyOverride:
 
 
 class TestValidate:
+    def test_reads_no_dataset(self, monkeypatch, tmp_path):
+        def load_airframe(path=None):
+            raise OSError("validate opened %s" % path)
+
+        monkeypatch.setattr(af, "load_airframe", load_airframe)
+        cfg = cf.resolve()
+        cfg["airframe"]["dataset"] = str(tmp_path / "airframe.txt")
+        assert cf.validate(cfg) == []
+
     def test_collects_all_violations(self):
         cfg = cf.resolve()
         cfg["guidance"]["nav_ratio"] = -1
