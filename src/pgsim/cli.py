@@ -25,16 +25,6 @@ EXIT_DIVERGENCE = 3
 MAX_JOBS = 256
 
 
-def _parse_set(pairs):
-    out = []
-    for p in pairs:
-        if "=" not in p:
-            raise cf.ConfigError(["--set expects KEY=VALUE, got %r" % p])
-        key, value = p.split("=", 1)
-        out.append((key.strip(), value.strip()))
-    return out
-
-
 def _worker_count(text: str) -> int:
     try:
         value = int(text)
@@ -89,10 +79,8 @@ def _resolve(args) -> dict:
                 raise cf.ConfigError(["%s is not valid JSON: %s" % (args.config, exc)]) from None
         if not isinstance(file_cfg, dict):
             raise cf.ConfigError(["%s must hold a JSON object" % args.config])
-    cfg = cf.resolve(file_cfg, _parse_set(args.set))
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    return cfg
+    seed = [] if args.seed is None else ["seed=%d" % args.seed]
+    return cf.resolve(file_cfg, args.set + seed)
 
 
 def _fly_writing_csv(eng: en.EngagementConfig, path: Path) -> en.EngagementRecord:

@@ -3,10 +3,10 @@
 A run is described by one nested JSON document.  Defaults live here,
 a config file overlays them, and dotted-key overrides overlay the file.
 Validation is collected: every violation is reported, not just the
-first.  :func:`resolve` reports every unknown key of the file and the
-overrides, :func:`validate` every bad value in the document (it reads no
-file), and :func:`build_setup` adds an airframe dataset that cannot be
-loaded after them.
+first.  :func:`resolve` reports a malformed override and every unknown
+key together with :func:`validate`'s bad values (it reads no file);
+:func:`build_setup` then adds an airframe dataset that cannot be loaded,
+so a dataset is checked only once every key is known.
 """
 
 from __future__ import annotations
@@ -156,16 +156,23 @@ def _fresh(node):
 
 
 def resolve(file_cfg: dict | None = None, overrides=()) -> dict:
-    """Defaults overlaid with a config document and dotted overrides."""
+    """Defaults overlaid with a config document, then with each
+    ``KEY=VALUE`` of ``overrides`` in order, so a later one wins.  A
+    malformed override and every unknown key raise one :class:`ConfigError`,
+    with :func:`validate`'s problems for what the rest resolves to."""
     cfg = _fresh(DEFAULTS)
     problems = _merge(cfg, file_cfg or {})
-    for key, value in overrides:
+    for text in overrides:
+        key, eq, value = text.partition("=")
+        if not (eq and key.strip()):
+            problems.append("--set expects KEY=VALUE, got %r" % text)
+            continue
         try:
-            apply_override(cfg, key, value)
+            apply_override(cfg, key.strip(), value.strip())
         except ConfigError as exc:
             problems += exc.problems
     if problems:
-        raise ConfigError(problems)
+        raise ConfigError(problems + validate(cfg))
     return cfg
 
 

@@ -122,6 +122,21 @@ class TestValidate:
             "config error: unknown config key: %s" % key
             for key in ("observer.bandwidth", "a.b", "c.d")]
 
+    def test_malformed_set_with_other_problems(self, capsys):
+        assert run_cli("validate", "--set", "epsilon", "--set", "a.b=1", "--set", "=5",
+                       "--set", "target.speed=0") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: --set expects KEY=VALUE, got 'epsilon'",
+            "config error: unknown config key: a.b",
+            "config error: --set expects KEY=VALUE, got '=5'",
+            "config error: invalid value for target.speed: 0 (must be > 0)"]
+
+    def test_unknown_key_with_invalid_value(self, capsys):
+        assert run_cli("validate", "--set", "a.b=1", "--set", "target.speed=0") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: unknown config key: a.b",
+            "config error: invalid value for target.speed: 0 (must be > 0)"]
+
     @pytest.mark.parametrize("where", ["config", "set"])
     def test_json_nested_too_deep_exits_2(self, capsys, tmp_path, where):
         deep = "[" * 100_000
@@ -410,6 +425,16 @@ class TestSeedPrecedence:
     def test_config_without_env(self, capsys):
         assert run_cli("validate", "--set", "seed=31") == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 31
+
+    def test_flag_wins_over_set_and_file(self, capsys, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"seed": 5}')
+        argv = ["--config", str(p), "--set", "seed=6", "--seed", "7"]
+        assert run_cli("validate", *argv) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 7
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), *argv, *FAST) == 0
+        assert strict_json(out / "metrics.json")["config"]["seed"] == 7
 
 
 class TestRun:
