@@ -29,6 +29,7 @@ __all__ = [
     "WarmupState",
     "run_engagement",
     "miss_distance",
+    "closest_approach",
     "los_rmse",
     "compute_metrics",
 ]
@@ -53,6 +54,9 @@ _BOOST_ROW = struct.Struct("7d")
 STREAM_CHUNK_ROWS = 256
 # the observer state of a run that no later step reads
 _UNREAD_OBSERVER = (math.nan,) * 8
+
+# cells of [0, 1] on which closest_approach brackets the roots of d(r^2)/du
+_ROOT_GRID = 16
 
 # a failed run: its miss is no data point
 FAILURES = ("observer_divergence", "vehicle_divergence", "altitude_ceiling")
@@ -119,7 +123,7 @@ class EngagementRecord:
     """Per-step series plus the terminal outcome of one engagement."""
 
     series: dict                      # column name -> numpy array
-    missile_velocity: np.ndarray      # (n, 3), kept for refinement
+    missile_velocity: np.ndarray      # (n, 3), read by closest_approach
     target_velocity: np.ndarray       # (n, 3)
     miss_distance: float
     miss_time: float
@@ -494,11 +498,13 @@ def _vehicle_rk4(x: tuple, deflections: tuple, frame: af.Airframe,
 
 
 def miss_distance(record: EngagementRecord) -> tuple:
-    """Minimum missile-target separation with sub-step refinement.
+    """(miss, time): the vertex of the quadratic through the squared
+    range at the three samples around the discrete minimum, clamped at
+    0, or that sample at either end of the record.
 
-    Fits a quadratic to the squared range at the three samples around
-    the discrete minimum; squared range is exactly quadratic for locally
-    linear relative motion, so the vertex is the refined miss.
+    Squared range is exactly quadratic only for linear relative motion;
+    otherwise a negative vertex reads 0 m.  :func:`closest_approach`
+    gives the continuous miss.
     """
     if len(record) == 0:
         raise ValueError("empty engagement record")
@@ -519,6 +525,55 @@ def miss_distance(record: EngagementRecord) -> tuple:
     dt_star = -b / (2.0 * a)
     val = f1 + b * dt_star + a * dt_star * dt_star
     return math.sqrt(max(val, 0.0)), float(t1 + dt_star)
+
+
+def closest_approach(record: EngagementRecord) -> float:
+    """The least separation of the cubic Hermite relative trajectory
+    through the recorded relative positions and velocities, on the steps
+    either side of the discrete minimum (one step at either end of the
+    record): the least over the step ends and :func:`_step_minima`."""
+    n = len(record)
+    if n == 0:
+        raise ValueError("empty engagement record")
+    s = record.series
+    i = int(np.argmin(s["range"]))
+    lo, hi = max(i - 1, 0), min(i + 2, n)
+    ts = s["t"][lo:hi].tolist()
+    r = np.column_stack([s[c][lo:hi] - s[m][lo:hi]
+                         for c, m in (("tx", "mx"), ("ty", "my"), ("tz", "mz"))]).tolist()
+    w = (record.target_velocity[lo:hi] - record.missile_velocity[lo:hi]).tolist()
+    best = float(s["range"][i])
+    for k in range(len(ts) - 1):
+        h = ts[k + 1] - ts[k]
+        # per axis, p(u) = c0 + c1 u + c2 u^2 + c3 u^3 on u in [0, 1]
+        cs = [(r0, h * w0, 3.0 * (r1 - r0) - h * (2.0 * w0 + w1), 2.0 * (r0 - r1) + h * (w0 + w1))
+              for r0, r1, w0, w1 in zip(r[k], r[k + 1], w[k], w[k + 1])]
+        best = min([best, *_step_minima(cs)])
+    return best
+
+
+def _step_minima(cs) -> list:
+    """|p(u)| at each minimum of |p(u)|^2 within (0, 1), for the cubic
+    ``p`` with per-axis coefficients ``cs``.  Each is bracketed by a rise
+    of the quintic ``d|p|^2/du`` through 0 on a grid of
+    :data:`_ROOT_GRID` cells and bisected in floats, so no LAPACK call
+    decides the result."""
+    def slope(u):  # half of d|p|^2/du
+        return sum((c0 + u * (c1 + u * (c2 + u * c3))) * (c1 + u * (2.0 * c2 + u * 3.0 * c3))
+                   for c0, c1, c2, c3 in cs)
+
+    def norm(u):
+        return math.sqrt(sum((c0 + u * (c1 + u * (c2 + u * c3))) ** 2 for c0, c1, c2, c3 in cs))
+
+    grid = [j / _ROOT_GRID for j in range(_ROOT_GRID + 1)]
+    qs = [slope(u) for u in grid]
+    out = []
+    for a, b, qa, qb in zip(grid, grid[1:], qs, qs[1:]):
+        if qa < 0.0 <= qb:
+            while a < (mid := 0.5 * (a + b)) < b:
+                a, b = (mid, b) if slope(mid) < 0.0 else (a, mid)
+            out += [norm(a), norm(b)]
+    return out
 
 
 def los_rmse(predicted_series, reference_series, delta: float, dt: float,
@@ -550,7 +605,8 @@ def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> dict:
     ``metrics.json`` holds them; an RMSE entry is NaN when its window
     holds fewer than 100 aligned samples.  The windowed RMSEs start at
     the first recorded step with ``t >= guidance.warmup``, where guidance
-    takes the prediction.  ``peak_accel_cmd`` is the largest commanded
+    takes the prediction.  ``miss_continuous`` is
+    :func:`closest_approach`.  ``peak_accel_cmd`` is the largest commanded
     acceleration magnitude and ``integrated_abs_deflection`` the time
     integral of ``|defl_p| + |defl_y|``, 0 for a one-row record; an
     empty record raises ``ValueError``.  A run without a recorded
@@ -577,6 +633,7 @@ def compute_metrics(record: EngagementRecord, config: EngagementConfig) -> dict:
         "rmse_delayed_full": rmse(del_series, 0),
         "rmse_predicted_full": rmse(pred_series, 0),
         "miss_distance": record.miss_distance,
+        "miss_continuous": closest_approach(record),
         "peak_accel_cmd": float(np.max(np.hypot(s["acc_cmd_p"], s["acc_cmd_y"]))),
         "integrated_abs_deflection": float(np.trapezoid(np.abs(s["defl_p"]) + np.abs(s["defl_y"]),
                                                         s["t"])),

@@ -4,7 +4,7 @@ Every (delay, sample) pair gets one target phase, shared by the
 corrected and uncorrected runs so the comparison is paired.  One work
 item flies a pair: the warm-up, through which both sources feed guidance
 the delayed rate, is flown once, and each source's run goes on from the
-handoff step.  A sweep reads only each run's miss, termination,
+handoff step.  A sweep reads only each run's two misses, termination,
 acceleration peak and the RMSE of its own source, so no run records the
 prediction: a delayed run stops stepping the observer at the handoff
 step and its ``rmse_predicted*`` read NaN, which no output holds.
@@ -26,8 +26,8 @@ from . import targets as tg
 
 __all__ = ["SweepConfig", "RunResult", "SweepSummary", "run_sweep", "aggregate"]
 
-RUNS_CSV_COLUMNS = ("delay", "source", "sample", "seed", "miss", "rmse",
-                    "peak_accel", "termination")
+RUNS_CSV_COLUMNS = ("delay", "source", "sample", "seed", "miss", "miss_continuous",
+                    "rmse", "peak_accel", "termination")
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class RunResult:
     sample: int
     seed: int
     miss: float
+    miss_continuous: float
     rmse: float
     peak_accel: float
     termination: str
@@ -91,8 +92,8 @@ def _execute_item(args):
         metrics = en.compute_metrics(record, cfg)
         results.append(RunResult(
             delay=delay, source=source, sample=sample, seed=seed,
-            miss=record.miss_distance, rmse=metrics["rmse_predicted"]
-            if source == "predicted" else metrics["rmse_delayed"],
+            miss=record.miss_distance, miss_continuous=metrics["miss_continuous"],
+            rmse=metrics["rmse_predicted"] if source == "predicted" else metrics["rmse_delayed"],
             peak_accel=metrics["peak_accel_cmd"],
             termination=record.termination_reason,
         ))
@@ -169,9 +170,9 @@ def write_runs_csv(summary: SweepSummary, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(RUNS_CSV_COLUMNS) + "\n")
         for r in summary.runs:
-            fh.write("%s,%s,%d,%d,%s,%s,%s,%s\n" % (
-                repr(r.delay), r.source, r.sample, r.seed,
-                repr(r.miss), repr(r.rmse), repr(r.peak_accel), r.termination))
+            fh.write("%s,%s,%d,%d,%s,%s,%s,%s,%s\n" % (
+                repr(r.delay), r.source, r.sample, r.seed, repr(r.miss),
+                repr(r.miss_continuous), repr(r.rmse), repr(r.peak_accel), r.termination))
 
 
 def write_summary_json(summary: SweepSummary, path) -> None:

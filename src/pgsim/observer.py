@@ -8,7 +8,10 @@ to the signal and derivatives evaluated a fixed horizon ahead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ObserverConfig",
@@ -62,77 +65,78 @@ class ObserverConfig:
                 b4)
 
 
-def _offset_rhs(s, v: float, coeffs: tuple) -> tuple:
-    """Derivative of (x11, x21, x31, x41, d1, d2, d3, d4), where
-    ``d_i = x_i2 - x_i1``, for input sample ``v``.  Step two's gains
-    enter only as ``g_i - b_i``, which is exactly 0 at a zero horizon."""
-    x11, x21, x31, x41, d1, d2, d3, d4 = s
-    b1, b2, b3, b4, g1, g2, g3, g4 = coeffs
-    e = v - x11
-    return (x21 + b1 * e, x31 + b2 * e, x41 + b3 * e, b4 * e,
-            d2 + (g1 - b1) * e, d3 + (g2 - b2) * e, d4 + (g3 - b3) * e, (g4 - b4) * e)
+# the highest power of the exponential's series at a scaled norm <= 1/2,
+# where its remainder (1/2)^15 / 15! is below 2^-53
+_DEGREE = 14
 
 
-def _rk4_increment(s, v: float, dt: float, coeffs: tuple) -> list:
-    """Classical RK4 increment of :func:`_offset_rhs` over one step from
-    ``s``, with sample ``v`` held over the step."""
-    h2 = dt * 0.5
-    k1 = _offset_rhs(s, v, coeffs)
-    k2 = _offset_rhs([a + h2 * b for a, b in zip(s, k1)], v, coeffs)
-    k3 = _offset_rhs([a + h2 * b for a, b in zip(s, k2)], v, coeffs)
-    k4 = _offset_rhs([a + dt * b for a, b in zip(s, k3)], v, coeffs)
-    h6 = dt / 6.0
-    return [h6 * (p + 2.0 * (q + r) + w) for p, q, r, w in zip(k1, k2, k3, k4)]
+def _product(x, y):
+    """The matrix product of two square arrays, with each entry's
+    products summed in column order, so its bits depend on no BLAS
+    kernel."""
+    p = x[:, :1] * y[:1]
+    for k in range(1, len(y)):
+        p = p + x[:, k:k + 1] * y[k:k + 1]
+    return p
 
 
 def step_map(dt: float, coeffs: tuple) -> tuple:
-    """One classical RK4 step of the observer as a linear map, for
-    :func:`rk4_step8`.
+    """The exact step of the observer over ``dt`` with its input sample
+    held (zero-order hold) as a linear map, for :func:`rk4_step8`.
 
-    The observer is linear and time-invariant, so one RK4 step is a fixed
-    linear function of the tracking error ``e = v - x11``, the step-one
-    chain (x21, x31, x41) and the offsets ``d_i = x_i2 - x_i1``; it
-    returns the step-one increments and the offset increments.  Each
-    column is the RK4 increment of one unit input, computed in plain
-    floats, so the map does not depend on a BLAS kernel.  Entries that
-    are zero by the chain's structure are left out: the offsets never
-    feed step one, and offset ``d_i`` is fed only by ``d_{i+1}..d4``
-    (``d4`` is constant, since ``g4 = b4``).
+    With the sample ``v`` held, ``y = (e, x21, x31, x41, d1, d2, d3,
+    d4)``, where ``e = v - x11`` and ``d_i = x_i2 - x_i1``, obeys
+    ``y' = A y``: step two's gains enter only as ``g_i - b_i``, which is
+    exactly 0 at a zero horizon.  One step adds ``(exp(A dt) - I) y``,
+    and x11's increment is minus e's.  The map is that matrix, from the
+    series of ``exp(M) - I`` at ``M = A dt / 2^s``, then ``s`` squarings
+    ``P <- 2 P + P P``.  ``s`` brings the step-one chain's norm, balanced
+    by the Fujiwara bound on its poles, to 1/2 or below.  Every product
+    sums in a fixed order (:func:`_product`), so the map does not depend
+    on a BLAS kernel.  Entries that are zero by the chain's structure are
+    left out: the offsets never feed step one, and offset ``d_i`` is fed
+    only by ``d_{i+1}..d4`` (``d4`` is constant, since ``g4 = b4``).
 
     The map is flat, row by row for the increments of x11, x21, x31,
     x41, d1, d2, d3: the error column, then the x21, x31 and x41
     columns, then, on the offset rows, the columns of the later offsets.
     """
-    def response(unit=None, v=0.0):
-        s = [0.0] * 8
-        if unit is not None:
-            s[unit] = 1.0
-        return _rk4_increment(s, v, dt, coeffs)
-
-    cols = (response(v=1.0), *(response(i) for i in (1, 2, 3)))
-    d2, d3, d4 = (response(i) for i in (5, 6, 7))
-    out = []
-    for r in range(7):
-        out += [c[r] for c in cols]
-        if r >= 4:
-            out += [c[r] for c in (d2, d3, d4)[r - 4:]]
-    return tuple(out)
+    b1, b2, b3, b4, g1, g2, g3, g4 = coeffs
+    rho = max(abs(b1), abs(b2) ** 0.5, abs(b3) ** (1.0 / 3.0), abs(b4) ** 0.25)
+    s = max(0, math.frexp(4.0 * rho * dt)[1])
+    a = np.zeros((8, 8))
+    a[:, 0] = (-b1, b2, b3, b4, g1 - b1, g2 - b2, g3 - b3, g4 - b4)
+    a[0, 1] = -1.0
+    a[1, 2] = a[2, 3] = a[4, 5] = a[5, 6] = a[6, 7] = 1.0
+    eye = np.eye(8)
+    # an overflow gives a non-finite map, which ends the run
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = a * math.ldexp(dt, -s)
+        t = eye + m / _DEGREE
+        for j in range(_DEGREE - 1, 1, -1):
+            t = eye + _product(m, t) / j
+        p = _product(m, t)
+        for _ in range(s):
+            p = 2.0 * p + _product(p, p)
+    rows = [-p[0, :4], p[1, :4], p[2, :4], p[3, :4]]
+    for r in (4, 5, 6):
+        rows += [p[r, :4], p[r, r + 1:]]
+    return tuple(np.concatenate(rows).tolist())
 
 
 def rk4_step8(x: tuple, v: float, m: tuple) -> tuple:
-    """One classical RK4 step of the eight-state chain for sample ``v``
-    held over the step (zero-order hold), through the map ``m`` from
-    :func:`step_map` for the step size and gains.
+    """One exact step of the eight-state chain for sample ``v`` held over
+    the step (zero-order hold), through the map ``m`` from
+    :func:`step_map` for the step size and gains.  The name is that of
+    the classical RK4 step it once took, which ``bench/tracing.py``
+    hooks.
 
     The derivative of the eight states for input sample ``v`` is
     ``(x21 + b1 e, x31 + b2 e, x41 + b3 e, b4 e, x22 + g1 e, x32 + g2 e,
-    x42 + g3 e, g4 e)`` with ``e = v - x11``.  The map applies RK4 of it
+    x42 + g3 e, g4 e)`` with ``e = v - x11``.  The map applies the step
     to the error, the step-one chain and the offsets ``x_i2 - x_i1``, so
     a state at rest under a constant input stays bit for bit where it is,
-    and at a zero horizon step two equals step one bit for bit.  Against
-    RK4 composed from the derivative (``rk4_from_rhs8`` in
-    ``tests/conftest.py``) it agrees to a few ulp of the state's scale,
-    as rounding differs.
+    and at a zero horizon step two equals step one bit for bit.
     """
     x11, x21, x31, x41, x12, x22, x32, x42 = x
     d2 = x22 - x21

@@ -38,8 +38,8 @@ def seed(v0):
 def test_criterion_1_polynomial_exactness(capsys):
     # cubic input: the prediction must be exact up to integrator error.
     # The RK4 reference steps on the input sampled at the stage times,
-    # which removes the hold's tracking bias; the parity test pins the
-    # shipped held-sample kernel to the same reference.
+    # which removes the hold's tracking bias; the shipped held-sample
+    # kernel is pinned to the exact held-input step by its expm oracle.
     cfg = observer_config(epsilon=0.05, delta=0.2)
     dt = cfg.epsilon / 10.0
 
@@ -167,7 +167,7 @@ def test_criterion_7_metric_oracles(capsys):
     miss_ok = abs(miss - dense) <= 1e-4
 
     rs = [mc.RunResult(delay=0.1, source="delayed", sample=i, seed=i, miss=m,
-                       rmse=0.0, peak_accel=0.0,
+                       miss_continuous=m, rmse=0.0, peak_accel=0.0,
                        termination="closest_approach")
           for i, m in enumerate([1.0, 2.0, 3.0])]
     std = mc.aggregate(rs).groups[(0.1, "delayed")]["std_miss"]

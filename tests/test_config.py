@@ -98,21 +98,17 @@ class TestValidate:
         """Gains of (s + a)^4: every observer pole at -a / epsilon."""
         return {"k1": 4.0 * a, "k2": 6.0 * a ** 2, "k3": 4.0 * a ** 3, "k4": a ** 4}
 
-    @pytest.mark.parametrize("a", [20.0, 139.0])
-    def test_rk4_damped_gains_pass(self, a):
-        # Fujiwara's root bound, 8a, is too loose to settle these: the
-        # gate must find the roots (the defaults, a = 1, pass on the bound)
-        cfg = cf.resolve()
-        cfg["observer"].update(self.quadruple_root(a))
+    @pytest.mark.parametrize("a", [20.0, 139.0, 140.0, 1000.0])
+    def test_stiff_gains_validate_and_fly(self, a):
+        # dt / epsilon = 0.02 puts a pole at -0.02 a per step, past RK4's
+        # real-axis limit of -2.7853 from a = 140 on; the exact step damps
+        # every pole, so no gain past the Hurwitz gate is refused
+        cfg = cf.resolve(overrides=["seeker.lag_time_constant=0.2", "guidance.source=predicted"]
+                         + ["observer.%s=%r" % kv for kv in self.quadruple_root(a).items()])
         assert cf.validate(cfg) == []
-
-    def test_rk4_undamped_gains_rejected(self):
-        # dt / epsilon = 0.02: RK4 damps a real pole z = -0.02 a only above
-        # z = -2.7853, its stability limit on the real axis
-        cfg = cf.resolve()
-        cfg["observer"].update(self.quadruple_root(140.0))
-        problems = cf.validate(cfg)
-        assert len(problems) == 1 and "RK4 step does not damp" in problems[0], problems
+        eng = en.EngagementConfig.from_setup(cf.build_setup(cfg))
+        assert all(map(math.isfinite, ob.step_map(eng.dt, eng.observer.coefficients())))
+        assert en.run_engagement(eng).termination_reason in en.TERMINATIONS
 
     def test_step_count_cap(self):
         # a power-of-two dt makes max_time / dt exact at the cap

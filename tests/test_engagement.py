@@ -188,6 +188,7 @@ class TestMissDistance:
         miss, tm = en.miss_distance(rec)
         assert miss == pytest.approx(float(rec.series["range"][-1]))
         assert tm == pytest.approx(float(ts[-1]))
+        assert en.closest_approach(rec) == float(rec.series["range"][-1])
 
     def test_empty_record_rejected(self):
         rec = synthetic_record(np.array([]), lambda t: (0, 0, 0),
@@ -195,6 +196,56 @@ class TestMissDistance:
                                lambda t: (0, 0, 0))
         with pytest.raises(ValueError):
             en.miss_distance(rec)
+        with pytest.raises(ValueError):
+            en.closest_approach(rec)
+
+
+class TestClosestApproach:
+    """The Hermite closest approach against closed-form misses: relative
+    motion of degree at most 3 in t, which the cubic reproduces."""
+
+    @staticmethod
+    def crossing(offset, accel=0.0, dt=0.03):
+        """The target passes a still missile at the origin: relative
+        position (50 tau, offset + accel tau^2 / 2, 0) with tau = t - 2,
+        whose closest approach falls between samples."""
+        def still(t):
+            return (0.0, 0.0, 0.0)
+        return synthetic_record(
+            np.arange(0.0, 4.0, dt), still, still,
+            lambda t: (50.0 * (t - 2.0), offset + 0.5 * accel * (t - 2.0) ** 2, 0.0),
+            lambda t: (50.0, accel * (t - 2.0), 0.0))
+
+    @pytest.mark.parametrize("offset", [1e-4, 5.0])
+    def test_straight_crossing(self, offset):
+        # a straight crossing, as in criterion 7: the miss is the offset
+        assert en.closest_approach(self.crossing(offset)) == pytest.approx(offset, rel=1e-9)
+
+    @pytest.mark.parametrize("offset", [3e-4, 2.0])
+    @pytest.mark.parametrize("accel", [40.0, -40.0])
+    def test_constant_acceleration_crossing(self, offset, accel):
+        # r^2 = offset^2 + (50^2 + offset accel) tau^2 + accel^2 tau^4 / 4
+        # is least at tau = 0 while 50^2 + offset accel > 0
+        assert en.closest_approach(self.crossing(offset, accel)) == pytest.approx(offset, rel=1e-9)
+
+    def test_curving_back_crossing(self):
+        # at offset -100 m and accel 40 m/s^2, 50^2 + offset accel < 0:
+        # the path bends back across the line, and r^2 is least at
+        # tau^2 = -2 (50^2 + offset accel) / accel^2 on either side
+        tau2 = -2.0 * (2500.0 - 100.0 * 40.0) / 40.0 ** 2
+        want = math.hypot(50.0 * math.sqrt(tau2), -100.0 + 20.0 * tau2)
+        rec = self.crossing(-100.0, 40.0, dt=0.01)
+        assert en.closest_approach(rec) == pytest.approx(want, rel=1e-9)
+
+
+def test_closest_approach_converges_in_dt():
+    # halving dt moves the Hermite miss of test_miss_converges_in_dt's
+    # run by 0.3% (0.1616 and 0.1611 mm)
+    misses = [en.closest_approach(en.run_engagement(engagement_config({
+        "guidance.source": "predicted", "seeker.lag_time_constant": 0.2,
+        "target.kind": "weaving", "target.phase": 1.0, "engagement.dt": dt})))
+        for dt in (1e-3, 5e-4)]
+    assert abs(misses[0] - misses[1]) <= 0.02 * misses[1]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: miss_distance returns the clamped "
@@ -540,16 +591,17 @@ class TestWarmupResume:
         assert true.termination_reason == "closest_approach"
 
     def test_unread_observer_cannot_end_flight(self):
-        # epsilon 1e-4 makes the observer blow up within 0.13 s;
-        # replace bypasses the validation that would refuse it
+        # k1 = -4 fails the Hurwitz gate: at epsilon 1e-3 two poles sit at
+        # +2272 1/s, and the observer blows up within 0.32 s; replace
+        # bypasses the validation that would refuse it
         cfg = engagement_config({**self.LAGGED, "guidance.source": "delayed",
                                  "guidance.warmup": 0.0})
         bad = dataclasses.replace(cfg, observer=dataclasses.replace(cfg.observer,
-                                                                    epsilon=1e-4))
+                                                                    k1=-4.0, epsilon=1e-3))
         diverged = en.run_engagement(bad)
         assert diverged.termination_reason == "observer_divergence"
-        assert diverged.diagnostic == "observer state non-finite at t=0.121"
-        assert len(diverged) == 122
+        assert diverged.diagnostic == "observer state non-finite at t=0.312"
+        assert len(diverged) == 313
         lean = en.run_engagement(bad, record_prediction=False)
         stable = en.run_engagement(cfg)
         assert lean.termination_reason == "closest_approach"
@@ -656,6 +708,7 @@ class TestMetricsAndCsv:
         record.series["acc_cmd_y"] = np.array([4.0])
         record.series["defl_p"] = np.array([0.2])
         m = en.compute_metrics(record, engagement_config())
+        assert m["miss_continuous"] == 1000.0
         assert m["peak_accel_cmd"] == 5.0
         assert m["integrated_abs_deflection"] == 0.0
 

@@ -22,37 +22,37 @@ from pgsim import montecarlo as mc
 REDUCED_SWEEP = ["--set", "sweep.delays=[0.025, 0.35]",
                  "--set", "sweep.samples_per_delay=2"]
 
-DEFAULT_SWEEP_RUNS_CSV = "fcfa3931f00f146c28f18d9e16ae6cd4e78508aa4d40558f7771a96a14ef30c6"
+DEFAULT_SWEEP_RUNS_CSV = "511b3291fa20897dad7bc7e6bff5b76f55db9f1176c2983d1f099ce550b97ffa"
 
 SWEEP_HASHES = {
-    "sweep_runs.csv": "f211cb394315c49197ffffb2c4613668c361713f09d25bf509da1fdf4b0c2792",
-    "sweep_summary.json": "a0da15a79e0923248f373049360b570076361507340b11d659515a92e9e52b1b",
+    "sweep_runs.csv": "b46f4c7f25e7e609900a733eb0adaed5c4c1a6c868d673f06a0600bbd0be83f0",
+    "sweep_summary.json": "9592264b3ea14840450b97a6ab5f747f2bd8bd6489f05c634e26a11c599e1167",
 }
 
 CASES = {
     "run-default": (["run"], {
-        "engagement.csv": "26160f4c551e48f60596f7335718a368f54f89d29aa1215e9cea0dc94768e31b",
-        "metrics.json": "c36f69c37e98f234cb93c36dd1e08954b77c2d72823b0b897084fcf630497a0d",
+        "engagement.csv": "b5dde62b3927f660246993702ac50037b83ed7f098678d25ce60ceaac2cecae4",
+        "metrics.json": "cee709666ae35eb8782077137378a387ac38b200c6a7b0bdec45203a60bef393",
     }),
     "run-weave-predicted": (["run", "--set", "seeker.lag_time_constant=0.2",
                              "--set", "guidance.source=predicted",
                              "--set", "target.kind=weaving"], {
-        "engagement.csv": "1986cc271b8de436326ec4a3ab21f33e62ef28fb215bbed3ef0072aeef63f032",
-        "metrics.json": "f16aac3bb6968f43c79f5fefadb5d3711980c0ffe9393e905985e116c9d09c2d",
+        "engagement.csv": "8b938c711866da37a7f2a3d99f3f6ee7869f6ad60be662d593764c68e7294022",
+        "metrics.json": "457ea3d18dbc5af14454568ccb75c2c2de06765c328cf587ab103612078987f2",
     }),
     # a warm-up off the step grid: guidance hands over at t = 2.001
     "run-weave-predicted-offgrid": (["run", "--set", "seeker.lag_time_constant=0.2",
                                      "--set", "guidance.source=predicted",
                                      "--set", "target.kind=weaving",
                                      "--set", "guidance.warmup=2.0005"], {
-        "engagement.csv": "a20cea59223024bff412a0393af7b10af8ef4e4eefd16d33122dd776a080fb6c",
-        "metrics.json": "6ea99c9dfeb7eba85c65ce40a934c4a525cd6a5ecfbcc8341fbfeca4948f335a",
+        "engagement.csv": "9c307f1e93a93c5385739ea529dd21cc55544e0846f9a6059dff8c54de86ded4",
+        "metrics.json": "836f9005a23ef9d25d8b266f32a339487e497fa87ac4cb4c532ef7bc0449db46",
     }),
     # a step off the thrust table's grid: the stage times fall between
     # breakpoints, and burnout (6.6 s) falls inside a step
     "run-dt-offgrid": (["run", "--set", "engagement.dt=0.0007"], {
-        "engagement.csv": "7761b89f30c7c9069cac9d86446d004344b0b1e3eea0b80a3b54ae47839b929d",
-        "metrics.json": "537abaed00601db548dd27cf736c9fe0d8772083a39c92fab38c7987aeadca5e",
+        "engagement.csv": "ab1ab9e44957000238ce8ecb09df7eca4a1d005602d453069dffe6fd47045dc0",
+        "metrics.json": "bc62b145a4cb994a46f73d1bbd95ca524e1378c1a64ad1f900a95d28ce195027",
     }),
     "sweep-jobs1": (["sweep", "--jobs", "1", *REDUCED_SWEEP], SWEEP_HASHES),
     "sweep-jobs2": (["sweep", "--jobs", "2", *REDUCED_SWEEP], SWEEP_HASHES),

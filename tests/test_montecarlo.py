@@ -15,7 +15,7 @@ SOURCES = tuple(cf.DEFAULTS["sweep"]["sources"])
 def result(delay=0.1, source="delayed", sample=0, seed=1, miss=1.0,
            rmse=0.01, peak=50.0, termination="closest_approach"):
     return mc.RunResult(delay=delay, source=source, sample=sample, seed=seed,
-                        miss=miss, rmse=rmse, peak_accel=peak,
+                        miss=miss, miss_continuous=miss, rmse=rmse, peak_accel=peak,
                         termination=termination)
 
 

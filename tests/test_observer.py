@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from conftest import engagement_config, rhs8, rk4_from_rhs8, schema_config
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from pgsim import engagement as en
 from pgsim import observer as ob
@@ -86,7 +87,7 @@ def seed(v0):
 
 
 def step_map(cfg, dt):
-    """The RK4 step map of ``cfg``'s observer at step size ``dt``."""
+    """The step map of ``cfg``'s observer at step size ``dt``."""
     return ob.step_map(dt, cfg.coefficients())
 
 
@@ -229,8 +230,8 @@ class TestInvariants:
         x, t = run_observer(cfg, v, 2.0, dt, staged=True)
         assert x[0] == pytest.approx(v(t), rel=1e-6)
         assert x[4] == pytest.approx(v(t + 0.2), rel=1e-5)
-        # derivative states carry the residual RK4 propagator error at
-        # this coarse step; they are checked at the looser tolerance
+        # derivative states carry the RK4 reference's propagator error
+        # at this coarse step; they are checked at the looser tolerance
         assert x[1] == pytest.approx(6 * t ** 2 - 2 * t, rel=1e-3)
         assert x[2] == pytest.approx(12 * t - 2, rel=1e-3)
         assert x[3] == pytest.approx(12.0, rel=1e-3)
@@ -290,23 +291,74 @@ class TestInvariants:
         assert run() == run()
 
 
-class TestRk4StepParity:
-    # The map rounds differently from the written-out stages; the bound
-    # is in ulp of the step's scale, max(|x|, |v|, |result|), and the
-    # largest error over these cases is 2.0 ulp.
-    ULPS = 16
+def rate_matrix(coeffs):
+    """``A`` of ``y' = A y`` for ``y = (e, x21, x31, x41, d1, d2, d3, d4)``
+    with the sample held, ``e = v - x11`` and ``d_i = x_i2 - x_i1``: each
+    column is the rate of ``y`` that :func:`rhs8` gives a unit ``y`` at
+    ``v = 0``."""
+    cols = []
+    for j in range(8):
+        e, x21, x31, x41, d1, d2, d3, d4 = np.eye(8)[j].tolist()
+        dx = rhs8((-e, x21, x31, x41, d1 - e, x21 + d2, x31 + d3, x41 + d4), 0.0, coeffs)
+        cols.append([-dx[0], *dx[1:4], *(dx[4 + i] - dx[i] for i in range(4))])
+    return np.array(cols).T
 
-    def test_agrees_with_rhs8_composition(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            x = tuple(float(v) for v in rng.normal(size=8) * 10.0 ** rng.integers(-3, 4, 8))
-            cfg = make_config(epsilon=float(rng.uniform(0.02, 0.2)),
-                              delta=float(rng.uniform(0.0, 0.4)))
-            coeffs = cfg.coefficients()
-            dt = cfg.epsilon / float(rng.uniform(4.0, 40.0))
-            v = float(rng.normal())
-            got = ob.rk4_step8(x, v, ob.step_map(dt, coeffs))
-            want = rk4_from_rhs8(x, v, dt, coeffs)
-            scale = max(map(abs, (*x, v, *want)))
-            err = max(abs(a - b) for a, b in zip(got, want))
-            assert err <= self.ULPS * scale * 2.0 ** -52, (x, v, dt, coeffs)
+
+def unpacked(m):
+    """The 8x8 increment matrix on ``y`` (see :func:`rate_matrix`) that
+    the flat map ``m`` holds: the x11 row is minus the e row, and the
+    entries the map leaves out are 0."""
+    assert len(m) == 34
+    p, it = np.zeros((8, 8)), iter(m)
+    for r in range(7):
+        for c in [0, 1, 2, 3] + (list(range(r + 1, 8)) if r >= 4 else []):
+            p[r, c] = next(it)
+    p[0] = -p[0]
+    return p
+
+
+def pole_gains(p1, p2, sigma, omega):
+    """Hurwitz gains k1..k4 of the poles -p1, -p2 and -sigma +- i omega."""
+    return tuple(np.polymul(np.polymul([1.0, p1], [1.0, p2]),
+                            [1.0, 2.0 * sigma, sigma * sigma + omega * omega])[1:].tolist())
+
+
+class TestExactMap:
+    """``step_map`` is ``exp(A dt) - I`` on ``y``."""
+
+    @pytest.mark.parametrize("ks", [(4.0, 6.0, 4.0, 1.0), (2.0, 3.0, 2.0, 1.0)])
+    @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.2, 1.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.1, 0.35])
+    def test_agrees_with_scipy_expm(self, ks, epsilon, delta):
+        coeffs = make_config(**dict(zip(("k1", "k2", "k3", "k4"), ks)),
+                             epsilon=epsilon, delta=delta).coefficients()
+        for dt in (epsilon / 4.0, epsilon / 40.0, 1e-3):
+            want = expm(rate_matrix(coeffs) * dt) - np.eye(8)
+            got = unpacked(ob.step_map(dt, coeffs))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), dt
+
+    @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+           st.floats(0.0, 10.0), st.floats(-77.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(1e-3, 1.0))
+    @example(1.0, 1.0, 1.0, 0.0, -77.0, 0.0, 1.0)  # the smallest epsilon with finite gains
+    @settings(max_examples=200, deadline=None)
+    def test_step_one_is_damped(self, p1, p2, sigma, omega, log_eps, delta, frac):
+        # any Hurwitz gains at any epsilon > 0 and dt <= epsilon / 4: the
+        # eigenvalues mu of step one's increments keep |1 + mu| < 1
+        epsilon = 10.0 ** log_eps
+        ks = dict(zip(("k1", "k2", "k3", "k4"), pole_gains(p1, p2, sigma, omega)))
+        coeffs = make_config(**ks, epsilon=epsilon, delta=delta).coefficients()
+        assume(all(map(math.isfinite, coeffs)))
+        m = ob.step_map(frac * epsilon / 4.0, coeffs)
+        assert all(map(math.isfinite, m))
+        # similar to the increments, scaled to the pole magnitude 1/epsilon
+        scale = epsilon ** np.arange(4.0)
+        mu = np.linalg.eigvals(unpacked(m)[:4, :4] * scale[:, None] / scale[None, :])
+        assert np.all(2.0 * mu.real + np.abs(mu) ** 2 < 0.0), mu
+
+    @pytest.mark.parametrize("epsilon, dt", [(0.05, 1e-3), (0.05, 0.0125), (1e-6, 2e-7)])
+    def test_zero_horizon_offsets_exactly_zero(self, epsilon, dt):
+        # the offset rows take no error and no step-one state, so step two
+        # steps as step one bit for bit
+        p = unpacked(step_map(make_config(epsilon=epsilon, delta=0.0), dt))
+        assert not p[4:, :4].any()
